@@ -141,12 +141,7 @@ class LyapunovCertificate:
 
     def to_dict(self) -> dict:
         return {
-            "gain_condition": {
-                "holds": self.gain_condition.holds,
-                "reason": self.gain_condition.reason,
-                "lhs": self.gain_condition.lhs,
-                "rhs": self.gain_condition.rhs,
-            },
+            "gain_condition": self.gain_condition._asdict(),
             "p1": self.p1,
             "n1": self.n1,
             "n2_coeff": self.n2_coeff,

@@ -19,12 +19,12 @@ from .experiments import (
     METHODS,
     build_gain_config,
     build_sim_config,
+    certificate_summary,
     run_cell,
     run_configured_cell,
     validate_pairing,
     write_cell_outputs,
 )
-from .laws import check_gain_condition
 from .metrics import comparison_csv
 from .sim import DisturbanceSpec, SimulationAborted
 
@@ -62,7 +62,8 @@ def _add_gain_args(p: argparse.ArgumentParser):
 def _add_sim_args(p: argparse.ArgumentParser):
     p.add_argument("--dt", type=float, default=None, help="integration step (s)")
     p.add_argument("--horizon", type=float, default=None, help="simulation horizon (s)")
-    p.add_argument("--log-stride", dest="log_stride", type=int, default=None)
+    p.add_argument("--log-stride", dest="log_stride", type=int, default=None,
+                   help="write every Nth step to trajectory.csv (metrics use every step)")
 
 
 def build_parser() -> _Parser:
@@ -141,7 +142,10 @@ def _parse_vector(text: str):
 def cmd_run(args) -> int:
     file_spec = {}
     if args.config is not None:
-        file_spec = json.loads(Path(args.config).read_text())
+        try:
+            file_spec = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"--config {args.config}: {exc}") from exc
 
     experiment = args.experiment or file_spec.get("experiment")
     method = args.method or file_spec.get("method")
@@ -205,14 +209,15 @@ def cmd_certify(args) -> int:
         payload["certified"] = cert.certified
         if args.v0 is not None:
             delta = args.delta if args.delta is not None else 0.0
-            estimate = estimate_convergence(cert, cfg, args.v0, delta,
-                                            L0=args.l0, L0_dot=args.l0_dot,
-                                            theta1=args.theta1, theta2=args.theta2)
+            try:
+                estimate = estimate_convergence(cert, cfg, args.v0, delta,
+                                                L0=args.l0, L0_dot=args.l0_dot,
+                                                theta1=args.theta1, theta2=args.theta2)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
             payload["convergence"] = estimate.to_dict()
     else:
-        chk = check_gain_condition(cfg)
-        payload["gain_condition"] = {"holds": chk.holds, "reason": chk.reason,
-                                     "lhs": chk.lhs, "rhs": chk.rhs}
+        payload.update(certificate_summary(cfg))
         payload["certified"] = False
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
@@ -238,8 +243,11 @@ def cmd_compare(args) -> int:
         gain_over = dict(gains)
         if args.m is not None:
             gain_over["m"] = args.m
-        traj, report = run_cell(args.experiment, method,
-                                gain_overrides=gain_over, sim_overrides=sim_over)
+        try:
+            traj, report = run_cell(args.experiment, method,
+                                    gain_overrides=gain_over, sim_overrides=sim_over)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         if args.out is not None:
             write_cell_outputs(args.out, args.experiment, method, traj, report)
         reports.append(report)

@@ -104,12 +104,10 @@ def validate_pairing(experiment: str, method: str) -> None:
         )
 
 
-def _certificate_summary(cfg: GainConfig) -> dict:
+def certificate_summary(cfg: GainConfig) -> dict:
     if cfg.m > 2:
         return build_certificate(cfg).to_dict()
-    chk = check_gain_condition(cfg)
-    return {"gain_condition": {"holds": chk.holds, "reason": chk.reason,
-                               "lhs": chk.lhs, "rhs": chk.rhs}}
+    return {"gain_condition": check_gain_condition(cfg)._asdict()}
 
 
 def _resolved_config(experiment: str, method: str, cfg: GainConfig,
@@ -142,12 +140,17 @@ def run_cell(experiment: str, method: str, gain_overrides: dict | None = None,
 def run_configured_cell(scenario_id: str, method: str, cfg: GainConfig,
                         sim: SimConfig, dist: DisturbanceSpec
                         ) -> tuple[Trajectory, ExperimentReport]:
-    """Run a fully specified cell (also used for custom scenarios)."""
+    """Run a fully specified cell (also used for custom scenarios).
+
+    The metrics are computed on the full-rate record; the returned trajectory
+    is thinned by ``sim.log_stride``, which changes no reported number.
+    """
     entry = METHODS[method]
+    full_rate = dataclasses.replace(sim, log_stride=1)
 
     if entry["kind"] == "controller":
         p_block = build_p_block(cfg) if cfg.m > 2 else None
-        traj = simulate_closed_loop(ControllerLaw(cfg), sim, dist, lyapunov_P=p_block)
+        traj = simulate_closed_loop(ControllerLaw(cfg), full_rate, dist, lyapunov_P=p_block)
         threshold = CONTROLLER_SETTLE_REL * float(
             (sim.x1_init @ sim.x1_init) ** 0.5
         )
@@ -155,7 +158,7 @@ def run_configured_cell(scenario_id: str, method: str, cfg: GainConfig,
         bound = ultimate_bound(traj, STATE_NORM, TAIL_FRACTION)
         chat = chattering_index(traj, CONTROL, TAIL_FRACTION)
     else:
-        traj = simulate_observer(cfg, sim, dist)
+        traj = simulate_observer(cfg, full_rate, dist)
         threshold = OBSERVER_SETTLE_ABS
         settle = settling_time(traj, ERROR_NORM, threshold)
         bound = ultimate_bound(traj, ERROR_NORM, TAIL_FRACTION)
@@ -171,10 +174,10 @@ def run_configured_cell(scenario_id: str, method: str, cfg: GainConfig,
         dt_used=sim.dt,
         settling_threshold=threshold,
         tail_fraction=TAIL_FRACTION,
-        certificate_summary=_certificate_summary(cfg),
+        certificate_summary=certificate_summary(cfg),
         config=_resolved_config(scenario_id, method, cfg, sim, dist),
     )
-    return traj, report
+    return traj.thinned(sim.log_stride), report
 
 
 def write_cell_outputs(outdir, experiment: str, method: str,

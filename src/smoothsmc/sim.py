@@ -4,14 +4,18 @@ feedback law, disturbance signal generators, and trajectory logging.
 The plant is ``x1dot = u + d(t)``.  The control is held constant over each
 major step (zero-order hold) while the plant integrates with classical
 four-stage Runge-Kutta, the disturbance evaluated at the substage times.
-Everything is deterministic: identical configs give bit-identical logs.
+:func:`simulate_closed_loop` is the one loop that steps the plant.  The
+observer never acts on the plant, so :func:`simulate_observer` runs over the
+stream of an uncontrolled plant run (or a recorded one).  Every step is
+logged; ``log_stride`` only thins the returned record.  Everything is
+deterministic: identical configs give bit-identical logs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,6 +164,8 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if not self.horizon > self.dt:
             raise ValueError("horizon must exceed dt")
+        if not math.isfinite(self.horizon):
+            raise ValueError("horizon must be finite")
         if self.log_stride < 1:
             raise ValueError("log_stride must be >= 1")
 
@@ -216,6 +222,12 @@ class Trajectory:
     def n(self) -> int:
         return self.x1.shape[1]
 
+    def thinned(self, stride: int) -> "Trajectory":
+        """Every ``stride``-th sample, starting with the first."""
+        columns = {f.name: getattr(self, f.name) for f in fields(self)}
+        return replace(self, **{name: col[::stride] for name, col in columns.items()
+                                if col is not None})
+
 
 class ZeroLaw:
     """Zero control; useful for open-loop and observer-only runs."""
@@ -242,23 +254,25 @@ class ControllerLaw:
         return controller_step(x1, state, self.cfg, dt, singular_tol=singular_tol)
 
 
-def _rk4_plant_step(x: np.ndarray, u: np.ndarray, dist: DisturbanceSpec,
-                    t: float, dt: float) -> np.ndarray:
-    f = lambda tau: u + disturbance_at(dist, tau)
-    f1 = f(t)
-    f2 = f(t + 0.5 * dt)
-    f3 = f(t + 0.5 * dt)
-    f4 = f(t + dt)
-    return x + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+def _rk4_plant_step(x: np.ndarray, u: np.ndarray, d_k: np.ndarray,
+                    dist: DisturbanceSpec, t: float, dt: float) -> np.ndarray:
+    """One RK4 step of ``x1dot = u + d(t)`` from ``d_k = d(t)``.  Stages 2 and
+    3 share the midpoint value; the sum keeps both terms so that the result
+    is bitwise that of the textbook four-evaluation form."""
+    f1 = u + d_k
+    f2 = u + disturbance_at(dist, t + 0.5 * dt)
+    f4 = u + disturbance_at(dist, t + dt)
+    return x + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f2 + f4)
 
 
 def simulate_closed_loop(law, sim: SimConfig, dist: DisturbanceSpec,
                          lyapunov_P: SymMatrix | None = None) -> Trajectory:
     """Integrate the plant under a sampled feedback law.
 
-    When a Lyapunov factor is attached the logged V uses the transformed state
-    at the gain level in effect at each sample, reconstructing the companion
-    coordinate exactly as ``x2 = d - integral``.
+    Every step is logged and the record is thinned by ``sim.log_stride`` on
+    return.  When a Lyapunov factor is attached the logged V uses the
+    transformed state at the gain level in effect at each sample,
+    reconstructing the companion coordinate exactly as ``x2 = d - integral``.
     """
     if dist.n != sim.n:
         raise ValueError("disturbance dimension does not match the initial state")
@@ -267,121 +281,73 @@ def simulate_closed_loop(law, sim: SimConfig, dist: DisturbanceSpec,
 
     n = sim.n
     steps = sim.steps
-    logged = range(0, steps, sim.log_stride)
-    count = len(logged)
-    times = np.empty(count)
-    x1_log = np.empty((count, n))
-    u_log = np.empty((count, n))
-    d_log = np.empty((count, n))
-    track_l0 = law.cfg is not None
-    l0_log = np.empty(count) if track_l0 else None
-    v_log = np.empty(count) if lyapunov_P is not None else None
+    times = np.empty(steps)
+    x1_log = np.empty((steps, n))
+    u_log = np.empty((steps, n))
+    d_log = np.empty((steps, n))
+    l0_log = np.empty(steps) if law.cfg is not None else None
+    v_log = np.empty(steps) if lyapunov_P is not None else None
 
     x = sim.x1_init.copy()
     state = law.initial_state(n)
-    j = 0
     for k in range(steps):
         t = k * sim.dt
         d_k = disturbance_at(dist, t)
         pre = state
         u, state = law.step(x, pre, sim.dt, sim.singular_tol)
-        if k % sim.log_stride == 0:
-            times[j] = t
-            x1_log[j] = x
-            u_log[j] = u
-            d_log[j] = d_k
-            if track_l0:
-                l0_log[j] = pre.L0
-            if v_log is not None:
-                xi = transform_state(x, d_k - pre.integral_term, pre.L0,
-                                     law.cfg.m, sim.singular_tol)
-                v_log[j] = lyapunov_value(xi, lyapunov_P)
-            j += 1
-        x = _rk4_plant_step(x, u, dist, t, sim.dt)
+        times[k] = t
+        x1_log[k] = x
+        u_log[k] = u
+        d_log[k] = d_k
+        if l0_log is not None:
+            l0_log[k] = pre.L0
+        if v_log is not None:
+            xi = transform_state(x, d_k - pre.integral_term, pre.L0,
+                                 law.cfg.m, sim.singular_tol)
+            v_log[k] = lyapunov_value(xi, lyapunov_P)
+        x = _rk4_plant_step(x, u, d_k, dist, t, sim.dt)
         if not np.isfinite(x).all():
             raise SimulationAborted(k, t + sim.dt, x)
 
     return Trajectory(times=times, x1=x1_log, u=u_log, d_true=d_log,
-                      L0=l0_log, V=v_log)
+                      L0=l0_log, V=v_log).thinned(sim.log_stride)
 
 
 def simulate_observer(cfg: GainConfig, sim: SimConfig, dist: DisturbanceSpec,
-                      plant_control: Callable[[float], np.ndarray] | np.ndarray | None = None,
-                      z1_init: np.ndarray | None = None,
                       recorded: Trajectory | None = None) -> Trajectory:
-    """Run the disturbance observer against a live plant or a recorded run.
+    """Run the disturbance observer over a plant's measurement and control
+    stream.
 
-    The plant control defaults to zero (pure disturbance reconstruction).  In
-    recorded mode the measurement and control streams come from the given
-    trajectory, which must be sampled at exactly ``sim.dt``.
+    The observer never acts on the plant, so the stream is a plain plant run:
+    by default the uncontrolled plant (zero control) under ``dist``, logged
+    at every step; otherwise ``recorded``, which must be sampled at exactly
+    ``sim.dt``.  The returned record is thinned by ``sim.log_stride``.
     """
-    n = sim.n
-    if recorded is not None:
-        if recorded.n != n:
+    if recorded is None:
+        recorded = simulate_closed_loop(ZeroLaw(), replace(sim, log_stride=1), dist)
+    else:
+        if recorded.n != sim.n:
             raise ValueError("recorded trajectory dimension mismatch")
         spacing = np.diff(recorded.times)
         if spacing.size and not np.allclose(spacing, sim.dt, rtol=0, atol=1e-9 * sim.dt):
             raise ValueError("recorded trajectory must be sampled at the simulation dt")
-        steps = recorded.times.shape[0]
-    else:
-        if dist.n != n:
-            raise ValueError("disturbance dimension does not match the initial state")
-        steps = sim.steps
 
-    if plant_control is None:
-        u_at = lambda t: np.zeros(n)
-    elif callable(plant_control):
-        u_at = plant_control
-    else:
-        const_u = np.asarray(plant_control, dtype=float)
-        u_at = lambda t: const_u
-
-    logged = range(0, steps, sim.log_stride)
-    count = len(logged)
-    times = np.empty(count)
-    x1_log = np.empty((count, n))
-    u_log = np.empty((count, n))
-    d_log = np.empty((count, n))
-    dhat_log = np.empty((count, n))
-    l0_log = np.empty(count)
-
-    x = sim.x1_init.copy() if recorded is None else recorded.x1[0].copy()
-    obs = initial_observer_state(cfg, x if z1_init is None else z1_init)
-    j = 0
+    steps = recorded.times.shape[0]
+    dhat_log = np.empty((steps, sim.n))
+    l0_log = np.empty(steps)
+    obs = initial_observer_state(cfg, recorded.x1[0])
     for k in range(steps):
-        if recorded is not None:
-            t = float(recorded.times[k])
-            x_k = recorded.x1[k]
-            u_k = recorded.u[k]
-            d_k = recorded.d_true[k]
-        else:
-            t = k * sim.dt
-            x_k = x
-            u_k = u_at(t)
-            d_k = disturbance_at(dist, t)
         pre = obs
-        d_hat, obs = observer_step(x_k, u_k, pre, cfg, sim.dt, singular_tol=sim.singular_tol)
-        if k % sim.log_stride == 0:
-            times[j] = t
-            x1_log[j] = x_k
-            u_log[j] = u_k
-            d_log[j] = d_k
-            dhat_log[j] = d_hat
-            l0_log[j] = pre.L0
-            j += 1
+        d_hat, obs = observer_step(recorded.x1[k], recorded.u[k], pre, cfg, sim.dt,
+                                   singular_tol=sim.singular_tol)
+        dhat_log[k] = d_hat
+        l0_log[k] = pre.L0
         if not np.isfinite(obs.z1).all():
-            raise SimulationAborted(k, t + sim.dt, obs.z1)
-        if recorded is None:
-            x = _rk4_plant_step(x, u_k, dist, t, sim.dt)
-            if not np.isfinite(x).all():
-                raise SimulationAborted(k, t + sim.dt, x)
+            raise SimulationAborted(k, float(recorded.times[k]) + sim.dt, obs.z1)
 
-    return Trajectory(times=times, x1=x1_log, u=u_log, d_true=d_log,
-                      d_hat=dhat_log, L0=l0_log)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return Trajectory(times=recorded.times, x1=recorded.x1, u=recorded.u,
+                      d_true=recorded.d_true, d_hat=dhat_log,
+                      L0=l0_log).thinned(sim.log_stride)
 
 
 def trajectory_columns(traj: Trajectory) -> list[str]:
@@ -403,28 +369,17 @@ def trajectory_columns(traj: Trajectory) -> list[str]:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the trajectory with 17 significant digits per value so that a
     round-trip through text reproduces the floats bit for bit."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(trajectory_columns(traj)) + "\n")
-        for i in range(traj.times.shape[0]):
-            row = [_fmt(traj.times[i])]
-            row += [_fmt(v) for v in traj.x1[i]]
-            row += [_fmt(v) for v in traj.u[i]]
-            row += [_fmt(v) for v in traj.d_true[i]]
-            if traj.d_hat is not None:
-                row += [_fmt(v) for v in traj.d_hat[i]]
-            if traj.L0 is not None:
-                row.append(_fmt(traj.L0[i]))
-            if traj.V is not None:
-                row.append(_fmt(traj.V[i]))
-            fh.write(",".join(row) + "\n")
+    blocks = (traj.times, traj.x1, traj.u, traj.d_true, traj.d_hat, traj.L0, traj.V)
+    np.savetxt(path, np.column_stack([b for b in blocks if b is not None]),
+               fmt="%.17g", delimiter=",", header=",".join(trajectory_columns(traj)),
+               comments="")
 
 
 def load_trajectory_csv(path) -> Trajectory:
     """Inverse of :func:`write_trajectory_csv`."""
-    with open(path, "r", newline="") as fh:
+    with open(path, "r") as fh:
         header = fh.readline().strip().split(",")
-        data = np.array([[float(v) for v in line.strip().split(",")]
-                         for line in fh if line.strip()])
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     cols = {name: i for i, name in enumerate(header)}
     n = sum(1 for name in header if name.startswith("x1"))
 

@@ -237,3 +237,28 @@ class TestSweep:
         ])
         assert code == 0
         assert (tmp_path / "sweep_m.csv").exists()
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("case", [
+        "malformed-config", "missing-config", "negative-delta",
+        "infinite-horizon-run", "infinite-horizon-compare",
+    ])
+    def test_usage_error_without_traceback(self, tmp_path, capsys, case):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text("{not json")
+        argv = {
+            "malformed-config": ["run", "--config", str(malformed)],
+            "missing-config": ["run", "--config", str(tmp_path / "absent.json")],
+            "negative-delta": ["certify", "--m", "3", "--v0", "50", "--delta", "-1"],
+            "infinite-horizon-run": ["run", "--experiment", "exp1", "--method", "amssosmc",
+                                     "--horizon", "inf", "--out", str(tmp_path)],
+            "infinite-horizon-compare": ["compare", "--experiment", "exp1",
+                                         "--methods", "amssosmc,amstsmc-baseline",
+                                         "--horizon", "inf"],
+        }[case]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err.startswith("usage error: ")
+        assert "Traceback" not in err
+        assert out == ""

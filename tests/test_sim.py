@@ -18,7 +18,7 @@ from smoothsmc import (
     simulate_observer,
     write_trajectory_csv,
 )
-from smoothsmc.experiments import experiment_disturbance
+from smoothsmc.experiments import build_sim_config, experiment_disturbance, run_cell
 from smoothsmc.sim import trajectory_columns
 
 from conftest import reference_gains
@@ -118,18 +118,18 @@ class TestDeterminismAndExport:
         assert (",".join(trajectory_columns(observer_traj))
                 == "t,x11,x12,x13,u1,u2,u3,d1,d2,d3,dhat1,dhat2,dhat3,L0")
 
-    def test_csv_round_trip_is_bit_faithful(self, tmp_path, exp3_m3):
-        traj, _ = exp3_m3
-        path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(traj, path)
-        again = load_trajectory_csv(path)
-        assert np.array_equal(traj.times, again.times)
-        assert np.array_equal(traj.x1, again.x1)
-        assert np.array_equal(traj.u, again.u)
-        assert np.array_equal(traj.d_true, again.d_true)
-        assert np.array_equal(traj.d_hat, again.d_hat)
-        assert np.array_equal(traj.L0, again.L0)
-        assert again.V is None
+    def test_csv_round_trip_is_bit_faithful(self, tmp_path, exp1_m3, exp3_m3):
+        # a controller cell (L0 and V columns) and an observer cell (dhat, L0)
+        for name, (traj, _) in (("exp1_m3", exp1_m3), ("exp3_m3", exp3_m3)):
+            path = tmp_path / f"{name}.csv"
+            write_trajectory_csv(traj, path)
+            again = load_trajectory_csv(path)
+            for col in ("times", "x1", "u", "d_true", "d_hat", "L0", "V"):
+                want, got = getattr(traj, col), getattr(again, col)
+                if want is None:
+                    assert got is None, (name, col)
+                else:
+                    assert np.array_equal(want, got), (name, col)
 
 
 class TestDisturbanceHonesty:
@@ -202,3 +202,23 @@ class TestObserverRuns:
         tail = traj.times >= 4.0
         err = np.linalg.norm(traj.d_hat[tail] - traj.d_true[tail], axis=1)
         assert err.max() < 1e-2
+
+
+class TestLogStrideOnlyThinsOutput:
+    @pytest.mark.parametrize("experiment,method",
+                             [("exp1", "amstsmc-baseline"), ("exp3", "amsdo")])
+    def test_reported_metrics_do_not_depend_on_log_stride(self, experiment, method):
+        # 3007 steps: neither stride divides the step count
+        horizon = 3.007
+        steps = build_sim_config(horizon=horizon).steps
+        fields = ("settling_time", "ultimate_bound", "chattering_index", "final_L0")
+        full, reference = run_cell(experiment, method, sim_overrides={"horizon": horizon})
+        assert full.times.size == steps
+        for stride in (5, 20):
+            traj, report = run_cell(experiment, method,
+                                    sim_overrides={"horizon": horizon, "log_stride": stride})
+            assert traj.times.size == math.ceil(steps / stride)
+            assert np.array_equal(traj.times, full.times[::stride])
+            assert np.array_equal(traj.x1, full.x1[::stride])
+            for name in fields:
+                assert getattr(report, name) == getattr(reference, name), (stride, name)
