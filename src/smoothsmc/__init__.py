@@ -22,7 +22,7 @@ from .certificate import (
     solve_residual_split,
     transform_state,
 )
-from .experiments import run_cell, write_cell_outputs
+from .experiments import run_cell, run_cells, write_cell_outputs
 from .laws import (
     AdaptiveGains,
     ControllerState,
@@ -66,7 +66,9 @@ from .sim import (
     norm_bound,
     rate_bound,
     simulate_closed_loop,
+    simulate_controllers,
     simulate_observer,
+    simulate_observers,
     write_trajectory_csv,
 )
 

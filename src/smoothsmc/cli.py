@@ -1,6 +1,6 @@
 """Command-line surface: run experiments, certify gain sets, compare methods,
-and sweep parameters.  CSV/JSON outputs are the plotting contract; nothing is
-rendered here.
+sweep parameters and reproduce the built-in experiments.  CSV/JSON outputs
+are the plotting contract; nothing is rendered here.
 
 Exit codes: 0 success, 1 usage error, 2 numerical abort,
 3 qualitative-ordering check failed (compare only).
@@ -21,8 +21,8 @@ from .experiments import (
     build_sim_config,
     certificate_summary,
     run_cell,
+    run_cells,
     run_configured_cell,
-    validate_pairing,
     write_cell_outputs,
 )
 from .metrics import comparison_csv
@@ -113,6 +113,11 @@ def build_parser() -> _Parser:
     swp.add_argument("--out", type=Path, default=None)
     _add_gain_args(swp)
     _add_sim_args(swp)
+
+    rep = sub.add_parser("reproduce", help="run every experiment's pair and the certificate")
+    rep.add_argument("--out", type=Path, default=Path("results"))
+    rep.add_argument("--dt", type=float, default=None, help="integration step (s)")
+    rep.add_argument("--horizon", type=float, default=None, help="simulation horizon (s)")
 
     return parser
 
@@ -223,34 +228,27 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-_PAIRS = (("amssosmc", "amstsmc-baseline"), ("amsdo", "amdo-baseline"))
+# The smooth method and its baseline, per kind of method.
+_PAIRS = {"controller": ("amssosmc", "amstsmc-baseline"),
+          "observer": ("amsdo", "amdo-baseline")}
 
 
 def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise UsageError("compare needs at least two methods")
-    for method in methods:
-        try:
-            validate_pairing(args.experiment, method)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-
-    gains = _gain_overrides(args)
-    sim_over = _sim_overrides(args)
-    reports = []
-    for method in methods:
-        gain_over = dict(gains)
-        if args.m is not None:
-            gain_over["m"] = args.m
-        try:
-            traj, report = run_cell(args.experiment, method,
-                                    gain_overrides=gain_over, sim_overrides=sim_over)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        if args.out is not None:
+    gain_over = _gain_overrides(args)
+    if args.m is not None:
+        gain_over["m"] = args.m
+    try:
+        results = run_cells(args.experiment, [(method, gain_over) for method in methods],
+                            sim_overrides=_sim_overrides(args))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    reports = [report for _, report in results]
+    if args.out is not None:
+        for method, (traj, report) in zip(methods, results):
             write_cell_outputs(args.out, args.experiment, method, traj, report)
-        reports.append(report)
 
     table = comparison_csv(reports)
     if args.out is not None:
@@ -260,7 +258,7 @@ def cmd_compare(args) -> int:
     print(table, end="")
 
     by_method = {r.method_id: r for r in reports}
-    for smooth, baseline in _PAIRS:
+    for smooth, baseline in _PAIRS.values():
         if smooth in by_method and baseline in by_method:
             if not by_method[smooth].chattering_index < by_method[baseline].chattering_index:
                 print(f"ordering violated: chattering({smooth}) >= chattering({baseline})",
@@ -273,25 +271,18 @@ def cmd_sweep(args) -> int:
     values = _parse_vector(args.values)
     if not values:
         raise UsageError("sweep grid is empty")
+    base_gains = _gain_overrides(args)
+    if args.m is not None:
+        base_gains["m"] = args.m
+    cells = [(args.method, {**base_gains, args.parameter: value}) for value in values]
     try:
-        validate_pairing(args.experiment, args.method)
+        results = run_cells(args.experiment, cells, sim_overrides=_sim_overrides(args),
+                            lyapunov=False)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-    base_gains = _gain_overrides(args)
-    sim_over = _sim_overrides(args)
     rows = ["parameter,value,gain_condition,reason,settling_time,ultimate_bound,"
             "chattering_index,final_L0,dt"]
-    for value in values:
-        gain_over = dict(base_gains)
-        if args.m is not None:
-            gain_over["m"] = args.m
-        gain_over[args.parameter] = value
-        try:
-            traj, report = run_cell(args.experiment, args.method,
-                                    gain_overrides=gain_over, sim_overrides=sim_over)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    for value, (_, report) in zip(values, results):
         chk = report.certificate_summary["gain_condition"]
         settle = "not settled" if report.settling_time is None else format(report.settling_time, ".17g")
         rows.append(",".join([
@@ -309,6 +300,36 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def cmd_reproduce(args) -> int:
+    """Each experiment's smooth method and baseline as one batch, plus the
+    certificate of the default gains, written under ``--out``."""
+    args.out.mkdir(parents=True, exist_ok=True)
+    cert = build_certificate(build_gain_config(3.0))
+    (args.out / "certificate.json").write_text(
+        json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n")
+    print(f"certificate: condition holds={cert.gain_condition.holds}, "
+          f"all blocks PD={cert.all_pd}")
+    for experiment in EXPERIMENTS:
+        pair = _PAIRS[EXPERIMENTS[experiment]]
+        try:
+            results = run_cells(experiment, [(method, None) for method in pair],
+                                sim_overrides=_sim_overrides(args))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        for method, (traj, report) in zip(pair, results):
+            write_cell_outputs(args.out, experiment, method, traj, report)
+            settle = ("not settled" if report.settling_time is None
+                      else f"{report.settling_time:.3f}s")
+            print(f"{experiment}/{method}: settle={settle} "
+                  f"bound={report.ultimate_bound:.3e} "
+                  f"chattering={report.chattering_index:.3g} "
+                  f"L0={report.final_L0:.2f}")
+        (args.out / f"comparison_{experiment}.csv").write_text(
+            comparison_csv([report for _, report in results]))
+    print(f"outputs under {args.out}/")
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -321,6 +342,8 @@ def main(argv=None) -> int:
             return cmd_compare(args)
         if args.command == "sweep":
             return cmd_sweep(args)
+        if args.command == "reproduce":
+            return cmd_reproduce(args)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

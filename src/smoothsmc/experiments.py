@@ -1,5 +1,5 @@
-"""Built-in comparison experiments and the machinery to run one
-(method, scenario) cell and report its metrics.
+"""Built-in comparison experiments and the machinery to run (method,
+scenario) cells, alone or as one batch, and report their metrics.
 
 Three scenarios are built in, all on the three-dimensional integrator plant
 from initial state [1, 3, 2]:
@@ -30,12 +30,11 @@ from .metrics import (
     ultimate_bound,
 )
 from .sim import (
-    ControllerLaw,
     DisturbanceSpec,
     SimConfig,
     Trajectory,
-    simulate_closed_loop,
-    simulate_observer,
+    simulate_controllers,
+    simulate_observers,
     write_trajectory_csv,
 )
 
@@ -121,63 +120,83 @@ def _resolved_config(experiment: str, method: str, cfg: GainConfig,
     }
 
 
-def run_cell(experiment: str, method: str, gain_overrides: dict | None = None,
-             sim_overrides: dict | None = None) -> tuple[Trajectory, ExperimentReport]:
-    """Run one preset (experiment, method) cell and compute its report.
+def run_cells(experiment: str, cells, sim_overrides: dict | None = None,
+              lyapunov: bool = True) -> list[tuple[Trajectory, ExperimentReport]]:
+    """Run several preset cells of one experiment as one batch and compute
+    each cell's report.
 
-    ``gain_overrides`` may carry an ``m`` key to override the method's preset
-    homogeneity degree (used by sweeps).
+    ``cells`` is a sequence of ``(method, gain_overrides)`` pairs; the
+    overrides may carry an ``m`` key to override the method's preset
+    homogeneity degree (used by sweeps).  ``lyapunov=False`` leaves out the
+    V column, which no report reads, to save its time and memory.
     """
-    validate_pairing(experiment, method)
-    overrides = dict(gain_overrides or {})
-    m = overrides.pop("m", None)
-    cfg = build_gain_config(METHODS[method]["m"] if m is None else m, **overrides)
+    configured = []
+    for method, gain_overrides in cells:
+        validate_pairing(experiment, method)
+        overrides = dict(gain_overrides or {})
+        m = overrides.pop("m", None)
+        configured.append(
+            (method, build_gain_config(METHODS[method]["m"] if m is None else m, **overrides)))
     sim = build_sim_config(**(sim_overrides or {}))
     dist = experiment_disturbance(experiment)
-    return run_configured_cell(experiment, method, cfg, sim, dist)
+    return run_configured_cells(experiment, configured, sim, dist, lyapunov)
+
+
+def run_cell(experiment: str, method: str, gain_overrides: dict | None = None,
+             sim_overrides: dict | None = None) -> tuple[Trajectory, ExperimentReport]:
+    """Run one preset (experiment, method) cell and compute its report."""
+    return run_cells(experiment, [(method, gain_overrides)], sim_overrides)[0]
 
 
 def run_configured_cell(scenario_id: str, method: str, cfg: GainConfig,
                         sim: SimConfig, dist: DisturbanceSpec
                         ) -> tuple[Trajectory, ExperimentReport]:
-    """Run a fully specified cell (also used for custom scenarios).
+    """Run a fully specified cell (also used for custom scenarios)."""
+    return run_configured_cells(scenario_id, [(method, cfg)], sim, dist)[0]
 
-    The metrics are computed on the full-rate record; the returned trajectory
-    is thinned by ``sim.log_stride``, which changes no reported number.
+
+def run_configured_cells(scenario_id: str, cells, sim: SimConfig, dist: DisturbanceSpec,
+                         lyapunov: bool = True) -> list[tuple[Trajectory, ExperimentReport]]:
+    """Run fully specified ``(method, cfg)`` cells, all controllers or all
+    observers, as one batch; smooth controller cells (m > 2) log V unless
+    ``lyapunov`` is false.
+
+    The metrics are computed on the full-rate records; the returned
+    trajectories are thinned by ``sim.log_stride``, which changes no
+    reported number.
     """
-    entry = METHODS[method]
+    kinds = {METHODS[method]["kind"] for method, _ in cells}
+    if len(kinds) != 1:
+        raise ValueError("a batch holds one or more cells of one kind (controllers or observers)")
+    cfgs = [cfg for _, cfg in cells]
     full_rate = dataclasses.replace(sim, log_stride=1)
-
-    if entry["kind"] == "controller":
-        p_block = build_p_block(cfg) if cfg.m > 2 else None
-        traj = simulate_closed_loop(ControllerLaw(cfg), full_rate, dist, lyapunov_P=p_block)
-        threshold = CONTROLLER_SETTLE_REL * float(
-            (sim.x1_init @ sim.x1_init) ** 0.5
-        )
-        settle = settling_time(traj, STATE_NORM, threshold)
-        bound = ultimate_bound(traj, STATE_NORM, TAIL_FRACTION)
-        chat = chattering_index(traj, CONTROL, TAIL_FRACTION)
+    if kinds == {"controller"}:
+        p_blocks = [build_p_block(cfg) if lyapunov and cfg.m > 2 else None for cfg in cfgs]
+        trajs = simulate_controllers(cfgs, full_rate, dist, lyapunov_P=p_blocks)
+        threshold = CONTROLLER_SETTLE_REL * float((sim.x1_init @ sim.x1_init) ** 0.5)
+        norm_signal, vector_signal = STATE_NORM, CONTROL
     else:
-        traj = simulate_observer(cfg, full_rate, dist)
+        trajs = simulate_observers(cfgs, full_rate, dist)
         threshold = OBSERVER_SETTLE_ABS
-        settle = settling_time(traj, ERROR_NORM, threshold)
-        bound = ultimate_bound(traj, ERROR_NORM, TAIL_FRACTION)
-        chat = chattering_index(traj, ESTIMATE, TAIL_FRACTION)
+        norm_signal, vector_signal = ERROR_NORM, ESTIMATE
 
-    report = ExperimentReport(
-        method_id=method,
-        scenario_id=scenario_id,
-        settling_time=settle,
-        ultimate_bound=bound,
-        chattering_index=chat,
-        final_L0=float(traj.L0[-1]) if traj.L0 is not None else None,
-        dt_used=sim.dt,
-        settling_threshold=threshold,
-        tail_fraction=TAIL_FRACTION,
-        certificate_summary=certificate_summary(cfg),
-        config=_resolved_config(scenario_id, method, cfg, sim, dist),
-    )
-    return traj.thinned(sim.log_stride), report
+    out = []
+    for (method, cfg), traj in zip(cells, trajs):
+        report = ExperimentReport(
+            method_id=method,
+            scenario_id=scenario_id,
+            settling_time=settling_time(traj, norm_signal, threshold),
+            ultimate_bound=ultimate_bound(traj, norm_signal, TAIL_FRACTION),
+            chattering_index=chattering_index(traj, vector_signal, TAIL_FRACTION),
+            final_L0=float(traj.L0[-1]) if traj.L0 is not None else None,
+            dt_used=sim.dt,
+            settling_threshold=threshold,
+            tail_fraction=TAIL_FRACTION,
+            certificate_summary=certificate_summary(cfg),
+            config=_resolved_config(scenario_id, method, cfg, sim, dist),
+        )
+        out.append((traj.thinned(sim.log_stride), report))
+    return out
 
 
 def write_cell_outputs(outdir, experiment: str, method: str,

@@ -4,11 +4,14 @@ feedback law, disturbance signal generators, and trajectory logging.
 The plant is ``x1dot = u + d(t)``.  The control is held constant over each
 major step (zero-order hold) while the plant integrates with classical
 four-stage Runge-Kutta, the disturbance evaluated at the substage times.
-:func:`simulate_closed_loop` is the one loop that steps the plant.  The
-observer never acts on the plant, so :func:`simulate_observer` runs over the
-stream of an uncontrolled plant run (or a recorded one).  Every step is
-logged; ``log_stride`` only thins the returned record.  Everything is
-deterministic: identical configs give bit-identical logs.
+One step loop advances a batch of cells at once, one row of a (B, n) array
+each: :func:`simulate_controllers` runs one adaptive controller per gain set,
+each on its own copy of the plant, and :func:`simulate_observers` one
+observer per gain set over a single plant stream (the observer never acts on
+the plant).  :func:`simulate_closed_loop` and :func:`simulate_observer` are
+the B = 1 cases.  Every row is bitwise what the scalar laws give on their
+own.  Every step is logged; ``log_stride`` only thins the returned record.
+Everything is deterministic: identical configs give bit-identical logs.
 """
 
 from __future__ import annotations
@@ -19,14 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .certificate import lyapunov_value, transform_state
-from .laws import (
-    GainConfig,
-    controller_step,
-    initial_controller_state,
-    initial_observer_state,
-    observer_step,
-)
+from .laws import GainConfig
 from .linalg import SymMatrix
 
 
@@ -188,14 +184,17 @@ class SimConfig:
 
 
 class SimulationAborted(RuntimeError):
-    """Non-finite state encountered; carries the step diagnostics."""
+    """Non-finite state encountered; carries the step diagnostics and the
+    index of the aborting cell (its row in the batch)."""
 
-    def __init__(self, step: int, time: float, state: np.ndarray):
+    def __init__(self, step: int, time: float, state: np.ndarray, cell: int = 0):
         self.step = step
         self.time = time
         self.state = np.array(state)
+        self.cell = cell
         super().__init__(
-            f"non-finite state at step {step} (t={time:.6g}): {np.array2string(self.state)}"
+            f"non-finite state in cell {cell} at step {step} (t={time:.6g}): "
+            f"{np.array2string(self.state)}"
         )
 
 
@@ -230,7 +229,11 @@ class Trajectory:
 
 
 class ZeroLaw:
-    """Zero control; useful for open-loop and observer-only runs."""
+    """Zero control; useful for open-loop and observer-only runs.
+
+    A law without a gain configuration is stepped through ``step``, which
+    takes the (B, n) state of the batch and returns ``(u, new_state)``.
+    """
 
     cfg: GainConfig | None = None
 
@@ -242,112 +245,200 @@ class ZeroLaw:
 
 
 class ControllerLaw:
-    """Adapter placing the adaptive controller behind the generic law interface."""
+    """The adaptive controller of one gain configuration, for
+    :func:`simulate_closed_loop`.  The loop runs it from ``cfg`` as one row
+    of the batch; :func:`laws.controller_step` is its scalar reference."""
 
     def __init__(self, cfg: GainConfig):
         self.cfg = cfg
 
-    def initial_state(self, n: int):
-        return initial_controller_state(self.cfg, n)
 
-    def step(self, x1, state, dt, singular_tol):
-        return controller_step(x1, state, self.cfg, dt, singular_tol=singular_tol)
+def _disturbance_series(dist: DisturbanceSpec, times: np.ndarray, dt: float):
+    """``d`` at ``t_k``, ``t_k + dt/2`` and ``t_k + dt`` for every step, each
+    an array of shape (steps, n) (``t_k + dt`` is not ``t_{k+1}`` in floating
+    point).  A constant disturbance gives one array three times."""
+    if dist.kind != "sinusoid-mix":
+        value = dist.constant_value if dist.kind == "constant" else np.zeros(dist.n)
+        series = np.tile(value, (times.size, 1))
+        return series, series, series
+
+    def at(t):
+        out = np.empty((t.size, dist.n))
+        for i, ch in enumerate(dist.channels):
+            out[:, i] = ch.amplitude * (np.cos if ch.is_cosine else np.sin)(ch.frequency * t)
+        return out
+
+    return at(times), at(times + 0.5 * dt), at(times + dt)
 
 
-def _rk4_plant_step(x: np.ndarray, u: np.ndarray, d_k: np.ndarray,
-                    dist: DisturbanceSpec, t: float, dt: float) -> np.ndarray:
-    """One RK4 step of ``x1dot = u + d(t)`` from ``d_k = d(t)``.  Stages 2 and
-    3 share the midpoint value; the sum keeps both terms so that the result
-    is bitwise that of the textbook four-evaluation form."""
-    f1 = u + d_k
-    f2 = u + disturbance_at(dist, t + 0.5 * dt)
-    f4 = u + disturbance_at(dist, t + dt)
-    return x + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f2 + f4)
+def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs=(), law=None,
+               stream: Trajectory | None = None, lyapunov_P=None) -> list[Trajectory]:
+    """The one step loop: advances B cells at once, one row of a (B, n)
+    array each, and returns one full-rate record per cell.
 
+    Without ``stream`` every row is a copy of the plant, driven by the
+    adaptive controller ``cfgs[b]``, or, when ``cfgs`` is empty, by
+    ``law.step`` (one row).  With ``stream`` every row is the adaptive
+    observer ``cfgs[b]`` over that one measurement and control stream.  The
+    time grid, the disturbance and the stream are shared by the batch.
 
-def simulate_closed_loop(law, sim: SimConfig, dist: DisturbanceSpec,
-                         lyapunov_P: SymMatrix | None = None) -> Trajectory:
-    """Integrate the plant under a sampled feedback law.
-
-    Every step is logged and the record is thinned by ``sim.log_stride`` on
-    return.  When a Lyapunov factor is attached the logged V uses the
-    transformed state at the gain level in effect at each sample,
-    reconstructing the companion coordinate exactly as ``x2 = d - integral``.
+    Each row is bitwise the scalar reference (``laws.controller_step`` or
+    ``laws.observer_step``, RK4 plant, ``lyapunov_value``): one norm
+    ``sqrt(vecdot)``, which is ``np.linalg.norm`` bit for bit; every power
+    of the spec as Python's float ``**`` per cell, because numpy's
+    vectorised power is not libm ``pow``; V summed in ``lyapunov_value``'s
+    order.  Gains depend on L0 alone, so they are recomputed only after a
+    cell adapted.
     """
     if dist.n != sim.n:
         raise ValueError("disturbance dimension does not match the initial state")
-    if lyapunov_P is not None and law.cfg is None:
-        raise ValueError("Lyapunov logging needs an adaptive law (it supplies m and L0)")
+    if not cfgs and (law is None or stream is not None):
+        raise ValueError("a batch needs at least one gain configuration")
+    n, dt, tol = sim.n, sim.dt, sim.singular_tol
+    rows = max(len(cfgs), 1)
+    if stream is None:
+        times = np.arange(sim.steps) * dt
+        d_now, d_mid, d_end = _disturbance_series(dist, times, dt)
+        X = np.tile(sim.x1_init, (rows, 1))
+        x1_log = np.empty((rows, times.size, n))
+        u_log = np.empty((rows, times.size, n))
+        state = None if cfgs else law.initial_state(n)
+    else:
+        times = stream.times
+        Z = np.tile(stream.x1[0], (rows, 1))
+        dhat_log = np.empty((rows, times.size, n))
+    if cfgs:
+        k1, k2, k3, k4, eps, kappa_dt = (np.array(col) for col in zip(*(
+            (c.k1, c.k2, c.k3, c.k4, c.epsilon, c.kappa * dt) for c in cfgs)))
+        e1 = [(c.m - 1.0) / c.m for c in cfgs]
+        e3 = [(2.0 * c.m - 2.0) / c.m for c in cfgs]
+        f1 = [1.0 / c.m for c in cfgs]
+        f2 = [2.0 / c.m for c in cfgs]
+        L0 = np.array([c.L0_init for c in cfgs])
+        I = np.zeros((rows, n))
+        l0_log = np.empty((rows, times.size))
+        stale = True
+    v_log = None
+    if lyapunov_P is not None and any(p is not None for p in lyapunov_P):
+        if any(p is not None and p.entries.shape != (3, 3) for p in lyapunov_P):
+            raise ValueError("P_block must be a 3x3 factor")
+        P = np.array([np.zeros((3, 3)) if p is None else p.entries for p in lyapunov_P])
+        p00, p11, p22 = P[:, 0, 0], P[:, 1, 1], P[:, 2, 2]
+        p01, p02, p12 = 2.0 * P[:, 0, 1], 2.0 * P[:, 0, 2], 2.0 * P[:, 1, 2]
+        v_log = np.empty((rows, times.size))
+    dt6 = dt / 6.0
 
-    n = sim.n
-    steps = sim.steps
-    times = np.empty(steps)
-    x1_log = np.empty((steps, n))
-    u_log = np.empty((steps, n))
-    d_log = np.empty((steps, n))
-    l0_log = np.empty(steps) if law.cfg is not None else None
-    v_log = np.empty(steps) if lyapunov_P is not None else None
+    # A diverging cell overflows before it turns non-finite; the check at the
+    # end of each step reports it, so numpy's warnings are not needed.
+    with np.errstate(all="ignore"):
+        for k in range(times.size):
+            S = X if stream is None else stream.x1[k] - Z
+            if cfgs:
+                if stale:
+                    l0 = L0.tolist()
+                    A1 = np.array(list(map(pow, l0, e1)))
+                    L1 = (k1 * A1)[:, None]
+                    L2 = (k2 * L0)[:, None]
+                    L3 = (k3 * np.array(list(map(pow, l0, e3))))[:, None]
+                    L4 = (k4 * np.array([v ** 2 for v in l0]))[:, None]
+                nrm = np.sqrt(np.vecdot(S, S))
+                r = nrm.tolist()
+                D1 = S / np.array(list(map(pow, r, f1)))[:, None]
+                D2 = S / np.array(list(map(pow, r, f2)))[:, None]
+                singular = nrm < tol
+                if singular.any():
+                    D1[singular] = 0.0
+                    D2[singular] = 0.0
+                Y = L1 * D1 + L2 * S + I
+                if v_log is not None:
+                    xi1, xi2, xi3 = A1[:, None] * D1, L0[:, None] * S, d_now[k] - I
+                    v_log[:, k] = (p00 * np.vecdot(xi1, xi1) + p01 * np.vecdot(xi1, xi2)
+                                   + p02 * np.vecdot(xi1, xi3) + p11 * np.vecdot(xi2, xi2)
+                                   + p12 * np.vecdot(xi2, xi3) + p22 * np.vecdot(xi3, xi3))
+                l0_log[:, k] = L0
+                I = I + dt * (L3 * D2 + L4 * S)
+                adapt = nrm >= eps
+                stale = adapt.any()
+                if stale:
+                    L0 = np.where(adapt, L0 + kappa_dt, L0)
+            if stream is None:
+                if cfgs:
+                    U = -Y  # bitwise -L1*D1 - L2*x - I: rounding is symmetric
+                else:
+                    U, state = law.step(X, state, dt, tol)
+                x1_log[:, k] = X
+                u_log[:, k] = U
+                F2 = 2.0 * (U + d_mid[k])
+                X = new = X + dt6 * (U + d_now[k] + F2 + F2 + (U + d_end[k]))
+            else:
+                dhat_log[:, k] = Y
+                Z = new = Z + dt * (stream.u[k] + Y)
+            if not np.isfinite(new).all():
+                cell = int(np.flatnonzero(~np.isfinite(new).all(axis=1))[0])
+                raise SimulationAborted(k, float(times[k]) + dt, new[cell], cell)
 
-    x = sim.x1_init.copy()
-    state = law.initial_state(n)
-    for k in range(steps):
-        t = k * sim.dt
-        d_k = disturbance_at(dist, t)
-        pre = state
-        u, state = law.step(x, pre, sim.dt, sim.singular_tol)
-        times[k] = t
-        x1_log[k] = x
-        u_log[k] = u
-        d_log[k] = d_k
-        if l0_log is not None:
-            l0_log[k] = pre.L0
-        if v_log is not None:
-            xi = transform_state(x, d_k - pre.integral_term, pre.L0,
-                                 law.cfg.m, sim.singular_tol)
-            v_log[k] = lyapunov_value(xi, lyapunov_P)
-        x = _rk4_plant_step(x, u, d_k, dist, t, sim.dt)
-        if not np.isfinite(x).all():
-            raise SimulationAborted(k, t + sim.dt, x)
-
-    return Trajectory(times=times, x1=x1_log, u=u_log, d_true=d_log,
-                      L0=l0_log, V=v_log).thinned(sim.log_stride)
+    if stream is not None:
+        return [Trajectory(times=times, x1=stream.x1, u=stream.u, d_true=stream.d_true,
+                           d_hat=dhat_log[b], L0=l0_log[b]) for b in range(rows)]
+    return [Trajectory(times=times, x1=x1_log[b], u=u_log[b], d_true=d_now,
+                       L0=l0_log[b] if cfgs else None,
+                       V=v_log[b] if v_log is not None and lyapunov_P[b] is not None else None)
+            for b in range(rows)]
 
 
-def simulate_observer(cfg: GainConfig, sim: SimConfig, dist: DisturbanceSpec,
-                      recorded: Trajectory | None = None) -> Trajectory:
-    """Run the disturbance observer over a plant's measurement and control
-    stream.
+def simulate_controllers(cfgs, sim: SimConfig, dist: DisturbanceSpec,
+                         lyapunov_P=None) -> list[Trajectory]:
+    """Run one adaptive controller per gain configuration, each on its own
+    copy of the plant, as one batch; one record per cell, thinned by
+    ``sim.log_stride``.  ``lyapunov_P`` holds one P factor (or None) per cell;
+    a cell with one logs V at the transformed state and the gain level in
+    effect at each sample, with the companion coordinate ``x2 = d - integral``.
+    """
+    if lyapunov_P is not None and len(lyapunov_P) != len(cfgs):
+        raise ValueError("one Lyapunov factor (or None) per cell")
+    trajs = _step_loop(sim, dist, cfgs=list(cfgs), lyapunov_P=lyapunov_P)
+    return [traj.thinned(sim.log_stride) for traj in trajs]
+
+
+def simulate_observers(cfgs, sim: SimConfig, dist: DisturbanceSpec,
+                       recorded: Trajectory | None = None) -> list[Trajectory]:
+    """Run one disturbance observer per gain configuration over one plant's
+    measurement and control stream, as one batch.
 
     The observer never acts on the plant, so the stream is a plain plant run:
-    by default the uncontrolled plant (zero control) under ``dist``, logged
-    at every step; otherwise ``recorded``, which must be sampled at exactly
-    ``sim.dt``.  The returned record is thinned by ``sim.log_stride``.
+    by default the uncontrolled plant (zero control) under ``dist``, computed
+    once for the batch; otherwise ``recorded``, which must be sampled at
+    exactly ``sim.dt``.  The records are thinned by ``sim.log_stride``.
     """
     if recorded is None:
-        recorded = simulate_closed_loop(ZeroLaw(), replace(sim, log_stride=1), dist)
+        recorded = _step_loop(sim, dist, law=ZeroLaw())[0]
     else:
         if recorded.n != sim.n:
             raise ValueError("recorded trajectory dimension mismatch")
         spacing = np.diff(recorded.times)
         if spacing.size and not np.allclose(spacing, sim.dt, rtol=0, atol=1e-9 * sim.dt):
             raise ValueError("recorded trajectory must be sampled at the simulation dt")
+    trajs = _step_loop(sim, dist, cfgs=list(cfgs), stream=recorded)
+    return [traj.thinned(sim.log_stride) for traj in trajs]
 
-    steps = recorded.times.shape[0]
-    dhat_log = np.empty((steps, sim.n))
-    l0_log = np.empty(steps)
-    obs = initial_observer_state(cfg, recorded.x1[0])
-    for k in range(steps):
-        pre = obs
-        d_hat, obs = observer_step(recorded.x1[k], recorded.u[k], pre, cfg, sim.dt,
-                                   singular_tol=sim.singular_tol)
-        dhat_log[k] = d_hat
-        l0_log[k] = pre.L0
-        if not np.isfinite(obs.z1).all():
-            raise SimulationAborted(k, float(recorded.times[k]) + sim.dt, obs.z1)
 
-    return Trajectory(times=recorded.times, x1=recorded.x1, u=recorded.u,
-                      d_true=recorded.d_true, d_hat=dhat_log,
-                      L0=l0_log).thinned(sim.log_stride)
+def simulate_closed_loop(law, sim: SimConfig, dist: DisturbanceSpec,
+                         lyapunov_P: SymMatrix | None = None) -> Trajectory:
+    """Integrate the plant under a sampled feedback law: the B = 1 case of
+    :func:`simulate_controllers` for an adaptive law (one with a ``cfg``);
+    a law without one (``ZeroLaw``) is stepped through its ``step``.
+    """
+    if law.cfg is not None:
+        return simulate_controllers([law.cfg], sim, dist, [lyapunov_P])[0]
+    if lyapunov_P is not None:
+        raise ValueError("Lyapunov logging needs an adaptive law (it supplies m and L0)")
+    return _step_loop(sim, dist, law=law)[0].thinned(sim.log_stride)
+
+
+def simulate_observer(cfg: GainConfig, sim: SimConfig, dist: DisturbanceSpec,
+                      recorded: Trajectory | None = None) -> Trajectory:
+    """The B = 1 case of :func:`simulate_observers`."""
+    return simulate_observers([cfg], sim, dist, recorded)[0]
 
 
 def trajectory_columns(traj: Trajectory) -> list[str]:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -80,7 +81,7 @@ class TestRun:
         assert code == 1
         assert "custom runs need" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numerical_abort_exit_code(self, tmp_path, capsys):
         # an astronomically large constant disturbance overflows within a few
         # steps and must surface as the numeric-abort exit code
@@ -237,6 +238,43 @@ class TestSweep:
         ])
         assert code == 0
         assert (tmp_path / "sweep_m.csv").exists()
+
+    def test_divergent_grid_exits_2_with_empty_stdout(self, capsys):
+        # at dt = 0.01 the exp1 controllers diverge; the abort must be the
+        # only outcome, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "sweep", "--parameter", "k4", "--values", "20,30",
+                "--dt", "0.01", "--horizon", "20",
+            ])
+        assert code == 2
+        assert out == ""
+        assert "numerical abort" in err and "cell 1" in err
+
+
+class TestReproduce:
+    def test_writes_the_tree_of_the_single_cells(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, ["reproduce", "--out", str(tmp_path), "--horizon", "1.0"])
+        assert code == 0
+        assert out.strip().endswith(f"outputs under {tmp_path}/")
+        assert json.loads((tmp_path / "certificate.json").read_text())["gain_condition"]["holds"]
+        for experiment, methods in (("exp1", "amssosmc,amstsmc-baseline"),
+                                    ("exp2", "amssosmc,amstsmc-baseline"),
+                                    ("exp3", "amsdo,amdo-baseline")):
+            for method in methods.split(","):
+                alone_dir = tmp_path / "alone"
+                assert main(["run", "--experiment", experiment, "--method", method,
+                             "--out", str(alone_dir), "--horizon", "1.0"]) == 0
+                for name in ("trajectory.csv", "report.json"):
+                    cell = f"{experiment}_{method}"
+                    assert ((tmp_path / cell / name).read_bytes()
+                            == (alone_dir / cell / name).read_bytes()), (cell, name)
+            capsys.readouterr()
+            assert main(["compare", "--experiment", experiment, "--methods", methods,
+                         "--horizon", "1.0"]) == 0
+            table = capsys.readouterr().out
+            assert (tmp_path / f"comparison_{experiment}.csv").read_text() == table
 
 
 class TestBadInputs:

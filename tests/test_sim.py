@@ -1,25 +1,35 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothsmc import (
     ControllerLaw,
     DisturbanceSpec,
     SimConfig,
     SimulationAborted,
+    Trajectory,
     ZeroLaw,
     build_p_block,
+    controller_step,
     disturbance_at,
+    initial_controller_state,
+    initial_observer_state,
     load_trajectory_csv,
+    lyapunov_value,
     norm_bound,
+    observer_step,
     rate_bound,
     simulate_closed_loop,
     simulate_observer,
+    transform_state,
     write_trajectory_csv,
 )
-from smoothsmc.experiments import build_sim_config, experiment_disturbance, run_cell
-from smoothsmc.sim import trajectory_columns
+from smoothsmc.experiments import build_sim_config, experiment_disturbance, run_cell, run_cells
+from smoothsmc.sim import simulate_controllers, simulate_observers, trajectory_columns
 
 from conftest import reference_gains
 
@@ -222,3 +232,167 @@ class TestLogStrideOnlyThinsOutput:
             assert np.array_equal(traj.x1, full.x1[::stride])
             for name in fields:
                 assert getattr(report, name) == getattr(reference, name), (stride, name)
+
+
+# --- the batched step loop against the scalar laws ---------------------------
+
+COLUMNS = ("times", "x1", "u", "d_true", "d_hat", "L0", "V")
+
+
+def assert_same_record(got, want, label=""):
+    for col in COLUMNS:
+        a, b = getattr(got, col), getattr(want, col)
+        if b is None:
+            assert a is None, (label, col)
+        else:
+            assert np.array_equal(a, b), (label, col)
+
+
+def textbook_rk4(x, u, dist, t, dt):
+    f1 = u + disturbance_at(dist, t)
+    f2 = u + disturbance_at(dist, t + 0.5 * dt)
+    f3 = u + disturbance_at(dist, t + 0.5 * dt)
+    f4 = u + disturbance_at(dist, t + dt)
+    return x + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+
+
+def reference_controller_run(cfg, sim, dist, p_block=None):
+    """A plain loop over laws.controller_step with the textbook RK4 step."""
+    x = sim.x1_init.copy()
+    state = initial_controller_state(cfg, sim.n)
+    rows = {"times": [], "x1": [], "u": [], "d_true": [], "L0": [], "V": []}
+    for k in range(sim.steps):
+        t = k * sim.dt
+        d = disturbance_at(dist, t)
+        u, new_state = controller_step(x, state, cfg, sim.dt, singular_tol=sim.singular_tol)
+        if p_block is not None:
+            xi = transform_state(x, d - state.integral_term, state.L0, cfg.m, sim.singular_tol)
+            rows["V"].append(lyapunov_value(xi, p_block))
+        for name, value in (("times", t), ("x1", x), ("u", u), ("d_true", d), ("L0", state.L0)):
+            rows[name].append(value)
+        x, state = textbook_rk4(x, u, dist, t, sim.dt), new_state
+    return Trajectory(**{name: np.array(v) for name, v in rows.items() if v})
+
+
+def reference_observer_run(cfg, sim, dist):
+    """The uncontrolled plant (textbook RK4), then a plain loop over
+    laws.observer_step on its stream."""
+    x, zero = sim.x1_init.copy(), np.zeros(sim.n)
+    times, xs, ds = [], [], []
+    for k in range(sim.steps):
+        t = k * sim.dt
+        times.append(t)
+        xs.append(x)
+        ds.append(disturbance_at(dist, t))
+        x = textbook_rk4(x, zero, dist, t, sim.dt)
+    state = initial_observer_state(cfg, xs[0])
+    d_hat, l0 = [], []
+    for x in xs:
+        l0.append(state.L0)
+        estimate, state = observer_step(x, zero, state, cfg, sim.dt,
+                                        singular_tol=sim.singular_tol)
+        d_hat.append(estimate)
+    return Trajectory(times=np.array(times), x1=np.array(xs), u=np.zeros((len(xs), sim.n)),
+                      d_true=np.array(ds), d_hat=np.array(d_hat), L0=np.array(l0))
+
+
+SHORT = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=1e-3, horizon=1.0)
+MIXED_CONTROLLERS = (
+    reference_gains(),
+    reference_gains(m=2.0, k4=25.0, kappa=7.0, epsilon=2e-3),
+    reference_gains(m=3.5, k4=40.0, kappa=12.0, epsilon=5e-4),
+)
+MIXED_OBSERVERS = (
+    reference_gains(),
+    reference_gains(m=2.0, k4=20.0, kappa=5.0, epsilon=1e-2),
+)
+
+
+def p_blocks(cfgs):
+    return [build_p_block(cfg) if cfg.m > 2 else None for cfg in cfgs]
+
+
+class TestBatchedLoopIsTheScalarLaws:
+    @pytest.mark.parametrize("cfg,dist", [(reference_gains(), EXP1),
+                                          (reference_gains(m=2.0), EXP2)],
+                             ids=["exp1-m3-with-V", "exp2-m2"])
+    def test_controller_at_b1_is_the_reference_loop(self, cfg, dist):
+        p_block = build_p_block(cfg) if cfg.m > 2 else None
+        got = simulate_closed_loop(ControllerLaw(cfg), SHORT, dist, lyapunov_P=p_block)
+        assert_same_record(got, reference_controller_run(cfg, SHORT, dist, p_block))
+
+    @pytest.mark.parametrize("m", [3.0, 2.0])
+    def test_observer_at_b1_is_the_reference_loop(self, m):
+        cfg = reference_gains(m=m)
+        got = simulate_observer(cfg, SHORT, EXP3)
+        assert_same_record(got, reference_observer_run(cfg, SHORT, EXP3))
+
+    def test_mixed_controller_batch_rows_are_their_own_runs(self):
+        batch = simulate_controllers(MIXED_CONTROLLERS, SHORT, EXP2,
+                                     lyapunov_P=p_blocks(MIXED_CONTROLLERS))
+        assert [traj.V is None for traj in batch] == [False, True, False]
+        for i, (cfg, p_block) in enumerate(zip(MIXED_CONTROLLERS, p_blocks(MIXED_CONTROLLERS))):
+            alone = simulate_closed_loop(ControllerLaw(cfg), SHORT, EXP2, lyapunov_P=p_block)
+            assert_same_record(batch[i], alone, i)
+
+    def test_mixed_observer_batch_rows_are_their_own_runs(self):
+        batch = simulate_observers(MIXED_OBSERVERS, SHORT, EXP3)
+        for i, cfg in enumerate(MIXED_OBSERVERS):
+            # z1 starts at the measurement, so the first innovation is the zero
+            # vector and the first step takes the singular branch
+            assert np.array_equal(batch[i].d_hat[0], np.zeros(3))
+            assert_same_record(batch[i], simulate_observer(cfg, SHORT, EXP3), i)
+
+    def test_run_cells_reports_are_those_of_run_cell(self):
+        cells = [("amssosmc", None), ("amstsmc-baseline", {"kappa": 7.0}),
+                 ("amssosmc", {"k4": 40.0, "epsilon": 5e-4})]
+        sim = {"horizon": 1.5}
+        batch = run_cells("exp2", cells, sim)
+        assert len(batch) == len(cells)
+        for (method, gains), (traj, report) in zip(cells, batch):
+            alone_traj, alone_report = run_cell("exp2", method, gains, sim)
+            assert report.to_dict() == alone_report.to_dict()
+            assert_same_record(traj, alone_traj, method)
+
+    @settings(max_examples=15, deadline=None)
+    @given(gains=st.lists(st.tuples(st.sampled_from([2.0, 2.5, 3.0, 4.0]),
+                                    st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+                                    st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+                                    st.floats(2.0, 20.0), st.floats(1e-4, 1e-1)),
+                          min_size=1, max_size=4),
+           observer=st.booleans())
+    def test_batching_is_invisible(self, gains, observer):
+        cfgs = [reference_gains(m=m, k1=2.0 * s1, k2=2.5 * s2, k3=4.0 * s3, k4=30.0 * s4,
+                                kappa=kappa, epsilon=eps)
+                for m, s1, s2, s3, s4, kappa, eps in gains]
+        sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=1e-3, horizon=0.2)
+        if observer:
+            batch = simulate_observers(cfgs, sim, EXP3)
+            alone = [simulate_observer(cfg, sim, EXP3) for cfg in cfgs]
+        else:
+            batch = simulate_controllers(cfgs, sim, EXP2, lyapunov_P=p_blocks(cfgs))
+            alone = [simulate_closed_loop(ControllerLaw(cfg), sim, EXP2, lyapunov_P=p)
+                     for cfg, p in zip(cfgs, p_blocks(cfgs))]
+        for i, (got, want) in enumerate(zip(batch, alone)):
+            assert_same_record(got, want, i)
+
+
+class TestAbortsAreClean:
+    def test_divergent_cell_aborts_without_numpy_warnings(self):
+        # at dt = 0.01 the sampled loop outruns the dead zone and diverges
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationAborted) as info:
+                run_cell("exp1", "amssosmc", sim_overrides={"dt": 0.01, "horizon": 20})
+        assert info.value.cell == 0
+        assert not np.isfinite(info.value.state).all()
+
+    def test_abort_names_the_aborting_cell(self):
+        cells = [("amssosmc", {"k4": 20.0}), ("amssosmc", {"k4": 30.0})]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationAborted) as info:
+                run_cells("exp1", cells, {"dt": 0.01, "horizon": 20})
+        assert info.value.cell == 1
+        assert "cell 1" in str(info.value)
+        assert info.value.state.shape == (3,)
