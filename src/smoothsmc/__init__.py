@@ -55,20 +55,17 @@ from .metrics import (
     ultimate_bound,
 )
 from .sim import (
-    ControllerLaw,
     DisturbanceSpec,
     SimConfig,
     SimulationAborted,
     Trajectory,
-    ZeroLaw,
     disturbance_at,
     load_trajectory_csv,
     norm_bound,
     rate_bound,
     simulate_closed_loop,
-    simulate_controllers,
     simulate_observer,
-    simulate_observers,
+    simulate_open_loop,
     write_trajectory_csv,
 )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .experiments import (
     certificate_summary,
     run_cell,
     run_cells,
-    run_configured_cell,
+    run_configured_cells,
     write_cell_outputs,
 )
 from .metrics import comparison_csv
@@ -46,6 +47,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _add_gain_args(p: argparse.ArgumentParser):
@@ -86,16 +97,16 @@ def build_parser() -> _Parser:
 
     cert = sub.add_parser("certify", help="evaluate the gain certificate")
     _add_gain_args(cert)
-    cert.add_argument("--v0", type=float, default=None,
+    cert.add_argument("--v0", type=_finite, default=None,
                       help="initial Lyapunov value for the settling bound")
-    cert.add_argument("--delta", type=float, default=None,
+    cert.add_argument("--delta", type=_finite, default=None,
                       help="disturbance norm bound for the residual set")
-    cert.add_argument("--l0", type=float, default=None,
+    cert.add_argument("--l0", type=_finite, default=None,
                       help="gain level at which to freeze the decrease coefficients")
-    cert.add_argument("--l0-dot", dest="l0_dot", type=float, default=None,
+    cert.add_argument("--l0-dot", dest="l0_dot", type=_finite, default=None,
                       help="adaptation rate at the freeze point (default kappa)")
-    cert.add_argument("--theta1", type=float, default=None)
-    cert.add_argument("--theta2", type=float, default=None)
+    cert.add_argument("--theta1", type=_finite, default=None)
+    cert.add_argument("--theta2", type=_finite, default=None)
 
     cmp_ = sub.add_parser("compare", help="run several methods on one experiment")
     cmp_.add_argument("--experiment", choices=list(EXPERIMENTS), required=True)
@@ -180,7 +191,7 @@ def cmd_run(args) -> int:
             sim = build_sim_config(x1_init=x1, **sim_over)
             if dist.n != len(x1):
                 raise UsageError("disturbance dimension does not match --x1-init")
-            traj, report = run_configured_cell("custom", method, cfg, sim, dist)
+            traj, report = run_configured_cells("custom", [(method, cfg)], sim, dist)[0]
         else:
             if m_override is not None:
                 gains["m"] = m_override
@@ -197,8 +208,6 @@ def cmd_run(args) -> int:
 def cmd_certify(args) -> int:
     gains = _gain_overrides(args)
     m = args.m if args.m is not None else 3.0
-    if m <= 1:
-        raise UsageError("m must exceed 1")
     try:
         cfg = build_gain_config(m, **gains)
     except ValueError as exc:

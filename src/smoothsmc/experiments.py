@@ -33,8 +33,8 @@ from .sim import (
     DisturbanceSpec,
     SimConfig,
     Trajectory,
-    simulate_controllers,
-    simulate_observers,
+    simulate_closed_loop,
+    simulate_observer,
     write_trajectory_csv,
 )
 
@@ -148,18 +148,11 @@ def run_cell(experiment: str, method: str, gain_overrides: dict | None = None,
     return run_cells(experiment, [(method, gain_overrides)], sim_overrides)[0]
 
 
-def run_configured_cell(scenario_id: str, method: str, cfg: GainConfig,
-                        sim: SimConfig, dist: DisturbanceSpec
-                        ) -> tuple[Trajectory, ExperimentReport]:
-    """Run a fully specified cell (also used for custom scenarios)."""
-    return run_configured_cells(scenario_id, [(method, cfg)], sim, dist)[0]
-
-
 def run_configured_cells(scenario_id: str, cells, sim: SimConfig, dist: DisturbanceSpec,
                          lyapunov: bool = True) -> list[tuple[Trajectory, ExperimentReport]]:
     """Run fully specified ``(method, cfg)`` cells, all controllers or all
-    observers, as one batch; smooth controller cells (m > 2) log V unless
-    ``lyapunov`` is false.
+    observers, as one batch (also used for custom scenarios); smooth
+    controller cells (m > 2) log V unless ``lyapunov`` is false.
 
     The metrics are computed on the full-rate records; the returned
     trajectories are thinned by ``sim.log_stride``, which changes no
@@ -172,11 +165,11 @@ def run_configured_cells(scenario_id: str, cells, sim: SimConfig, dist: Disturba
     full_rate = dataclasses.replace(sim, log_stride=1)
     if kinds == {"controller"}:
         p_blocks = [build_p_block(cfg) if lyapunov and cfg.m > 2 else None for cfg in cfgs]
-        trajs = simulate_controllers(cfgs, full_rate, dist, lyapunov_P=p_blocks)
+        trajs = simulate_closed_loop(cfgs, full_rate, dist, lyapunov_P=p_blocks)
         threshold = CONTROLLER_SETTLE_REL * float((sim.x1_init @ sim.x1_init) ** 0.5)
         norm_signal, vector_signal = STATE_NORM, CONTROL
     else:
-        trajs = simulate_observers(cfgs, full_rate, dist)
+        trajs = simulate_observer(cfgs, full_rate, dist)
         threshold = OBSERVER_SETTLE_ABS
         norm_signal, vector_signal = ERROR_NORM, ESTIMATE
 

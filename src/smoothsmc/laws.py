@@ -11,6 +11,7 @@ Euler once per major step, matching a sampled digital implementation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -73,10 +74,10 @@ class GainConfig:
 
     def __post_init__(self):
         for name in ("k1", "k2", "k3", "k4", "kappa", "epsilon", "L0_init"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.m < 2:
-            raise ValueError("m must be >= 2 (m == 2 is the baseline)")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 2 <= self.m < math.inf:
+            raise ValueError("m must be finite and >= 2 (m == 2 is the baseline)")
         if self.m > 2 and not self.allow_uncertified:
             chk = check_gain_condition(self)
             if not chk.holds:

@@ -5,25 +5,24 @@ The plant is ``x1dot = u + d(t)``.  The control is held constant over each
 major step (zero-order hold) while the plant integrates with classical
 four-stage Runge-Kutta, the disturbance evaluated at the substage times.
 One step loop advances a batch of cells at once, one row of a (B, n) array
-each: :func:`simulate_controllers` runs one adaptive controller per gain set,
-each on its own copy of the plant, and :func:`simulate_observers` one
+each: :func:`simulate_closed_loop` runs one adaptive controller per gain
+set, each on its own copy of the plant, and :func:`simulate_observer` one
 observer per gain set over a single plant stream (the observer never acts on
-the plant).  :func:`simulate_closed_loop` and :func:`simulate_observer` are
-the B = 1 cases.  Every row is bitwise what the scalar laws give on their
-own.  Every step is logged; ``log_stride`` only thins the returned record.
+the plant).  That stream defaults to :func:`simulate_open_loop`, the plant
+under zero control, which is a running sum of RK4 increments and needs no
+loop.  Every row is bitwise what the scalar laws give on their own.  Every
+step is logged; ``log_stride`` only thins the returned record.
 Everything is deterministic: identical configs give bit-identical logs.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
-
-from .laws import GainConfig
-from .linalg import SymMatrix
 
 
 class SineChannel(NamedTuple):
@@ -50,13 +49,18 @@ class DisturbanceSpec:
             vec = np.asarray(self.constant_value, dtype=float).copy()
             if vec.shape != (self.n,):
                 raise ValueError("constant_value dimension mismatch")
+            if not np.isfinite(vec).all():
+                raise ValueError("constant_value must be finite")
             vec.setflags(write=False)
             object.__setattr__(self, "constant_value", vec)
         if self.kind == "sinusoid-mix":
             if self.channels is None or len(self.channels) != self.n:
                 raise ValueError("sinusoid-mix needs one channel per component")
-            object.__setattr__(self, "channels",
-                               tuple(SineChannel(*c) for c in self.channels))
+            channels = tuple(SineChannel(*c) for c in self.channels)
+            if not all(isinstance(v, numbers.Real) and math.isfinite(v)
+                       for c in channels for v in c[:2]):
+                raise ValueError("channel amplitudes and frequencies must be finite numbers")
+            object.__setattr__(self, "channels", channels)
 
     @classmethod
     def none(cls, n: int) -> "DisturbanceSpec":
@@ -65,7 +69,7 @@ class DisturbanceSpec:
     @classmethod
     def constant(cls, value) -> "DisturbanceSpec":
         value = np.asarray(value, dtype=float)
-        return cls(kind="constant", n=value.shape[0], constant_value=value)
+        return cls(kind="constant", n=value.size, constant_value=value)
 
     @classmethod
     def sinusoid_mix(cls, channels) -> "DisturbanceSpec":
@@ -85,6 +89,8 @@ class DisturbanceSpec:
 
     @classmethod
     def from_dict(cls, d: dict, n: int | None = None) -> "DisturbanceSpec":
+        if not isinstance(d, dict):
+            raise ValueError("a disturbance spec must be a JSON object")
         kind = d.get("kind")
         if kind == "none":
             dim = d.get("n", n)
@@ -93,20 +99,21 @@ class DisturbanceSpec:
             return cls.none(int(dim))
         if kind == "constant":
             value = d.get("constant_value", d.get("value"))
-            if value is None:
+            if not isinstance(value, (list, tuple)):
                 raise ValueError("constant disturbance needs a value vector")
             return cls.constant(value)
         if kind == "sinusoid-mix":
+            if not isinstance(d.get("channels"), (list, tuple)) or not d["channels"]:
+                raise ValueError("sinusoid-mix disturbance needs a list of channels")
             channels = []
-            for ch in d.get("channels", []):
+            for ch in d["channels"]:
                 if isinstance(ch, dict):
-                    channels.append((ch["amplitude"], ch["frequency"],
-                                     bool(ch.get("is_cosine", False))))
-                else:
-                    a, w, is_cos = ch
-                    channels.append((a, w, bool(is_cos)))
-            if not channels:
-                raise ValueError("sinusoid-mix disturbance needs channels")
+                    if not {"amplitude", "frequency"} <= ch.keys():
+                        raise ValueError("a sinusoid channel needs amplitude and frequency")
+                    ch = (ch["amplitude"], ch["frequency"], ch.get("is_cosine", False))
+                if not isinstance(ch, (list, tuple)) or len(ch) != 3:
+                    raise ValueError("a sinusoid channel is (amplitude, frequency, is_cosine)")
+                channels.append((ch[0], ch[1], bool(ch[2])))
             return cls.sinusoid_mix(channels)
         raise ValueError(f"unknown disturbance kind {kind!r}")
 
@@ -154,6 +161,8 @@ class SimConfig:
 
     def __post_init__(self):
         x = np.asarray(self.x1_init, dtype=float).copy()
+        if x.ndim != 1 or x.size == 0 or not np.isfinite(x).all():
+            raise ValueError("x1_init must be a non-empty vector of finite values")
         x.setflags(write=False)
         object.__setattr__(self, "x1_init", x)
         if not self.dt > 0:
@@ -228,39 +237,18 @@ class Trajectory:
                                 if col is not None})
 
 
-class ZeroLaw:
-    """Zero control; useful for open-loop and observer-only runs.
-
-    A law without a gain configuration is stepped through ``step``, which
-    takes the (B, n) state of the batch and returns ``(u, new_state)``.
-    """
-
-    cfg: GainConfig | None = None
-
-    def initial_state(self, n: int):
-        return None
-
-    def step(self, x1, state, dt, singular_tol):
-        return np.zeros_like(x1), None
-
-
-class ControllerLaw:
-    """The adaptive controller of one gain configuration, for
-    :func:`simulate_closed_loop`.  The loop runs it from ``cfg`` as one row
-    of the batch; :func:`laws.controller_step` is its scalar reference."""
-
-    def __init__(self, cfg: GainConfig):
-        self.cfg = cfg
-
-
-def _disturbance_series(dist: DisturbanceSpec, times: np.ndarray, dt: float):
-    """``d`` at ``t_k``, ``t_k + dt/2`` and ``t_k + dt`` for every step, each
-    an array of shape (steps, n) (``t_k + dt`` is not ``t_{k+1}`` in floating
-    point).  A constant disturbance gives one array three times."""
+def _disturbance_series(sim: SimConfig, dist: DisturbanceSpec):
+    """The time grid ``t_k`` and ``d`` at ``t_k``, ``t_k + dt/2`` and
+    ``t_k + dt`` for every step, each an array of shape (steps, n)
+    (``t_k + dt`` is not ``t_{k+1}`` in floating point).  A constant
+    disturbance gives one array three times."""
+    if dist.n != sim.n:
+        raise ValueError("disturbance dimension does not match the initial state")
+    times, dt = np.arange(sim.steps) * sim.dt, sim.dt
     if dist.kind != "sinusoid-mix":
         value = dist.constant_value if dist.kind == "constant" else np.zeros(dist.n)
         series = np.tile(value, (times.size, 1))
-        return series, series, series
+        return times, series, series, series
 
     def at(t):
         out = np.empty((t.size, dist.n))
@@ -268,19 +256,26 @@ def _disturbance_series(dist: DisturbanceSpec, times: np.ndarray, dt: float):
             out[:, i] = ch.amplitude * (np.cos if ch.is_cosine else np.sin)(ch.frequency * t)
         return out
 
-    return at(times), at(times + 0.5 * dt), at(times + dt)
+    return times, at(times), at(times + 0.5 * dt), at(times + dt)
 
 
-def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs=(), law=None,
-               stream: Trajectory | None = None, lyapunov_P=None) -> list[Trajectory]:
+def _rk4_increment(dt6, U, d_now, d_mid, d_end):
+    """The plant's RK4 increment over one step with ``U`` held: the stages
+    at ``t_k + dt/2`` share one disturbance value."""
+    F2 = 2.0 * (U + d_mid)
+    return dt6 * (U + d_now + F2 + F2 + (U + d_end))
+
+
+def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, stream: Trajectory | None = None,
+               lyapunov_P=None) -> list[Trajectory]:
     """The one step loop: advances B cells at once, one row of a (B, n)
     array each, and returns one full-rate record per cell.
 
     Without ``stream`` every row is a copy of the plant, driven by the
-    adaptive controller ``cfgs[b]``, or, when ``cfgs`` is empty, by
-    ``law.step`` (one row).  With ``stream`` every row is the adaptive
-    observer ``cfgs[b]`` over that one measurement and control stream.  The
-    time grid, the disturbance and the stream are shared by the batch.
+    adaptive controller ``cfgs[b]``.  With ``stream`` every row is the
+    adaptive observer ``cfgs[b]`` over that one measurement and control
+    stream.  The time grid, the disturbance and the stream are shared by the
+    batch.
 
     Each row is bitwise the scalar reference (``laws.controller_step`` or
     ``laws.observer_step``, RK4 plant, ``lyapunov_value``): one norm
@@ -290,34 +285,28 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs=(), law=None,
     order.  Gains depend on L0 alone, so they are recomputed only after a
     cell adapted.
     """
-    if dist.n != sim.n:
-        raise ValueError("disturbance dimension does not match the initial state")
-    if not cfgs and (law is None or stream is not None):
+    if not cfgs:
         raise ValueError("a batch needs at least one gain configuration")
-    n, dt, tol = sim.n, sim.dt, sim.singular_tol
-    rows = max(len(cfgs), 1)
+    n, dt, tol, rows = sim.n, sim.dt, sim.singular_tol, len(cfgs)
     if stream is None:
-        times = np.arange(sim.steps) * dt
-        d_now, d_mid, d_end = _disturbance_series(dist, times, dt)
+        times, d_now, d_mid, d_end = _disturbance_series(sim, dist)
         X = np.tile(sim.x1_init, (rows, 1))
         x1_log = np.empty((rows, times.size, n))
         u_log = np.empty((rows, times.size, n))
-        state = None if cfgs else law.initial_state(n)
     else:
         times = stream.times
         Z = np.tile(stream.x1[0], (rows, 1))
         dhat_log = np.empty((rows, times.size, n))
-    if cfgs:
-        k1, k2, k3, k4, eps, kappa_dt = (np.array(col) for col in zip(*(
-            (c.k1, c.k2, c.k3, c.k4, c.epsilon, c.kappa * dt) for c in cfgs)))
-        e1 = [(c.m - 1.0) / c.m for c in cfgs]
-        e3 = [(2.0 * c.m - 2.0) / c.m for c in cfgs]
-        f1 = [1.0 / c.m for c in cfgs]
-        f2 = [2.0 / c.m for c in cfgs]
-        L0 = np.array([c.L0_init for c in cfgs])
-        I = np.zeros((rows, n))
-        l0_log = np.empty((rows, times.size))
-        stale = True
+    k1, k2, k3, k4, eps, kappa_dt = (np.array(col) for col in zip(*(
+        (c.k1, c.k2, c.k3, c.k4, c.epsilon, c.kappa * dt) for c in cfgs)))
+    e1 = [(c.m - 1.0) / c.m for c in cfgs]
+    e3 = [(2.0 * c.m - 2.0) / c.m for c in cfgs]
+    f1 = [1.0 / c.m for c in cfgs]
+    f2 = [2.0 / c.m for c in cfgs]
+    L0 = np.array([c.L0_init for c in cfgs])
+    I = np.zeros((rows, n))
+    l0_log = np.empty((rows, times.size))
+    stale = True
     v_log = None
     if lyapunov_P is not None and any(p is not None for p in lyapunov_P):
         if any(p is not None and p.entries.shape != (3, 3) for p in lyapunov_P):
@@ -333,43 +322,38 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs=(), law=None,
     with np.errstate(all="ignore"):
         for k in range(times.size):
             S = X if stream is None else stream.x1[k] - Z
-            if cfgs:
-                if stale:
-                    l0 = L0.tolist()
-                    A1 = np.array(list(map(pow, l0, e1)))
-                    L1 = (k1 * A1)[:, None]
-                    L2 = (k2 * L0)[:, None]
-                    L3 = (k3 * np.array(list(map(pow, l0, e3))))[:, None]
-                    L4 = (k4 * np.array([v ** 2 for v in l0]))[:, None]
-                nrm = np.sqrt(np.vecdot(S, S))
-                r = nrm.tolist()
-                D1 = S / np.array(list(map(pow, r, f1)))[:, None]
-                D2 = S / np.array(list(map(pow, r, f2)))[:, None]
-                singular = nrm < tol
-                if singular.any():
-                    D1[singular] = 0.0
-                    D2[singular] = 0.0
-                Y = L1 * D1 + L2 * S + I
-                if v_log is not None:
-                    xi1, xi2, xi3 = A1[:, None] * D1, L0[:, None] * S, d_now[k] - I
-                    v_log[:, k] = (p00 * np.vecdot(xi1, xi1) + p01 * np.vecdot(xi1, xi2)
-                                   + p02 * np.vecdot(xi1, xi3) + p11 * np.vecdot(xi2, xi2)
-                                   + p12 * np.vecdot(xi2, xi3) + p22 * np.vecdot(xi3, xi3))
-                l0_log[:, k] = L0
-                I = I + dt * (L3 * D2 + L4 * S)
-                adapt = nrm >= eps
-                stale = adapt.any()
-                if stale:
-                    L0 = np.where(adapt, L0 + kappa_dt, L0)
+            if stale:
+                l0 = L0.tolist()
+                A1 = np.array(list(map(pow, l0, e1)))
+                L1 = (k1 * A1)[:, None]
+                L2 = (k2 * L0)[:, None]
+                L3 = (k3 * np.array(list(map(pow, l0, e3))))[:, None]
+                L4 = (k4 * np.array([v ** 2 for v in l0]))[:, None]
+            nrm = np.sqrt(np.vecdot(S, S))
+            r = nrm.tolist()
+            D1 = S / np.array(list(map(pow, r, f1)))[:, None]
+            D2 = S / np.array(list(map(pow, r, f2)))[:, None]
+            singular = nrm < tol
+            if singular.any():
+                D1[singular] = 0.0
+                D2[singular] = 0.0
+            Y = L1 * D1 + L2 * S + I
+            if v_log is not None:
+                xi1, xi2, xi3 = A1[:, None] * D1, L0[:, None] * S, d_now[k] - I
+                v_log[:, k] = (p00 * np.vecdot(xi1, xi1) + p01 * np.vecdot(xi1, xi2)
+                               + p02 * np.vecdot(xi1, xi3) + p11 * np.vecdot(xi2, xi2)
+                               + p12 * np.vecdot(xi2, xi3) + p22 * np.vecdot(xi3, xi3))
+            l0_log[:, k] = L0
+            I = I + dt * (L3 * D2 + L4 * S)
+            adapt = nrm >= eps
+            stale = adapt.any()
+            if stale:
+                L0 = np.where(adapt, L0 + kappa_dt, L0)
             if stream is None:
-                if cfgs:
-                    U = -Y  # bitwise -L1*D1 - L2*x - I: rounding is symmetric
-                else:
-                    U, state = law.step(X, state, dt, tol)
+                U = -Y  # bitwise -L1*D1 - L2*x - I: rounding is symmetric
                 x1_log[:, k] = X
                 u_log[:, k] = U
-                F2 = 2.0 * (U + d_mid[k])
-                X = new = X + dt6 * (U + d_now[k] + F2 + F2 + (U + d_end[k]))
+                X = new = X + _rk4_increment(dt6, U, d_now[k], d_mid[k], d_end[k])
             else:
                 dhat_log[:, k] = Y
                 Z = new = Z + dt * (stream.u[k] + Y)
@@ -380,13 +364,12 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs=(), law=None,
     if stream is not None:
         return [Trajectory(times=times, x1=stream.x1, u=stream.u, d_true=stream.d_true,
                            d_hat=dhat_log[b], L0=l0_log[b]) for b in range(rows)]
-    return [Trajectory(times=times, x1=x1_log[b], u=u_log[b], d_true=d_now,
-                       L0=l0_log[b] if cfgs else None,
+    return [Trajectory(times=times, x1=x1_log[b], u=u_log[b], d_true=d_now, L0=l0_log[b],
                        V=v_log[b] if v_log is not None and lyapunov_P[b] is not None else None)
             for b in range(rows)]
 
 
-def simulate_controllers(cfgs, sim: SimConfig, dist: DisturbanceSpec,
+def simulate_closed_loop(cfgs, sim: SimConfig, dist: DisturbanceSpec,
                          lyapunov_P=None) -> list[Trajectory]:
     """Run one adaptive controller per gain configuration, each on its own
     copy of the plant, as one batch; one record per cell, thinned by
@@ -396,49 +379,49 @@ def simulate_controllers(cfgs, sim: SimConfig, dist: DisturbanceSpec,
     """
     if lyapunov_P is not None and len(lyapunov_P) != len(cfgs):
         raise ValueError("one Lyapunov factor (or None) per cell")
-    trajs = _step_loop(sim, dist, cfgs=list(cfgs), lyapunov_P=lyapunov_P)
+    trajs = _step_loop(sim, dist, list(cfgs), lyapunov_P=lyapunov_P)
     return [traj.thinned(sim.log_stride) for traj in trajs]
 
 
-def simulate_observers(cfgs, sim: SimConfig, dist: DisturbanceSpec,
-                       recorded: Trajectory | None = None) -> list[Trajectory]:
+def simulate_open_loop(sim: SimConfig, dist: DisturbanceSpec) -> Trajectory:
+    """The plant under zero control, thinned by ``sim.log_stride``.
+
+    With ``u = 0`` every RK4 increment depends on ``d`` alone, so the state
+    is ``x1(0)`` plus a running sum of precomputed increments.  The sum is
+    sequential, so each row is bitwise the step-by-step integration.
+    """
+    times, d_now, d_mid, d_end = _disturbance_series(sim, dist)
+    with np.errstate(all="ignore"):
+        increments = _rk4_increment(sim.dt / 6.0, 0.0, d_now, d_mid, d_end)
+        x1 = np.cumsum(np.vstack([sim.x1_init, increments]), axis=0)
+    finite = np.isfinite(x1).all(axis=1)
+    if not finite.all():
+        k = int(np.flatnonzero(~finite)[0]) - 1
+        raise SimulationAborted(k, float(times[k]) + sim.dt, x1[k + 1])
+    return Trajectory(times=times, x1=x1[:-1], u=np.zeros_like(d_now),
+                      d_true=d_now).thinned(sim.log_stride)
+
+
+def simulate_observer(cfgs, sim: SimConfig, dist: DisturbanceSpec,
+                      recorded: Trajectory | None = None) -> list[Trajectory]:
     """Run one disturbance observer per gain configuration over one plant's
     measurement and control stream, as one batch.
 
     The observer never acts on the plant, so the stream is a plain plant run:
-    by default the uncontrolled plant (zero control) under ``dist``, computed
-    once for the batch; otherwise ``recorded``, which must be sampled at
-    exactly ``sim.dt``.  The records are thinned by ``sim.log_stride``.
+    by default :func:`simulate_open_loop` under ``dist``, computed once for
+    the batch; otherwise ``recorded``, which must be sampled at exactly
+    ``sim.dt``.  The records are thinned by ``sim.log_stride``.
     """
     if recorded is None:
-        recorded = _step_loop(sim, dist, law=ZeroLaw())[0]
+        recorded = simulate_open_loop(replace(sim, log_stride=1), dist)
     else:
-        if recorded.n != sim.n:
+        if not recorded.n == dist.n == sim.n:
             raise ValueError("recorded trajectory dimension mismatch")
         spacing = np.diff(recorded.times)
         if spacing.size and not np.allclose(spacing, sim.dt, rtol=0, atol=1e-9 * sim.dt):
             raise ValueError("recorded trajectory must be sampled at the simulation dt")
-    trajs = _step_loop(sim, dist, cfgs=list(cfgs), stream=recorded)
+    trajs = _step_loop(sim, dist, list(cfgs), stream=recorded)
     return [traj.thinned(sim.log_stride) for traj in trajs]
-
-
-def simulate_closed_loop(law, sim: SimConfig, dist: DisturbanceSpec,
-                         lyapunov_P: SymMatrix | None = None) -> Trajectory:
-    """Integrate the plant under a sampled feedback law: the B = 1 case of
-    :func:`simulate_controllers` for an adaptive law (one with a ``cfg``);
-    a law without one (``ZeroLaw``) is stepped through its ``step``.
-    """
-    if law.cfg is not None:
-        return simulate_controllers([law.cfg], sim, dist, [lyapunov_P])[0]
-    if lyapunov_P is not None:
-        raise ValueError("Lyapunov logging needs an adaptive law (it supplies m and L0)")
-    return _step_loop(sim, dist, law=law)[0].thinned(sim.log_stride)
-
-
-def simulate_observer(cfg: GainConfig, sim: SimConfig, dist: DisturbanceSpec,
-                      recorded: Trajectory | None = None) -> Trajectory:
-    """The B = 1 case of :func:`simulate_observers`."""
-    return simulate_observers([cfg], sim, dist, recorded)[0]
 
 
 def trajectory_columns(traj: Trajectory) -> list[str]:

@@ -4,7 +4,6 @@ session and reused across module and acceptance tests."""
 import pytest
 
 from smoothsmc import (
-    ControllerLaw,
     DisturbanceSpec,
     GainConfig,
     SimConfig,
@@ -58,8 +57,7 @@ def nodist_run():
     cfg = reference_gains()
     sim = SimConfig(x1_init=X1_INIT, dt=1e-3, horizon=10.0)
     dist = DisturbanceSpec.none(3)
-    traj = simulate_closed_loop(ControllerLaw(cfg), sim, dist,
-                                lyapunov_P=build_p_block(cfg))
+    traj = simulate_closed_loop([cfg], sim, dist, lyapunov_P=[build_p_block(cfg)])[0]
     return cfg, sim, traj
 
 

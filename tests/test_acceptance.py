@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from smoothsmc import (
-    ControllerLaw,
     DisturbanceSpec,
     SimConfig,
     build_certificate,
@@ -68,8 +67,8 @@ def timed_run():
     cfg = reference_gains()
     sim = SimConfig(x1_init=(1.0, 3.0, 2.0), dt=1e-3, horizon=10.0)
     start = time.perf_counter()
-    traj = simulate_closed_loop(ControllerLaw(cfg), sim, DisturbanceSpec.none(3),
-                                lyapunov_P=build_p_block(cfg))
+    traj = simulate_closed_loop([cfg], sim, DisturbanceSpec.none(3),
+                                lyapunov_P=[build_p_block(cfg)])[0]
     elapsed = time.perf_counter() - start
     return traj, elapsed
 

@@ -281,10 +281,19 @@ class TestBadInputs:
     @pytest.mark.parametrize("case", [
         "malformed-config", "missing-config", "negative-delta",
         "infinite-horizon-run", "infinite-horizon-compare",
+        "channel-without-amplitude", "disturbance-not-an-object", "string-amplitude",
+        "channels-not-a-list", "constant-value-not-a-vector",
+        "nan-x1-init", "nan-constant-value", "infinite-k4-run", "nan-m-sweep",
+        "certify-infinite-k4", "certify-infinite-m", "certify-nan-v0", "certify-nan-delta",
+        "certify-infinite-l0", "certify-infinite-l0-dot", "certify-nan-theta1", "certify-nan-theta2",
     ])
     def test_usage_error_without_traceback(self, tmp_path, capsys, case):
         malformed = tmp_path / "malformed.json"
         malformed.write_text("{not json")
+        custom = ["run", "--experiment", "custom", "--method", "amssosmc",
+                  "--horizon", "0.1", "--out", str(tmp_path)]
+        channels = [{"amplitude": 1.0, "frequency": 1.0}, {"amplitude": 2.0, "frequency": 4.0}]
+        certify = ["certify", "--m", "3", "--v0", "50"]
         argv = {
             "malformed-config": ["run", "--config", str(malformed)],
             "missing-config": ["run", "--config", str(tmp_path / "absent.json")],
@@ -294,6 +303,38 @@ class TestBadInputs:
             "infinite-horizon-compare": ["compare", "--experiment", "exp1",
                                          "--methods", "amssosmc,amstsmc-baseline",
                                          "--horizon", "inf"],
+            "channel-without-amplitude": custom + [
+                "--x1-init", "1,2,3", "--disturbance", json.dumps(
+                    {"kind": "sinusoid-mix", "channels": channels + [{"frequency": 2.0}]})],
+            "disturbance-not-an-object": custom + ["--x1-init", "1,2,3",
+                                                   "--disturbance", "[1,2,3]"],
+            "string-amplitude": custom + [
+                "--x1-init", "1,2,3", "--disturbance", json.dumps(
+                    {"kind": "sinusoid-mix",
+                     "channels": channels + [{"amplitude": "x", "frequency": 2.0}]})],
+            "channels-not-a-list": custom + [
+                "--x1-init", "1,2,3",
+                "--disturbance", json.dumps({"kind": "sinusoid-mix", "channels": 5})],
+            "constant-value-not-a-vector": custom + [
+                "--x1-init", "1,2,3",
+                "--disturbance", json.dumps({"kind": "constant", "value": {"a": 1}})],
+            "nan-x1-init": custom + ["--x1-init", "nan,0,0",
+                                     "--disturbance", json.dumps({"kind": "none"})],
+            "nan-constant-value": custom + [
+                "--x1-init", "1,2,3",
+                "--disturbance", '{"kind": "constant", "constant_value": [0.1, NaN, 0.2]}'],
+            "infinite-k4-run": ["run", "--experiment", "exp1", "--method", "amssosmc",
+                                "--k4", "inf", "--horizon", "0.1", "--out", str(tmp_path)],
+            "nan-m-sweep": ["sweep", "--parameter", "m", "--values", "nan",
+                            "--horizon", "0.1"],
+            "certify-infinite-k4": ["certify", "--k4", "inf"],
+            "certify-infinite-m": ["certify", "--m", "inf"],
+            "certify-nan-v0": ["certify", "--m", "3", "--v0", "nan"],
+            "certify-nan-delta": certify + ["--delta", "nan"],
+            "certify-infinite-l0": certify + ["--l0", "inf"],
+            "certify-infinite-l0-dot": certify + ["--l0-dot", "inf"],
+            "certify-nan-theta1": certify + ["--theta1", "nan"],
+            "certify-nan-theta2": certify + ["--theta2", "nan"],
         }[case]
         code, out, err = run_cli(capsys, argv)
         assert code == 1

@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothsmc import (
-    ControllerLaw,
     DisturbanceSpec,
     SimConfig,
     SimulationAborted,
     Trajectory,
-    ZeroLaw,
     build_p_block,
     controller_step,
     disturbance_at,
@@ -25,11 +23,12 @@ from smoothsmc import (
     rate_bound,
     simulate_closed_loop,
     simulate_observer,
+    simulate_open_loop,
     transform_state,
     write_trajectory_csv,
 )
 from smoothsmc.experiments import build_sim_config, experiment_disturbance, run_cell, run_cells
-from smoothsmc.sim import simulate_controllers, simulate_observers, trajectory_columns
+from smoothsmc.sim import trajectory_columns
 
 from conftest import reference_gains
 
@@ -76,37 +75,56 @@ class TestDisturbanceSpecs:
 class TestClosedLoopBasics:
     def test_zero_law_zero_disturbance_is_equilibrium(self):
         sim = SimConfig(x1_init=[0.3, -0.7, 2.0], dt=1e-2, horizon=1.0)
-        traj = simulate_closed_loop(ZeroLaw(), sim, DisturbanceSpec.none(3))
+        traj = simulate_open_loop(sim, DisturbanceSpec.none(3))
         assert np.array_equal(traj.x1, np.tile(sim.x1_init, (traj.times.size, 1)))
         assert traj.L0 is None and traj.V is None
 
     def test_zero_law_constant_disturbance_integrates_exactly(self):
         sim = SimConfig(x1_init=[0.0, 0.0, 0.0], dt=1e-2, horizon=1.0)
-        traj = simulate_closed_loop(ZeroLaw(), sim, EXP1)
+        traj = simulate_open_loop(sim, EXP1)
         expected = traj.times[:, None] * np.array([0.1, 0.2, 0.2])
         assert np.abs(traj.x1 - expected).max() < 1e-12
 
     def test_dimension_mismatch_rejected(self):
         sim = SimConfig(x1_init=[0.0, 0.0], dt=1e-2, horizon=1.0)
         with pytest.raises(ValueError):
-            simulate_closed_loop(ZeroLaw(), sim, EXP1)
+            simulate_open_loop(sim, EXP1)
 
     def test_log_stride(self):
         sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=1e-2, horizon=1.0, log_stride=5)
-        traj = simulate_closed_loop(ControllerLaw(reference_gains()), sim, EXP1)
+        traj = simulate_closed_loop([reference_gains()], sim, EXP1)[0]
         assert traj.times.size == 20
         assert np.allclose(np.diff(traj.times), 5e-2)
 
     def test_nan_law_aborts_with_diagnostics(self):
-        class NanLaw(ZeroLaw):
-            def step(self, x1, state, dt, singular_tol):
-                return np.full_like(x1, np.nan), None
-
+        # the RK4 stages of a 1e308 disturbance overflow on the first step
         sim = SimConfig(x1_init=[1.0, 0.0, 0.0], dt=1e-2, horizon=1.0)
         with pytest.raises(SimulationAborted) as info:
-            simulate_closed_loop(NanLaw(), sim, DisturbanceSpec.none(3))
+            simulate_closed_loop([reference_gains()], sim, DisturbanceSpec.constant([1e308, 0, 0]))
         assert info.value.step == 0
         assert not np.isfinite(info.value.state).all()
+
+    def test_open_loop_aborts_with_diagnostics(self):
+        sim = SimConfig(x1_init=[1.0, 0.0, 0.0], dt=1e-2, horizon=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationAborted) as info:
+                simulate_open_loop(sim, DisturbanceSpec.constant([1e308, 0, 0]))
+        assert info.value.step == 0
+        assert info.value.time == pytest.approx(1e-2)
+        assert not np.isfinite(info.value.state).all()
+
+    @pytest.mark.parametrize("spec", [EXP1, EXP2, EXP3], ids=["exp1", "exp2", "exp3"])
+    def test_open_loop_is_the_textbook_rk4_loop(self, spec):
+        sim = SimConfig(x1_init=[-0.0, 3.0, -2.5], dt=1e-3, horizon=1.0)
+        x, zero, xs = sim.x1_init.copy(), np.zeros(3), []
+        for k in range(sim.steps):
+            xs.append(x)
+            x = textbook_rk4(x, zero, spec, k * sim.dt, sim.dt)
+        traj = simulate_open_loop(sim, spec)
+        assert np.array_equal(traj.x1, np.array(xs))
+        assert np.signbit(traj.x1[0, 0])
+        assert np.array_equal(traj.u, np.zeros((sim.steps, 3)))
 
 
 class TestDeterminismAndExport:
@@ -114,8 +132,7 @@ class TestDeterminismAndExport:
         traj_a, _ = exp1_m3
         cfg = reference_gains()
         sim = SimConfig(x1_init=[1.0, 3.0, 2.0])
-        traj_b = simulate_closed_loop(ControllerLaw(cfg), sim, EXP1,
-                                      lyapunov_P=build_p_block(cfg))
+        traj_b = simulate_closed_loop([cfg], sim, EXP1, lyapunov_P=[build_p_block(cfg)])[0]
         assert np.array_equal(traj_a.x1, traj_b.x1)
         assert np.array_equal(traj_a.u, traj_b.u)
         assert np.array_equal(traj_a.V, traj_b.V)
@@ -185,30 +202,30 @@ class TestObserverRuns:
     def test_zero_error_manifold_is_invariant(self):
         cfg = reference_gains()
         sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=1e-3, horizon=1.0)
-        traj = simulate_observer(cfg, sim, DisturbanceSpec.none(3))
+        traj = simulate_observer([cfg], sim, DisturbanceSpec.none(3))[0]
         assert np.array_equal(traj.d_hat, np.zeros_like(traj.d_hat))
         assert np.array_equal(traj.L0, np.full_like(traj.L0, cfg.L0_init))
 
     def test_recorded_stream_reproduces_live_run(self):
         cfg = reference_gains()
         sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=1e-3, horizon=2.0)
-        live = simulate_observer(cfg, sim, EXP3)
-        recorded_plant = simulate_closed_loop(ZeroLaw(), sim, EXP3)
-        replay = simulate_observer(cfg, sim, EXP3, recorded=recorded_plant)
+        live = simulate_observer([cfg], sim, EXP3)[0]
+        recorded_plant = simulate_open_loop(sim, EXP3)
+        replay = simulate_observer([cfg], sim, EXP3, recorded=recorded_plant)[0]
         assert np.allclose(live.d_hat, replay.d_hat, rtol=0, atol=1e-12)
 
     def test_recorded_stream_requires_matching_dt(self):
         cfg = reference_gains()
         sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=1e-3, horizon=1.0)
-        recorded = simulate_closed_loop(ZeroLaw(), sim, EXP3)
+        recorded = simulate_open_loop(sim, EXP3)
         other = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=2e-3, horizon=1.0)
         with pytest.raises(ValueError):
-            simulate_observer(cfg, other, EXP3, recorded=recorded)
+            simulate_observer([cfg], other, EXP3, recorded=recorded)
 
     def test_constant_disturbance_is_reconstructed(self):
         cfg = reference_gains()
         sim = SimConfig(x1_init=[0.5, 0.5, 0.5], dt=1e-3, horizon=5.0)
-        traj = simulate_observer(cfg, sim, EXP1)
+        traj = simulate_observer([cfg], sim, EXP1)[0]
         tail = traj.times >= 4.0
         err = np.linalg.norm(traj.d_hat[tail] - traj.d_true[tail], axis=1)
         assert err.max() < 1e-2
@@ -318,30 +335,30 @@ class TestBatchedLoopIsTheScalarLaws:
                              ids=["exp1-m3-with-V", "exp2-m2"])
     def test_controller_at_b1_is_the_reference_loop(self, cfg, dist):
         p_block = build_p_block(cfg) if cfg.m > 2 else None
-        got = simulate_closed_loop(ControllerLaw(cfg), SHORT, dist, lyapunov_P=p_block)
+        got = simulate_closed_loop([cfg], SHORT, dist, lyapunov_P=[p_block])[0]
         assert_same_record(got, reference_controller_run(cfg, SHORT, dist, p_block))
 
     @pytest.mark.parametrize("m", [3.0, 2.0])
     def test_observer_at_b1_is_the_reference_loop(self, m):
         cfg = reference_gains(m=m)
-        got = simulate_observer(cfg, SHORT, EXP3)
+        got = simulate_observer([cfg], SHORT, EXP3)[0]
         assert_same_record(got, reference_observer_run(cfg, SHORT, EXP3))
 
     def test_mixed_controller_batch_rows_are_their_own_runs(self):
-        batch = simulate_controllers(MIXED_CONTROLLERS, SHORT, EXP2,
+        batch = simulate_closed_loop(MIXED_CONTROLLERS, SHORT, EXP2,
                                      lyapunov_P=p_blocks(MIXED_CONTROLLERS))
         assert [traj.V is None for traj in batch] == [False, True, False]
         for i, (cfg, p_block) in enumerate(zip(MIXED_CONTROLLERS, p_blocks(MIXED_CONTROLLERS))):
-            alone = simulate_closed_loop(ControllerLaw(cfg), SHORT, EXP2, lyapunov_P=p_block)
+            alone = simulate_closed_loop([cfg], SHORT, EXP2, lyapunov_P=[p_block])[0]
             assert_same_record(batch[i], alone, i)
 
     def test_mixed_observer_batch_rows_are_their_own_runs(self):
-        batch = simulate_observers(MIXED_OBSERVERS, SHORT, EXP3)
+        batch = simulate_observer(MIXED_OBSERVERS, SHORT, EXP3)
         for i, cfg in enumerate(MIXED_OBSERVERS):
             # z1 starts at the measurement, so the first innovation is the zero
             # vector and the first step takes the singular branch
             assert np.array_equal(batch[i].d_hat[0], np.zeros(3))
-            assert_same_record(batch[i], simulate_observer(cfg, SHORT, EXP3), i)
+            assert_same_record(batch[i], simulate_observer([cfg], SHORT, EXP3)[0], i)
 
     def test_run_cells_reports_are_those_of_run_cell(self):
         cells = [("amssosmc", None), ("amstsmc-baseline", {"kappa": 7.0}),
@@ -367,11 +384,11 @@ class TestBatchedLoopIsTheScalarLaws:
                 for m, s1, s2, s3, s4, kappa, eps in gains]
         sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=1e-3, horizon=0.2)
         if observer:
-            batch = simulate_observers(cfgs, sim, EXP3)
-            alone = [simulate_observer(cfg, sim, EXP3) for cfg in cfgs]
+            batch = simulate_observer(cfgs, sim, EXP3)
+            alone = [simulate_observer([cfg], sim, EXP3)[0] for cfg in cfgs]
         else:
-            batch = simulate_controllers(cfgs, sim, EXP2, lyapunov_P=p_blocks(cfgs))
-            alone = [simulate_closed_loop(ControllerLaw(cfg), sim, EXP2, lyapunov_P=p)
+            batch = simulate_closed_loop(cfgs, sim, EXP2, lyapunov_P=p_blocks(cfgs))
+            alone = [simulate_closed_loop([cfg], sim, EXP2, lyapunov_P=[p])[0]
                      for cfg, p in zip(cfgs, p_blocks(cfgs))]
         for i, (got, want) in enumerate(zip(batch, alone)):
             assert_same_record(got, want, i)

@@ -1,0 +1,32 @@
+"""The benchmark's tracer names functions of the package by (module, name);
+these tests fail as soon as a rename leaves a target behind, instead of at
+the first traced benchmark run."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import smoothsmc.cli  # noqa: F401  (the tracer wraps cli.main)
+from smoothsmc import experiments
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench import spans  # noqa: E402
+
+
+def test_every_target_resolves():
+    for module, function, _, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(f"smoothsmc.{module}"), function, None)), \
+            f"{module}.{function}"
+
+
+def test_simulation_is_booked_under_run_cell():
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        experiments.run_cell("exp3", "amsdo", sim_overrides={"horizon": 0.2})
+    finally:
+        tracer.remove()
+    by_id = {s.id: s for s in tracer.spans}
+    parents = [by_id[s.parent].name for s in tracer.spans if s.name == "sim.simulate"]
+    assert parents == ["experiments.run_cell"]
