@@ -15,6 +15,7 @@ from .certificate import (
     build_p_block,
     build_q_block,
     estimate_convergence,
+    lyapunov_series,
     lyapunov_value,
     residual_levels,
     settling_time_perturbed,

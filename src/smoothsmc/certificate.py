@@ -88,18 +88,34 @@ def transform_state(x1: np.ndarray, x2: np.ndarray, L0: float, m: float,
     return TransformedState(xi1=xi1, xi2=L0 * x1, xi3=x2)
 
 
-def lyapunov_value(xi: TransformedState, P_block: SymMatrix) -> float:
-    """``xi' (P (x) I_n) xi`` evaluated blockwise from the 3x3 factor."""
+def _quadratic_form(P_block: SymMatrix, xi1, xi2, xi3):
+    """``xi' (P (x) I_n) xi`` over the last axis, from the 3x3 factor of P."""
     p = P_block.entries
     if p.shape != (3, 3):
         raise ValueError("P_block must be a 3x3 factor")
-    parts = (xi.xi1, xi.xi2, xi.xi3)
-    value = 0.0
-    for i in range(3):
-        value += p[i, i] * float(parts[i] @ parts[i])
-        for j in range(i + 1, 3):
-            value += 2.0 * p[i, j] * float(parts[i] @ parts[j])
-    return value
+    return (p[0, 0] * np.vecdot(xi1, xi1) + 2.0 * p[0, 1] * np.vecdot(xi1, xi2)
+            + 2.0 * p[0, 2] * np.vecdot(xi1, xi3) + p[1, 1] * np.vecdot(xi2, xi2)
+            + 2.0 * p[1, 2] * np.vecdot(xi2, xi3) + p[2, 2] * np.vecdot(xi3, xi3))
+
+
+def lyapunov_value(xi: TransformedState, P_block: SymMatrix) -> float:
+    """``xi' (P (x) I_n) xi`` evaluated blockwise from the 3x3 factor."""
+    return float(_quadratic_form(P_block, xi.xi1, xi.xi2, xi.xi3))
+
+
+def lyapunov_series(x1: np.ndarray, x2: np.ndarray, L0: np.ndarray, m: float,
+                    P_block: SymMatrix, singular_tol: float = DEFAULT_SINGULAR_TOL) -> np.ndarray:
+    """:func:`lyapunov_value` of :func:`transform_state` at every row of a
+    record, bit for bit: the norm is ``sqrt(vecdot)`` and every power is
+    Python's float ``**`` per row (numpy's vectorised power is not libm
+    ``pow``)."""
+    nrm = np.sqrt(np.vecdot(x1, x1))
+    regular = nrm >= singular_tol
+    xi1 = np.zeros_like(x1)
+    roots = np.array([r ** (1.0 / m) for r in nrm[regular].tolist()])
+    xi1[regular] = x1[regular] / roots[:, None]
+    xi1 *= np.array([v ** ((m - 1.0) / m) for v in L0.tolist()])[:, None]
+    return _quadratic_form(P_block, xi1, L0[:, None] * x1, x2)
 
 
 @dataclass(frozen=True)
@@ -165,7 +181,7 @@ class LyapunovCertificate:
         }
 
 
-def build_certificate(cfg: GainConfig, pd_tol: float | None = None) -> LyapunovCertificate:
+def build_certificate(cfg: GainConfig) -> LyapunovCertificate:
     """Assemble the certificate for an ``m > 2`` configuration."""
     if cfg.m <= 2:
         raise ValueError("the certificate requires m > 2 (the baseline is exempt)")
@@ -174,8 +190,7 @@ def build_certificate(cfg: GainConfig, pd_tol: float | None = None) -> LyapunovC
     omega1, omega2 = build_omega_blocks(cfg)
     eigs = {name: eig_sym(mat) for name, mat in
             (("P", p_block), ("Q", q_block), ("O1", omega1), ("O2", omega2))}
-    pd = {name: is_positive_definite(mat, pd_tol) for name, mat in
-          (("P", p_block), ("Q", q_block), ("O1", omega1), ("O2", omega2))}
+    pd = {name: is_positive_definite(eig) for name, eig in eigs.items()}
     p1 = (2.0 * cfg.m - 3.0) / (2.0 * cfg.m - 2.0)
     if all(pd.values()):
         lam_min_p = eigs["P"].lambda_min

@@ -2,13 +2,14 @@
 sweep parameters and reproduce the built-in experiments.  CSV/JSON outputs
 are the plotting contract; nothing is rendered here.
 
-Exit codes: 0 success, 1 usage error, 2 numerical abort,
-3 qualitative-ordering check failed (compare only).
+Exit codes: 0 success, 1 usage error (a rejected flag, file or value),
+2 numerical abort, 3 qualitative-ordering check failed (compare only).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -26,8 +27,9 @@ from .experiments import (
     run_configured_cells,
     write_cell_outputs,
 )
+from .laws import GainConfig
 from .metrics import comparison_csv
-from .sim import DisturbanceSpec, SimulationAborted
+from .sim import DisturbanceSpec, SimConfig, SimulationAborted
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -155,6 +157,17 @@ def _parse_vector(text: str):
         raise UsageError(f"cannot parse vector {text!r}: {exc}") from exc
 
 
+def _config_section(spec: dict, name: str, cls) -> dict:
+    """``spec[name]``, a JSON object whose keys are fields of ``cls``."""
+    section = spec.get(name, {})
+    if not isinstance(section, dict):
+        raise UsageError(f"--config {name!r} must be a JSON object")
+    unknown = section.keys() - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise UsageError(f"--config {name!r} has unknown keys {sorted(unknown)}")
+    return dict(section)
+
+
 def cmd_run(args) -> int:
     file_spec = {}
     if args.config is not None:
@@ -162,43 +175,41 @@ def cmd_run(args) -> int:
             file_spec = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:
             raise UsageError(f"--config {args.config}: {exc}") from exc
+        if not isinstance(file_spec, dict):
+            raise UsageError(f"--config {args.config}: expected a JSON object")
 
     experiment = args.experiment or file_spec.get("experiment")
     method = args.method or file_spec.get("method")
-    if experiment is None or method is None:
+    if not (isinstance(experiment, str) and isinstance(method, str)):
         raise UsageError("run needs --experiment and --method (flags or config file)")
     outdir = args.out or file_spec.get("out") or "results"
+    if not isinstance(outdir, (str, Path)):
+        raise UsageError("the output directory must be a path")
 
-    gains = dict(file_spec.get("gains", {}))
+    gains = _config_section(file_spec, "gains", GainConfig)
     gains.update(_gain_overrides(args))
     m_override = args.m if args.m is not None else gains.pop("m", None)
-    sim_over = dict(file_spec.get("sim", {}))
+    sim_over = _config_section(file_spec, "sim", SimConfig)
     sim_over.update(_sim_overrides(args))
 
-    try:
-        if experiment == "custom":
-            x1_text = args.x1_init or file_spec.get("x1_init")
-            dist_spec = args.disturbance or file_spec.get("disturbance")
-            if method not in METHODS:
-                raise UsageError(f"unknown method {method!r}")
-            if x1_text is None or dist_spec is None:
-                raise UsageError("custom runs need --x1-init and --disturbance")
-            x1 = _parse_vector(x1_text) if isinstance(x1_text, str) else list(x1_text)
-            dist_dict = json.loads(dist_spec) if isinstance(dist_spec, str) else dist_spec
-            dist = DisturbanceSpec.from_dict(dist_dict, n=len(x1))
-            cfg = build_gain_config(m_override if m_override is not None
-                                    else METHODS[method]["m"], **gains)
-            sim = build_sim_config(x1_init=x1, **sim_over)
-            if dist.n != len(x1):
-                raise UsageError("disturbance dimension does not match --x1-init")
-            traj, report = run_configured_cells("custom", [(method, cfg)], sim, dist)[0]
-        else:
-            if m_override is not None:
-                gains["m"] = m_override
-            traj, report = run_cell(experiment, method,
-                                    gain_overrides=gains, sim_overrides=sim_over)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if experiment == "custom":
+        x1_text = args.x1_init or file_spec.get("x1_init")
+        dist_spec = args.disturbance or file_spec.get("disturbance")
+        if method not in METHODS:
+            raise UsageError(f"unknown method {method!r}")
+        if x1_text is None or dist_spec is None:
+            raise UsageError("custom runs need --x1-init and --disturbance")
+        sim_over["x1_init"] = _parse_vector(x1_text) if isinstance(x1_text, str) else x1_text
+        sim = build_sim_config(**sim_over)
+        dist_dict = json.loads(dist_spec) if isinstance(dist_spec, str) else dist_spec
+        dist = DisturbanceSpec.from_dict(dist_dict, n=sim.n)
+        cfg = build_gain_config(m_override if m_override is not None
+                                else METHODS[method]["m"], **gains)
+        traj, report = run_configured_cells("custom", [(method, cfg)], sim, dist)[0]
+    else:
+        if m_override is not None:
+            gains["m"] = m_override
+        traj, report = run_cell(experiment, method, gain_overrides=gains, sim_overrides=sim_over)
 
     paths = write_cell_outputs(outdir, report.scenario_id, method, traj, report)
     print(json.dumps({"written": paths, "report": report.to_dict()}, indent=2, sort_keys=True))
@@ -207,11 +218,7 @@ def cmd_run(args) -> int:
 
 def cmd_certify(args) -> int:
     gains = _gain_overrides(args)
-    m = args.m if args.m is not None else 3.0
-    try:
-        cfg = build_gain_config(m, **gains)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = build_gain_config(args.m if args.m is not None else 3.0, **gains)
 
     payload: dict = {"gains": {
         "m": cfg.m, "k1": cfg.k1, "k2": cfg.k2, "k3": cfg.k3, "k4": cfg.k4,
@@ -223,12 +230,9 @@ def cmd_certify(args) -> int:
         payload["certified"] = cert.certified
         if args.v0 is not None:
             delta = args.delta if args.delta is not None else 0.0
-            try:
-                estimate = estimate_convergence(cert, cfg, args.v0, delta,
-                                                L0=args.l0, L0_dot=args.l0_dot,
-                                                theta1=args.theta1, theta2=args.theta2)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+            estimate = estimate_convergence(cert, cfg, args.v0, delta,
+                                            L0=args.l0, L0_dot=args.l0_dot,
+                                            theta1=args.theta1, theta2=args.theta2)
             payload["convergence"] = estimate.to_dict()
     else:
         payload.update(certificate_summary(cfg))
@@ -249,11 +253,8 @@ def cmd_compare(args) -> int:
     gain_over = _gain_overrides(args)
     if args.m is not None:
         gain_over["m"] = args.m
-    try:
-        results = run_cells(args.experiment, [(method, gain_over) for method in methods],
-                            sim_overrides=_sim_overrides(args))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    results = run_cells(args.experiment, [(method, gain_over) for method in methods],
+                        sim_overrides=_sim_overrides(args))
     reports = [report for _, report in results]
     if args.out is not None:
         for method, (traj, report) in zip(methods, results):
@@ -284,11 +285,8 @@ def cmd_sweep(args) -> int:
     if args.m is not None:
         base_gains["m"] = args.m
     cells = [(args.method, {**base_gains, args.parameter: value}) for value in values]
-    try:
-        results = run_cells(args.experiment, cells, sim_overrides=_sim_overrides(args),
-                            lyapunov=False)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    results = run_cells(args.experiment, cells, sim_overrides=_sim_overrides(args),
+                        lyapunov=False)
     rows = ["parameter,value,gain_condition,reason,settling_time,ultimate_bound,"
             "chattering_index,final_L0,dt"]
     for value, (_, report) in zip(values, results):
@@ -320,11 +318,8 @@ def cmd_reproduce(args) -> int:
           f"all blocks PD={cert.all_pd}")
     for experiment in EXPERIMENTS:
         pair = _PAIRS[EXPERIMENTS[experiment]]
-        try:
-            results = run_cells(experiment, [(method, None) for method in pair],
-                                sim_overrides=_sim_overrides(args))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        results = run_cells(experiment, [(method, None) for method in pair],
+                            sim_overrides=_sim_overrides(args))
         for method, (traj, report) in zip(pair, results):
             write_cell_outputs(args.out, experiment, method, traj, report)
             settle = ("not settled" if report.settling_time is None
@@ -354,7 +349,7 @@ def main(argv=None) -> int:
         if args.command == "reproduce":
             return cmd_reproduce(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # the library rejects bad values with ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SimulationAborted as exc:

@@ -17,18 +17,11 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+import numpy as np
+
 from .certificate import build_certificate, build_p_block
 from .laws import GainConfig, check_gain_condition
-from .metrics import (
-    CONTROL,
-    ERROR_NORM,
-    ESTIMATE,
-    STATE_NORM,
-    ExperimentReport,
-    chattering_index,
-    settling_time,
-    ultimate_bound,
-)
+from .metrics import ExperimentReport, chattering_index, settling_time, ultimate_bound
 from .sim import (
     DisturbanceSpec,
     SimConfig,
@@ -163,24 +156,25 @@ def run_configured_cells(scenario_id: str, cells, sim: SimConfig, dist: Disturba
         raise ValueError("a batch holds one or more cells of one kind (controllers or observers)")
     cfgs = [cfg for _, cfg in cells]
     full_rate = dataclasses.replace(sim, log_stride=1)
+    # each cell's norm series (settling time, ultimate bound) and vector series (chattering)
     if kinds == {"controller"}:
         p_blocks = [build_p_block(cfg) if lyapunov and cfg.m > 2 else None for cfg in cfgs]
         trajs = simulate_closed_loop(cfgs, full_rate, dist, lyapunov_P=p_blocks)
+        signals = [(np.linalg.norm(t.x1, axis=1), t.u) for t in trajs]
         threshold = CONTROLLER_SETTLE_REL * float((sim.x1_init @ sim.x1_init) ** 0.5)
-        norm_signal, vector_signal = STATE_NORM, CONTROL
     else:
         trajs = simulate_observer(cfgs, full_rate, dist)
+        signals = [(np.linalg.norm(t.d_hat - t.d_true, axis=1), t.d_hat) for t in trajs]
         threshold = OBSERVER_SETTLE_ABS
-        norm_signal, vector_signal = ERROR_NORM, ESTIMATE
 
     out = []
-    for (method, cfg), traj in zip(cells, trajs):
+    for (method, cfg), traj, (norms, values) in zip(cells, trajs, signals):
         report = ExperimentReport(
             method_id=method,
             scenario_id=scenario_id,
-            settling_time=settling_time(traj, norm_signal, threshold),
-            ultimate_bound=ultimate_bound(traj, norm_signal, TAIL_FRACTION),
-            chattering_index=chattering_index(traj, vector_signal, TAIL_FRACTION),
+            settling_time=settling_time(traj.times, norms, threshold),
+            ultimate_bound=ultimate_bound(traj.times, norms, TAIL_FRACTION),
+            chattering_index=chattering_index(traj.times, values, TAIL_FRACTION),
             final_L0=float(traj.L0[-1]) if traj.L0 is not None else None,
             dt_used=sim.dt,
             settling_threshold=threshold,

@@ -12,6 +12,7 @@ Euler once per major step, matching a sampled digital implementation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -19,6 +20,11 @@ from typing import NamedTuple
 import numpy as np
 
 DEFAULT_SINGULAR_TOL = 1e-12
+
+
+def is_real_number(value) -> bool:
+    """True for a real number other than a bool (JSON ``true`` is no gain)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class GainCheck(NamedTuple):
@@ -74,10 +80,12 @@ class GainConfig:
 
     def __post_init__(self):
         for name in ("k1", "k2", "k3", "k4", "kappa", "epsilon", "L0_init"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 2 <= self.m < math.inf:
-            raise ValueError("m must be finite and >= 2 (m == 2 is the baseline)")
+            if not (is_real_number(value := getattr(self, name)) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be a positive, finite number")
+        if not (is_real_number(self.m) and 2 <= self.m < math.inf):
+            raise ValueError("m must be a finite number >= 2 (m == 2 is the baseline)")
+        if not isinstance(self.allow_uncertified, bool):
+            raise ValueError("allow_uncertified must be true or false")
         if self.m > 2 and not self.allow_uncertified:
             chk = check_gain_condition(self)
             if not chk.holds:

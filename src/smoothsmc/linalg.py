@@ -144,12 +144,13 @@ def eig_sym(mat: SymMatrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenSumm
     return EigenSummary(lambda_min=spectrum[0], lambda_max=spectrum[-1], spectrum=spectrum)
 
 
-def is_positive_definite(mat: SymMatrix, tol: float | None = None) -> bool:
-    """True iff the smallest eigenvalue exceeds ``tol``.
+def is_positive_definite(mat: SymMatrix | EigenSummary, tol: float | None = None) -> bool:
+    """True iff the smallest eigenvalue exceeds ``tol``; pass the spectrum
+    when it is already known, so the matrix is not solved again.
 
     ``tol=None`` uses ``1e-12 * |lambda_max|`` to absorb rounding.
     """
-    summary = eig_sym(mat)
+    summary = mat if isinstance(mat, EigenSummary) else eig_sym(mat)
     if tol is None:
         tol = 1e-12 * abs(summary.lambda_max)
     if tol < 0:

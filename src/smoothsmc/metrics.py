@@ -1,5 +1,6 @@
-"""Trajectory metrics: settling time, ultimate bound over a tail window, and
-a total-variation chattering index, plus the per-run report record.
+"""Trajectory metrics over arrays of samples: settling time, ultimate bound
+over a tail window, and a total-variation chattering index, plus the per-run
+report record.
 """
 
 from __future__ import annotations
@@ -10,33 +11,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .sim import Trajectory
-
-STATE_NORM = "state-norm"
-ERROR_NORM = "error-norm"
-CONTROL = "control"
-ESTIMATE = "estimate"
-
-
-def _norm_series(traj: Trajectory, signal: str) -> np.ndarray:
-    if signal == STATE_NORM:
-        return np.linalg.norm(traj.x1, axis=1)
-    if signal == ERROR_NORM:
-        if traj.d_hat is None:
-            raise ValueError("trajectory has no disturbance estimate")
-        return np.linalg.norm(traj.d_hat - traj.d_true, axis=1)
-    raise ValueError(f"unknown scalar signal {signal!r}")
-
-
-def _vector_series(traj: Trajectory, signal: str) -> np.ndarray:
-    if signal == CONTROL:
-        return traj.u
-    if signal == ESTIMATE:
-        if traj.d_hat is None:
-            raise ValueError("trajectory has no disturbance estimate")
-        return traj.d_hat
-    raise ValueError(f"unknown vector signal {signal!r}")
-
 
 def _tail_mask(times: np.ndarray, tail_fraction: float) -> np.ndarray:
     if not 0.0 < tail_fraction < 1.0:
@@ -45,35 +19,33 @@ def _tail_mask(times: np.ndarray, tail_fraction: float) -> np.ndarray:
     return times >= cutoff
 
 
-def settling_time(traj: Trajectory, signal: str, threshold: float) -> float | None:
-    """Earliest logged time after which the signal norm stays below the
-    threshold through the end of the run; None if it never does."""
+def settling_time(times: np.ndarray, norms: np.ndarray, threshold: float) -> float | None:
+    """Earliest sample time after which ``norms`` stays below the threshold
+    through the end of the record; None if it never does."""
     if not threshold > 0:
         raise ValueError("threshold must be positive")
-    norms = _norm_series(traj, signal)
     above = np.flatnonzero(norms >= threshold)
     if above.size == 0:
-        return float(traj.times[0])
+        return float(times[0])
     last = above[-1]
     if last == norms.shape[0] - 1:
         return None
-    return float(traj.times[last + 1])
+    return float(times[last + 1])
 
 
-def ultimate_bound(traj: Trajectory, signal: str, tail_fraction: float = 0.2) -> float:
-    """Max signal norm over the final fraction of the run."""
-    mask = _tail_mask(traj.times, tail_fraction)
-    return float(_norm_series(traj, signal)[mask].max())
+def ultimate_bound(times: np.ndarray, norms: np.ndarray, tail_fraction: float = 0.2) -> float:
+    """Max of ``norms`` over the final fraction of the record."""
+    return float(norms[_tail_mask(times, tail_fraction)].max())
 
 
-def chattering_index(traj: Trajectory, signal: str, tail_fraction: float = 0.2) -> float:
-    """Total variation per second of a vector signal over the tail window."""
-    mask = _tail_mask(traj.times, tail_fraction)
+def chattering_index(times: np.ndarray, values: np.ndarray, tail_fraction: float = 0.2) -> float:
+    """Total variation per second of a vector signal, rows of ``values``,
+    over the tail window."""
+    mask = _tail_mask(times, tail_fraction)
     if int(mask.sum()) < 2:
         raise ValueError("need at least two tail samples for a variation rate")
-    values = _vector_series(traj, signal)[mask]
-    t = traj.times[mask]
-    variation = float(np.linalg.norm(np.diff(values, axis=0), axis=1).sum())
+    t = times[mask]
+    variation = float(np.linalg.norm(np.diff(values[mask], axis=0), axis=1).sum())
     return variation / float(t[-1] - t[0])
 
 

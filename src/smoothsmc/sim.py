@@ -7,11 +7,11 @@ four-stage Runge-Kutta, the disturbance evaluated at the substage times.
 One step loop advances a batch of cells at once, one row of a (B, n) array
 each: :func:`simulate_closed_loop` runs one adaptive controller per gain
 set, each on its own copy of the plant, and :func:`simulate_observer` one
-observer per gain set over a single plant stream (the observer never acts on
-the plant).  That stream defaults to :func:`simulate_open_loop`, the plant
-under zero control, which is a running sum of RK4 increments and needs no
-loop.  Every row is bitwise what the scalar laws give on their own.  Every
-step is logged; ``log_stride`` only thins the returned record.
+observer per gain set over the stream of :func:`simulate_open_loop`, the
+plant under zero control (a running sum of RK4 increments, no loop).  The
+loop only steps; V is computed from the logged record after it.  Every row
+is bitwise what the scalar laws give on their own.  Every step is logged;
+``log_stride`` only thins the returned record.
 Everything is deterministic: identical configs give bit-identical logs.
 """
 
@@ -23,6 +23,13 @@ from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
+
+from .certificate import lyapunov_series
+from .laws import is_real_number
+
+# The longest run accepted, in steps (one controller cell at n = 3 needs about
+# 250 bytes a step, 2.5 GB here), checked before any array is allocated.
+MAX_STEPS = 10**7
 
 
 class SineChannel(NamedTuple):
@@ -160,19 +167,25 @@ class SimConfig:
     log_stride: int = 1
 
     def __post_init__(self):
-        x = np.asarray(self.x1_init, dtype=float).copy()
+        try:
+            x = np.array(self.x1_init, dtype=float)
+        except TypeError:  # not a sequence of numbers: fails the check below
+            x = np.empty(0)
         if x.ndim != 1 or x.size == 0 or not np.isfinite(x).all():
             raise ValueError("x1_init must be a non-empty vector of finite values")
         x.setflags(write=False)
         object.__setattr__(self, "x1_init", x)
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.horizon > self.dt:
-            raise ValueError("horizon must exceed dt")
-        if not math.isfinite(self.horizon):
-            raise ValueError("horizon must be finite")
-        if self.log_stride < 1:
-            raise ValueError("log_stride must be >= 1")
+        if not (is_real_number(self.dt) and self.dt > 0):
+            raise ValueError("dt must be a positive number")
+        if not (is_real_number(self.horizon) and self.dt < self.horizon < math.inf):
+            raise ValueError("horizon must be a finite number above dt")
+        if self.horizon / self.dt > MAX_STEPS:
+            raise ValueError(f"horizon / dt exceeds the limit of {MAX_STEPS} steps")
+        if not (is_real_number(self.singular_tol) and 0 < self.singular_tol < math.inf):
+            raise ValueError("singular_tol must be a positive, finite number")
+        stride = self.log_stride
+        if not (is_real_number(stride) and isinstance(stride, numbers.Integral) and stride >= 1):
+            raise ValueError("log_stride must be an integer >= 1")
 
     @property
     def n(self) -> int:
@@ -267,9 +280,10 @@ def _rk4_increment(dt6, U, d_now, d_mid, d_end):
 
 
 def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, stream: Trajectory | None = None,
-               lyapunov_P=None) -> list[Trajectory]:
+               log_integral: bool = False):
     """The one step loop: advances B cells at once, one row of a (B, n)
-    array each, and returns one full-rate record per cell.
+    array each.  Returns one full-rate record per cell and, if
+    ``log_integral``, the integral term before each step, shape (B, steps, n).
 
     Without ``stream`` every row is a copy of the plant, driven by the
     adaptive controller ``cfgs[b]``.  With ``stream`` every row is the
@@ -278,11 +292,10 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, stream: Trajectory |
     batch.
 
     Each row is bitwise the scalar reference (``laws.controller_step`` or
-    ``laws.observer_step``, RK4 plant, ``lyapunov_value``): one norm
-    ``sqrt(vecdot)``, which is ``np.linalg.norm`` bit for bit; every power
-    of the spec as Python's float ``**`` per cell, because numpy's
-    vectorised power is not libm ``pow``; V summed in ``lyapunov_value``'s
-    order.  Gains depend on L0 alone, so they are recomputed only after a
+    ``laws.observer_step``, RK4 plant): one norm ``sqrt(vecdot)``, which is
+    ``np.linalg.norm`` bit for bit, and every power of the spec as Python's
+    float ``**`` per cell, because numpy's vectorised power is not libm
+    ``pow``.  Gains depend on L0 alone, so they are recomputed only after a
     cell adapted.
     """
     if not cfgs:
@@ -306,15 +319,8 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, stream: Trajectory |
     L0 = np.array([c.L0_init for c in cfgs])
     I = np.zeros((rows, n))
     l0_log = np.empty((rows, times.size))
+    i_log = np.empty((rows, times.size, n)) if log_integral else None
     stale = True
-    v_log = None
-    if lyapunov_P is not None and any(p is not None for p in lyapunov_P):
-        if any(p is not None and p.entries.shape != (3, 3) for p in lyapunov_P):
-            raise ValueError("P_block must be a 3x3 factor")
-        P = np.array([np.zeros((3, 3)) if p is None else p.entries for p in lyapunov_P])
-        p00, p11, p22 = P[:, 0, 0], P[:, 1, 1], P[:, 2, 2]
-        p01, p02, p12 = 2.0 * P[:, 0, 1], 2.0 * P[:, 0, 2], 2.0 * P[:, 1, 2]
-        v_log = np.empty((rows, times.size))
     dt6 = dt / 6.0
 
     # A diverging cell overflows before it turns non-finite; the check at the
@@ -324,8 +330,7 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, stream: Trajectory |
             S = X if stream is None else stream.x1[k] - Z
             if stale:
                 l0 = L0.tolist()
-                A1 = np.array(list(map(pow, l0, e1)))
-                L1 = (k1 * A1)[:, None]
+                L1 = (k1 * np.array(list(map(pow, l0, e1))))[:, None]
                 L2 = (k2 * L0)[:, None]
                 L3 = (k3 * np.array(list(map(pow, l0, e3))))[:, None]
                 L4 = (k4 * np.array([v ** 2 for v in l0]))[:, None]
@@ -338,11 +343,8 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, stream: Trajectory |
                 D1[singular] = 0.0
                 D2[singular] = 0.0
             Y = L1 * D1 + L2 * S + I
-            if v_log is not None:
-                xi1, xi2, xi3 = A1[:, None] * D1, L0[:, None] * S, d_now[k] - I
-                v_log[:, k] = (p00 * np.vecdot(xi1, xi1) + p01 * np.vecdot(xi1, xi2)
-                               + p02 * np.vecdot(xi1, xi3) + p11 * np.vecdot(xi2, xi2)
-                               + p12 * np.vecdot(xi2, xi3) + p22 * np.vecdot(xi3, xi3))
+            if i_log is not None:
+                i_log[:, k] = I
             l0_log[:, k] = L0
             I = I + dt * (L3 * D2 + L4 * S)
             adapt = nrm >= eps
@@ -363,10 +365,9 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, stream: Trajectory |
 
     if stream is not None:
         return [Trajectory(times=times, x1=stream.x1, u=stream.u, d_true=stream.d_true,
-                           d_hat=dhat_log[b], L0=l0_log[b]) for b in range(rows)]
-    return [Trajectory(times=times, x1=x1_log[b], u=u_log[b], d_true=d_now, L0=l0_log[b],
-                       V=v_log[b] if v_log is not None and lyapunov_P[b] is not None else None)
-            for b in range(rows)]
+                           d_hat=dhat_log[b], L0=l0_log[b]) for b in range(rows)], i_log
+    return [Trajectory(times=times, x1=x1_log[b], u=u_log[b], d_true=d_now, L0=l0_log[b])
+            for b in range(rows)], i_log
 
 
 def simulate_closed_loop(cfgs, sim: SimConfig, dist: DisturbanceSpec,
@@ -374,12 +375,20 @@ def simulate_closed_loop(cfgs, sim: SimConfig, dist: DisturbanceSpec,
     """Run one adaptive controller per gain configuration, each on its own
     copy of the plant, as one batch; one record per cell, thinned by
     ``sim.log_stride``.  ``lyapunov_P`` holds one P factor (or None) per cell;
-    a cell with one logs V at the transformed state and the gain level in
-    effect at each sample, with the companion coordinate ``x2 = d - integral``.
+    a cell with one gets V at the transformed state and the gain level in
+    effect at each sample, with the companion coordinate ``x2 = d - integral``,
+    computed from the logged record after the loop.
     """
-    if lyapunov_P is not None and len(lyapunov_P) != len(cfgs):
+    cfgs = list(cfgs)
+    lyapunov_P = [None] * len(cfgs) if lyapunov_P is None else list(lyapunov_P)
+    if len(lyapunov_P) != len(cfgs):
         raise ValueError("one Lyapunov factor (or None) per cell")
-    trajs = _step_loop(sim, dist, list(cfgs), lyapunov_P=lyapunov_P)
+    trajs, integral = _step_loop(sim, dist, cfgs,
+                                 log_integral=any(p is not None for p in lyapunov_P))
+    for b, (traj, cfg, p) in enumerate(zip(trajs, cfgs, lyapunov_P)):
+        if p is not None:
+            trajs[b] = replace(traj, V=lyapunov_series(
+                traj.x1, traj.d_true - integral[b], traj.L0, cfg.m, p, sim.singular_tol))
     return [traj.thinned(sim.log_stride) for traj in trajs]
 
 
@@ -402,25 +411,16 @@ def simulate_open_loop(sim: SimConfig, dist: DisturbanceSpec) -> Trajectory:
                       d_true=d_now).thinned(sim.log_stride)
 
 
-def simulate_observer(cfgs, sim: SimConfig, dist: DisturbanceSpec,
-                      recorded: Trajectory | None = None) -> list[Trajectory]:
+def simulate_observer(cfgs, sim: SimConfig, dist: DisturbanceSpec) -> list[Trajectory]:
     """Run one disturbance observer per gain configuration over one plant's
     measurement and control stream, as one batch.
 
-    The observer never acts on the plant, so the stream is a plain plant run:
-    by default :func:`simulate_open_loop` under ``dist``, computed once for
-    the batch; otherwise ``recorded``, which must be sampled at exactly
-    ``sim.dt``.  The records are thinned by ``sim.log_stride``.
+    The observer never acts on the plant, so the stream is a plain plant run,
+    :func:`simulate_open_loop` under ``dist``, computed once for the batch.
+    The records are thinned by ``sim.log_stride``.
     """
-    if recorded is None:
-        recorded = simulate_open_loop(replace(sim, log_stride=1), dist)
-    else:
-        if not recorded.n == dist.n == sim.n:
-            raise ValueError("recorded trajectory dimension mismatch")
-        spacing = np.diff(recorded.times)
-        if spacing.size and not np.allclose(spacing, sim.dt, rtol=0, atol=1e-9 * sim.dt):
-            raise ValueError("recorded trajectory must be sampled at the simulation dt")
-    trajs = _step_loop(sim, dist, list(cfgs), stream=recorded)
+    stream = simulate_open_loop(replace(sim, log_stride=1), dist)
+    trajs, _ = _step_loop(sim, dist, list(cfgs), stream=stream)
     return [traj.thinned(sim.log_stride) for traj in trajs]
 
 

@@ -15,6 +15,8 @@ from smoothsmc import (
     estimate_convergence,
     is_positive_definite,
     kron_with_identity,
+    linalg,
+    lyapunov_series,
     lyapunov_value,
     residual_levels,
     settling_time_perturbed,
@@ -120,6 +122,18 @@ class TestCertificate:
         else:
             assert cert.n1 is None and cert.n3 is None
 
+    def test_each_block_is_solved_once(self, monkeypatch):
+        calls = []
+        solve = linalg.jacobi_eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "jacobi_eigh", counted)
+        build_certificate(reference_gains())
+        assert len(calls) == 4  # P, Q, Omega1, Omega2
+
     def test_serializes(self):
         d = build_certificate(reference_gains()).to_dict()
         assert d["gain_condition"]["holds"] is True
@@ -171,6 +185,28 @@ class TestLyapunovValue:
         v = lyapunov_value(xi, p_block)
         assert summary.lambda_min * norm_sq <= v * (1 + 1e-12) + 1e-12
         assert v <= summary.lambda_max * norm_sq * (1 + 1e-12) + 1e-12
+
+
+class TestLyapunovSeries:
+    @pytest.mark.parametrize("m", [3.0, 3.5])
+    def test_each_sample_is_the_scalar_value(self, m):
+        rng = np.random.default_rng(3)
+        x1 = rng.uniform(-2, 2, (40, 3))
+        x1[5] = 0.0                # the origin
+        x1[6] = [1e-13, 0.0, 0.0]  # inside the singular tolerance
+        x1[7] = [0.0, -1e-4, 0.0]  # a small regular state
+        x2 = rng.uniform(-1, 1, (40, 3))
+        L0 = 1.0 + 0.37 * np.arange(40)
+        p_block = build_p_block(reference_gains(m=m))
+        series = lyapunov_series(x1, x2, L0, m, p_block)
+        assert series.shape == (40,)
+        for k in range(40):
+            assert series[k] == lyapunov_value(transform_state(x1[k], x2[k], L0[k], m), p_block)
+
+    def test_rejects_a_p_that_is_not_3x3(self):
+        x = np.ones((4, 3))
+        with pytest.raises(ValueError):
+            lyapunov_series(x, x, np.ones(4), 3.0, SymMatrix(np.eye(2)))
 
 
 class TestCertifiedDecrease:

@@ -277,6 +277,24 @@ class TestReproduce:
             assert (tmp_path / f"comparison_{experiment}.csv").read_text() == table
 
 
+# ``run --config`` files with a malformed shape or value; flags name the cell.
+CONFIGS = {
+    "config-string-gain": {"gains": {"k1": "2"}},
+    "config-string-dt": {"sim": {"dt": "x"}},
+    "config-fractional-log-stride": {"sim": {"horizon": 0.1, "log_stride": 1.5}},
+    "config-string-singular-tol": {"sim": {"horizon": 0.1, "singular_tol": "a"}},
+    "config-unknown-sim-key": {"sim": {"horizon": 0.1, "foo": 1}},
+    "config-unknown-gain-key": {"gains": {"bogus": 1}, "sim": {"horizon": 0.1}},
+    "config-gains-not-an-object": {"gains": [1, 2]},
+    "config-not-an-object": [1, 2],
+    "config-negative-singular-tol": {"sim": {"horizon": 0.1, "singular_tol": -1}},
+    "config-boolean-horizon": {"sim": {"horizon": True}},
+    "config-dict-x1-init": {"sim": {"horizon": 0.1, "x1_init": {"a": 1}}},
+    "config-string-allow-uncertified": {"gains": {"allow_uncertified": "no"},
+                                        "sim": {"horizon": 0.1}},
+}
+
+
 class TestBadInputs:
     @pytest.mark.parametrize("case", [
         "malformed-config", "missing-config", "negative-delta",
@@ -286,6 +304,7 @@ class TestBadInputs:
         "nan-x1-init", "nan-constant-value", "infinite-k4-run", "nan-m-sweep",
         "certify-infinite-k4", "certify-infinite-m", "certify-nan-v0", "certify-nan-delta",
         "certify-infinite-l0", "certify-infinite-l0-dot", "certify-nan-theta1", "certify-nan-theta2",
+        "too-many-steps", *CONFIGS,
     ])
     def test_usage_error_without_traceback(self, tmp_path, capsys, case):
         malformed = tmp_path / "malformed.json"
@@ -294,6 +313,10 @@ class TestBadInputs:
                   "--horizon", "0.1", "--out", str(tmp_path)]
         channels = [{"amplitude": 1.0, "frequency": 1.0}, {"amplitude": 2.0, "frequency": 4.0}]
         certify = ["certify", "--m", "3", "--v0", "50"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(CONFIGS.get(case)))
+        run_config = ["run", "--config", str(config), "--experiment", "exp1",
+                      "--method", "amssosmc", "--out", str(tmp_path)]
         argv = {
             "malformed-config": ["run", "--config", str(malformed)],
             "missing-config": ["run", "--config", str(tmp_path / "absent.json")],
@@ -335,6 +358,10 @@ class TestBadInputs:
             "certify-infinite-l0-dot": certify + ["--l0-dot", "inf"],
             "certify-nan-theta1": certify + ["--theta1", "nan"],
             "certify-nan-theta2": certify + ["--theta2", "nan"],
+            # 1e15 steps: refused before any array is allocated
+            "too-many-steps": ["run", "--experiment", "exp1", "--method", "amssosmc",
+                               "--dt", "1e-12", "--horizon", "1e3", "--out", str(tmp_path)],
+            **{name: run_config for name in CONFIGS},
         }[case]
         code, out, err = run_cli(capsys, argv)
         assert code == 1

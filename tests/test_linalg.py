@@ -150,3 +150,8 @@ class TestPositiveDefinite:
         # eigenvalues ~ {0, 2}: exact zero must not count as positive definite
         m = SymMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         assert not is_positive_definite(m)
+
+    @pytest.mark.parametrize("diagonal", [[1.0, 2.0], [1.0, -1e-3], [0.0, 2.0]])
+    def test_known_spectrum_gives_the_same_answer(self, diagonal):
+        m = SymMatrix(np.diag(diagonal))
+        assert is_positive_definite(eig_sym(m)) == is_positive_definite(m)

@@ -28,6 +28,14 @@ def make_trajectory(times, x1=None, u=None, d_hat=None, d_true=None):
     )
 
 
+def state_norms(traj):
+    return np.linalg.norm(traj.x1, axis=1)
+
+
+def error_norms(traj):
+    return np.linalg.norm(traj.d_hat - traj.d_true, axis=1)
+
+
 def ramp_trajectory(dt=1e-3, horizon=2.0):
     """State norm following max(0, 1 - t) along the first axis."""
     times = np.arange(0.0, horizon, dt)
@@ -39,13 +47,13 @@ def ramp_trajectory(dt=1e-3, horizon=2.0):
 class TestSettlingTime:
     def test_identically_zero_signal(self):
         traj = make_trajectory(np.arange(0.0, 1.0, 0.1))
-        assert settling_time(traj, "state-norm", 0.01) == 0.0
+        assert settling_time(traj.times, state_norms(traj), 0.01) == 0.0
 
     def test_ramp_crossing(self):
         traj = ramp_trajectory()
         # the ramp reaches 0.01 at t = 0.99; the first strictly-below sample
         # is one log step later
-        assert settling_time(traj, "state-norm", 0.01) == pytest.approx(0.991, abs=1e-12)
+        assert settling_time(traj.times, state_norms(traj), 0.01) == pytest.approx(0.991, abs=1e-12)
 
     def test_measured_from_last_excursion(self):
         times = np.arange(0.0, 1.0, 0.1)
@@ -53,17 +61,18 @@ class TestSettlingTime:
         x1[2, 0] = 0.001   # dip below threshold early...
         x1[5, 0] = 1.0     # ...then re-exceed it
         traj = make_trajectory(times, x1=x1)
-        assert settling_time(traj, "state-norm", 0.01) == pytest.approx(times[6])
+        assert settling_time(traj.times, state_norms(traj), 0.01) == pytest.approx(times[6])
 
     def test_not_settled(self):
         times = np.arange(0.0, 1.0, 0.1)
         x1 = np.ones((times.size, 3))
         traj = make_trajectory(times, x1=x1)
-        assert settling_time(traj, "state-norm", 0.01) is None
+        assert settling_time(traj.times, state_norms(traj), 0.01) is None
 
     def test_rejects_nonpositive_threshold(self):
+        traj = ramp_trajectory()
         with pytest.raises(ValueError):
-            settling_time(ramp_trajectory(), "state-norm", 0.0)
+            settling_time(traj.times, state_norms(traj), 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -74,8 +83,8 @@ class TestSettlingTime:
         x1 = rng.uniform(-1, 1, (times.size, 3)) * np.exp(-3 * times)[:, None]
         traj = make_trajectory(times, x1=x1)
         low, high = sorted(thresholds)
-        t_low = settling_time(traj, "state-norm", low)
-        t_high = settling_time(traj, "state-norm", high)
+        t_low = settling_time(traj.times, state_norms(traj), low)
+        t_high = settling_time(traj.times, state_norms(traj), high)
         inf = float("inf")
         assert (t_high if t_high is not None else inf) <= (t_low if t_low is not None else inf)
 
@@ -83,27 +92,27 @@ class TestSettlingTime:
 class TestUltimateBound:
     def test_zero_signal(self):
         traj = make_trajectory(np.arange(0.0, 1.0, 0.1))
-        assert ultimate_bound(traj, "state-norm") == 0.0
+        assert ultimate_bound(traj.times, state_norms(traj)) == 0.0
 
     def test_constant_signal(self):
         times = np.arange(0.0, 1.0, 0.1)
         x1 = np.tile([3.0, 0.0, 4.0], (times.size, 1))
         traj = make_trajectory(times, x1=x1)
-        assert ultimate_bound(traj, "state-norm") == pytest.approx(5.0)
+        assert ultimate_bound(traj.times, state_norms(traj)) == pytest.approx(5.0)
 
     def test_tail_containment(self):
         rng = np.random.default_rng(1)
         times = np.arange(0.0, 1.0, 0.01)
         traj = make_trajectory(times, x1=rng.uniform(-1, 1, (times.size, 3)))
-        assert (ultimate_bound(traj, "state-norm", 0.1)
-                <= ultimate_bound(traj, "state-norm", 0.5))
+        assert (ultimate_bound(traj.times, state_norms(traj), 0.1)
+                <= ultimate_bound(traj.times, state_norms(traj), 0.5))
 
     def test_error_norm_signal(self):
         times = np.arange(0.0, 1.0, 0.1)
         d_true = np.tile([1.0, 0.0, 0.0], (times.size, 1))
         d_hat = np.tile([1.5, 0.0, 0.0], (times.size, 1))
         traj = make_trajectory(times, d_true=d_true, d_hat=d_hat)
-        assert ultimate_bound(traj, "error-norm") == pytest.approx(0.5)
+        assert ultimate_bound(traj.times, error_norms(traj)) == pytest.approx(0.5)
 
 
 class TestChatteringIndex:
@@ -111,7 +120,7 @@ class TestChatteringIndex:
         times = np.arange(0.0, 1.0, 0.1)
         u = np.tile([1.0, -2.0, 0.5], (times.size, 1))
         traj = make_trajectory(times, u=u)
-        assert chattering_index(traj, "control") == 0.0
+        assert chattering_index(traj.times, traj.u) == 0.0
 
     def test_square_wave_exact_rate(self):
         dt = 1e-3
@@ -123,19 +132,19 @@ class TestChatteringIndex:
         tail = times >= times[0] + 0.8 * (times[-1] - times[0])
         count = int(tail.sum())
         expected = (count - 1) * 2.0 * amplitude / (times[tail][-1] - times[tail][0])
-        assert chattering_index(traj, "control", 0.2) == pytest.approx(expected, rel=1e-12)
+        assert chattering_index(traj.times, traj.u, 0.2) == pytest.approx(expected, rel=1e-12)
 
     def test_needs_two_tail_samples(self):
         traj = make_trajectory([0.0, 1.0])
         with pytest.raises(ValueError):
-            chattering_index(traj, "control", 0.2)
+            chattering_index(traj.times, traj.u, 0.2)
 
     def test_power_of_two_scaling_is_exact(self):
         rng = np.random.default_rng(2)
         times = np.arange(0.0, 1.0, 0.01)
         u = rng.uniform(-1, 1, (times.size, 3))
-        base = chattering_index(make_trajectory(times, u=u), "control")
-        doubled = chattering_index(make_trajectory(times, u=2.0 * u), "control")
+        base = chattering_index(times, u)
+        doubled = chattering_index(times, 2.0 * u)
         assert doubled == 2.0 * base
 
     @settings(max_examples=50, deadline=None)
@@ -147,13 +156,13 @@ class TestChatteringIndex:
         x1 = rng.uniform(-1, 1, (times.size, 3))
         traj = make_trajectory(times, u=u, x1=x1)
         scaled = make_trajectory(times, u=scale * u, x1=scale * x1)
-        assert chattering_index(scaled, "control") == pytest.approx(
-            scale * chattering_index(traj, "control"), rel=1e-12)
-        assert ultimate_bound(scaled, "state-norm") == pytest.approx(
-            scale * ultimate_bound(traj, "state-norm"), rel=1e-12)
+        assert chattering_index(scaled.times, scaled.u) == pytest.approx(
+            scale * chattering_index(traj.times, traj.u), rel=1e-12)
+        assert ultimate_bound(scaled.times, state_norms(scaled)) == pytest.approx(
+            scale * ultimate_bound(traj.times, state_norms(traj)), rel=1e-12)
         threshold = 0.25
-        assert settling_time(scaled, "state-norm", scale * threshold) == settling_time(
-            traj, "state-norm", threshold)
+        assert settling_time(scaled.times, state_norms(scaled), scale * threshold) == settling_time(
+            traj.times, state_norms(traj), threshold)
 
 
 class TestReport:

@@ -206,22 +206,6 @@ class TestObserverRuns:
         assert np.array_equal(traj.d_hat, np.zeros_like(traj.d_hat))
         assert np.array_equal(traj.L0, np.full_like(traj.L0, cfg.L0_init))
 
-    def test_recorded_stream_reproduces_live_run(self):
-        cfg = reference_gains()
-        sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=1e-3, horizon=2.0)
-        live = simulate_observer([cfg], sim, EXP3)[0]
-        recorded_plant = simulate_open_loop(sim, EXP3)
-        replay = simulate_observer([cfg], sim, EXP3, recorded=recorded_plant)[0]
-        assert np.allclose(live.d_hat, replay.d_hat, rtol=0, atol=1e-12)
-
-    def test_recorded_stream_requires_matching_dt(self):
-        cfg = reference_gains()
-        sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=1e-3, horizon=1.0)
-        recorded = simulate_open_loop(sim, EXP3)
-        other = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=2e-3, horizon=1.0)
-        with pytest.raises(ValueError):
-            simulate_observer([cfg], other, EXP3, recorded=recorded)
-
     def test_constant_disturbance_is_reconstructed(self):
         cfg = reference_gains()
         sim = SimConfig(x1_init=[0.5, 0.5, 0.5], dt=1e-3, horizon=5.0)
