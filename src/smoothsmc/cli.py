@@ -22,13 +22,14 @@ from .experiments import (
     build_gain_config,
     build_sim_config,
     certificate_summary,
+    method_gain_config,
     run_cell,
     run_cells,
     run_configured_cells,
     write_cell_outputs,
 )
 from .laws import GainConfig
-from .metrics import comparison_csv
+from .metrics import METRIC_COLUMNS, comparison_csv, metric_cells
 from .sim import DisturbanceSpec, SimConfig, SimulationAborted
 
 EXIT_OK = 0
@@ -36,7 +37,7 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_ORDERING = 3
 
-GAIN_FLAGS = ("k1", "k2", "k3", "k4", "kappa", "epsilon", "l0_init")
+GAIN_FLAGS = ("m", "k1", "k2", "k3", "k4", "kappa", "epsilon", "l0_init")
 SIM_FLAGS = ("dt", "horizon", "log_stride")
 
 
@@ -188,7 +189,6 @@ def cmd_run(args) -> int:
 
     gains = _config_section(file_spec, "gains", GainConfig)
     gains.update(_gain_overrides(args))
-    m_override = args.m if args.m is not None else gains.pop("m", None)
     sim_over = _config_section(file_spec, "sim", SimConfig)
     sim_over.update(_sim_overrides(args))
 
@@ -203,12 +203,9 @@ def cmd_run(args) -> int:
         sim = build_sim_config(**sim_over)
         dist_dict = json.loads(dist_spec) if isinstance(dist_spec, str) else dist_spec
         dist = DisturbanceSpec.from_dict(dist_dict, n=sim.n)
-        cfg = build_gain_config(m_override if m_override is not None
-                                else METHODS[method]["m"], **gains)
+        cfg = method_gain_config(method, gains)
         traj, report = run_configured_cells("custom", [(method, cfg)], sim, dist)[0]
     else:
-        if m_override is not None:
-            gains["m"] = m_override
         traj, report = run_cell(experiment, method, gain_overrides=gains, sim_overrides=sim_over)
 
     paths = write_cell_outputs(outdir, report.scenario_id, method, traj, report)
@@ -218,12 +215,10 @@ def cmd_run(args) -> int:
 
 def cmd_certify(args) -> int:
     gains = _gain_overrides(args)
-    cfg = build_gain_config(args.m if args.m is not None else 3.0, **gains)
+    cfg = build_gain_config(gains.pop("m", 3.0), **gains)
 
-    payload: dict = {"gains": {
-        "m": cfg.m, "k1": cfg.k1, "k2": cfg.k2, "k3": cfg.k3, "k4": cfg.k4,
-        "kappa": cfg.kappa, "epsilon": cfg.epsilon, "L0_init": cfg.L0_init,
-    }}
+    payload: dict = {"gains": dataclasses.asdict(cfg)}
+    del payload["gains"]["allow_uncertified"]
     if cfg.m > 2:
         cert = build_certificate(cfg)
         payload.update(cert.to_dict())
@@ -251,8 +246,6 @@ def cmd_compare(args) -> int:
     if len(methods) < 2:
         raise UsageError("compare needs at least two methods")
     gain_over = _gain_overrides(args)
-    if args.m is not None:
-        gain_over["m"] = args.m
     results = run_cells(args.experiment, [(method, gain_over) for method in methods],
                         sim_overrides=_sim_overrides(args))
     reports = [report for _, report in results]
@@ -282,22 +275,14 @@ def cmd_sweep(args) -> int:
     if not values:
         raise UsageError("sweep grid is empty")
     base_gains = _gain_overrides(args)
-    if args.m is not None:
-        base_gains["m"] = args.m
     cells = [(args.method, {**base_gains, args.parameter: value}) for value in values]
     results = run_cells(args.experiment, cells, sim_overrides=_sim_overrides(args),
                         lyapunov=False)
-    rows = ["parameter,value,gain_condition,reason,settling_time,ultimate_bound,"
-            "chattering_index,final_L0,dt"]
+    rows = [",".join(("parameter", "value", "gain_condition", "reason", *METRIC_COLUMNS))]
     for value, (_, report) in zip(values, results):
         chk = report.certificate_summary["gain_condition"]
-        settle = "not settled" if report.settling_time is None else format(report.settling_time, ".17g")
-        rows.append(",".join([
-            args.parameter, format(value, ".17g"), str(chk["holds"]).lower(), chk["reason"],
-            settle, format(report.ultimate_bound, ".17g"),
-            format(report.chattering_index, ".17g"),
-            format(report.final_L0, ".17g"), format(report.dt_used, ".17g"),
-        ]))
+        rows.append(",".join([args.parameter, format(value, ".17g"), str(chk["holds"]).lower(),
+                              chk["reason"], *metric_cells(report)]))
     table = "\n".join(rows) + "\n"
     if args.out is not None:
         out_path = Path(args.out) / f"sweep_{args.parameter}.csv"
@@ -349,7 +334,7 @@ def main(argv=None) -> int:
         if args.command == "reproduce":
             return cmd_reproduce(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, ValueError) as exc:  # the library rejects bad values with ValueError
+    except (UsageError, ValueError, OSError) as exc:  # a bad value or an unusable path
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SimulationAborted as exc:

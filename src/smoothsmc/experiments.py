@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificate import build_certificate, build_p_block
+from .certificate import build_certificate
 from .laws import GainConfig, check_gain_condition
 from .metrics import ExperimentReport, chattering_index, settling_time, ultimate_bound
 from .sim import (
@@ -77,6 +77,14 @@ def build_gain_config(m: float, **overrides) -> GainConfig:
     return GainConfig(m=m, **params)
 
 
+def method_gain_config(method: str, overrides: dict | None = None) -> GainConfig:
+    """The gain set of a preset method with overrides; an ``m`` override
+    replaces the method's homogeneity degree (used by sweeps)."""
+    overrides = dict(overrides or {})
+    m = overrides.pop("m", None)
+    return build_gain_config(METHODS[method]["m"] if m is None else m, **overrides)
+
+
 def build_sim_config(**overrides) -> SimConfig:
     params = {"x1_init": X1_INIT}
     params.update({k: v for k, v in overrides.items() if v is not None})
@@ -118,18 +126,14 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None,
     """Run several preset cells of one experiment as one batch and compute
     each cell's report.
 
-    ``cells`` is a sequence of ``(method, gain_overrides)`` pairs; the
-    overrides may carry an ``m`` key to override the method's preset
-    homogeneity degree (used by sweeps).  ``lyapunov=False`` leaves out the
-    V column, which no report reads, to save its time and memory.
+    ``cells`` is a sequence of ``(method, gain_overrides)`` pairs, resolved by
+    :func:`method_gain_config`.  ``lyapunov=False`` leaves out the V column,
+    which no report reads, to save its time and memory.
     """
     configured = []
-    for method, gain_overrides in cells:
+    for method, overrides in cells:
         validate_pairing(experiment, method)
-        overrides = dict(gain_overrides or {})
-        m = overrides.pop("m", None)
-        configured.append(
-            (method, build_gain_config(METHODS[method]["m"] if m is None else m, **overrides)))
+        configured.append((method, method_gain_config(method, overrides)))
     sim = build_sim_config(**(sim_overrides or {}))
     dist = experiment_disturbance(experiment)
     return run_configured_cells(experiment, configured, sim, dist, lyapunov)
@@ -149,21 +153,19 @@ def run_configured_cells(scenario_id: str, cells, sim: SimConfig, dist: Disturba
 
     The metrics are computed on the full-rate records; the returned
     trajectories are thinned by ``sim.log_stride``, which changes no
-    reported number.
+    reported number.  This is the one place the stride is applied.
     """
     kinds = {METHODS[method]["kind"] for method, _ in cells}
     if len(kinds) != 1:
         raise ValueError("a batch holds one or more cells of one kind (controllers or observers)")
     cfgs = [cfg for _, cfg in cells]
-    full_rate = dataclasses.replace(sim, log_stride=1)
     # each cell's norm series (settling time, ultimate bound) and vector series (chattering)
     if kinds == {"controller"}:
-        p_blocks = [build_p_block(cfg) if lyapunov and cfg.m > 2 else None for cfg in cfgs]
-        trajs = simulate_closed_loop(cfgs, full_rate, dist, lyapunov_P=p_blocks)
+        trajs = simulate_closed_loop(cfgs, sim, dist, lyapunov)
         signals = [(np.linalg.norm(t.x1, axis=1), t.u) for t in trajs]
         threshold = CONTROLLER_SETTLE_REL * float((sim.x1_init @ sim.x1_init) ** 0.5)
     else:
-        trajs = simulate_observer(cfgs, full_rate, dist)
+        trajs = simulate_observer(cfgs, sim, dist)
         signals = [(np.linalg.norm(t.d_hat - t.d_true, axis=1), t.d_hat) for t in trajs]
         threshold = OBSERVER_SETTLE_ABS
 

@@ -9,6 +9,7 @@ so that this identity can be tested.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,40 +96,37 @@ def jacobi_eigh(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS,
     a = a.astype(float, copy=True)
     n = a.shape[0]
     v = np.eye(n)
-    iu = np.triu_indices(n, 1)
+    off_diagonal = v == 0.0
 
     converged = False
     off = 0.0
     for _ in range(max_sweeps):
-        off = float(np.abs(a[iu]).max()) if n > 1 else 0.0
+        # a stays exactly symmetric, so both triangles give the same maximum
+        off = float(np.abs(a[off_diagonal]).max(initial=0.0))
         diag_scale = float(np.abs(np.diagonal(a)).max())
         if off <= conv_factor * diag_scale:
             converged = True
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = float(a[p, q])
                 if apq == 0.0:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
                 if abs(theta) > 1e154:
                     # avoid overflow in theta**2 for extreme ratios
                     t = 1.0 / (2.0 * theta)
                 else:
-                    t = np.sign(theta) if theta != 0.0 else 1.0
-                    t /= abs(theta) + np.sqrt(theta * theta + 1.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                    # theta may be -0.0, whose copysign is -1: keep t = 1 there
+                    t = math.copysign(1.0, theta) if theta != 0.0 else 1.0
+                    t /= abs(theta) + math.sqrt(theta * theta + 1.0)
+                c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
+                # each right-hand side is evaluated before either row is assigned
+                a[p], a[q] = c * a[p] - s * a[q], s * a[p] + c * a[q]
+                a[:, p], a[:, q] = c * a[:, p] - s * a[:, q], s * a[:, p] + c * a[:, q]
                 a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+                v[:, p], v[:, q] = c * v[:, p] - s * v[:, q], s * v[:, p] + c * v[:, q]
     if not converged:
         raise JacobiConvergenceError(max_sweeps, off)
 

@@ -84,19 +84,20 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-COMPARISON_HEADER = "method,scenario,settling_time,ultimate_bound,chattering_index,final_L0,dt"
+# The metric cells of a report row, shared by the comparison and sweep tables.
+METRIC_COLUMNS = ("settling_time", "ultimate_bound", "chattering_index", "final_L0", "dt")
+
+
+def metric_cells(r: ExperimentReport) -> list[str]:
+    """The :data:`METRIC_COLUMNS` cells of one report: floats to 17
+    significant digits, an unsettled run as ``not settled``, no L0 as empty."""
+    settle = "not settled" if r.settling_time is None else format(r.settling_time, ".17g")
+    return [settle] + ["" if v is None else format(v, ".17g")
+                       for v in (r.ultimate_bound, r.chattering_index, r.final_L0, r.dt_used)]
 
 
 def comparison_csv(reports: Iterable[ExperimentReport]) -> str:
     """CSV table across (method, scenario) cells."""
-    lines = [COMPARISON_HEADER]
-    for r in reports:
-        settle = "not settled" if r.settling_time is None else format(r.settling_time, ".17g")
-        l0 = "" if r.final_L0 is None else format(r.final_L0, ".17g")
-        lines.append(",".join([
-            r.method_id, r.scenario_id, settle,
-            format(r.ultimate_bound, ".17g"),
-            format(r.chattering_index, ".17g"),
-            l0, format(r.dt_used, ".17g"),
-        ]))
+    lines = [",".join(("method", "scenario", *METRIC_COLUMNS))]
+    lines += [",".join([r.method_id, r.scenario_id, *metric_cells(r)]) for r in reports]
     return "\n".join(lines) + "\n"

@@ -10,8 +10,9 @@ set, each on its own copy of the plant, and :func:`simulate_observer` one
 observer per gain set over the stream of :func:`simulate_open_loop`, the
 plant under zero control (a running sum of RK4 increments, no loop).  The
 loop only steps; V is computed from the logged record after it.  Every row
-is bitwise what the scalar laws give on their own.  Every step is logged;
-``log_stride`` only thins the returned record.
+is bitwise what the scalar laws give on their own.  The simulators return
+full-rate records; ``log_stride`` is applied by their caller
+(``experiments.run_configured_cells``) to what a run returns and writes.
 Everything is deterministic: identical configs give bit-identical logs.
 """
 
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .certificate import lyapunov_series
+from .certificate import build_p_block, lyapunov_series
 from .laws import is_real_number
 
 # The longest run accepted, in steps (one controller cell at n = 3 needs about
@@ -64,9 +65,10 @@ class DisturbanceSpec:
             if self.channels is None or len(self.channels) != self.n:
                 raise ValueError("sinusoid-mix needs one channel per component")
             channels = tuple(SineChannel(*c) for c in self.channels)
-            if not all(isinstance(v, numbers.Real) and math.isfinite(v)
-                       for c in channels for v in c[:2]):
+            if not all(is_real_number(v) and math.isfinite(v) for c in channels for v in c[:2]):
                 raise ValueError("channel amplitudes and frequencies must be finite numbers")
+            if not all(isinstance(c.is_cosine, bool) for c in channels):
+                raise ValueError("a channel's is_cosine must be true or false")
             object.__setattr__(self, "channels", channels)
 
     @classmethod
@@ -120,7 +122,7 @@ class DisturbanceSpec:
                     ch = (ch["amplitude"], ch["frequency"], ch.get("is_cosine", False))
                 if not isinstance(ch, (list, tuple)) or len(ch) != 3:
                     raise ValueError("a sinusoid channel is (amplitude, frequency, is_cosine)")
-                channels.append((ch[0], ch[1], bool(ch[2])))
+                channels.append(ch)
             return cls.sinusoid_mix(channels)
         raise ValueError(f"unknown disturbance kind {kind!r}")
 
@@ -196,13 +198,8 @@ class SimConfig:
         return int(round(self.horizon / self.dt))
 
     def to_dict(self) -> dict:
-        return {
-            "x1_init": self.x1_init.tolist(),
-            "dt": self.dt,
-            "horizon": self.horizon,
-            "singular_tol": self.singular_tol,
-            "log_stride": self.log_stride,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
+            "x1_init": self.x1_init.tolist()}
 
 
 class SimulationAborted(RuntimeError):
@@ -220,9 +217,15 @@ class SimulationAborted(RuntimeError):
         )
 
 
+# CSV headers that are not the field name; vector fields get one column per
+# component, numbered from 1 (``x11``, ``x12``, ...).
+_CSV_NAMES = {"times": "t", "d_true": "d", "d_hat": "dhat"}
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled record of one run; optional columns are None."""
+    """Uniformly sampled record of one run; optional columns are None.  The
+    field order is the CSV column order."""
 
     times: np.ndarray
     x1: np.ndarray
@@ -233,21 +236,17 @@ class Trajectory:
     V: np.ndarray | None = None
 
     def __post_init__(self):
-        count = self.times.shape[0]
-        for name in ("x1", "u", "d_true", "d_hat", "L0", "V"):
-            arr = getattr(self, name)
-            if arr is not None and arr.shape[0] != count:
+        for name, col in self.columns():
+            if col.shape[0] != self.times.shape[0]:
                 raise ValueError(f"column {name} length mismatch")
 
-    @property
-    def n(self) -> int:
-        return self.x1.shape[1]
+    def columns(self) -> list[tuple[str, np.ndarray]]:
+        """``(field name, array)`` of the present fields, in column order."""
+        return [(f.name, col) for f in fields(self) if (col := getattr(self, f.name)) is not None]
 
     def thinned(self, stride: int) -> "Trajectory":
         """Every ``stride``-th sample, starting with the first."""
-        columns = {f.name: getattr(self, f.name) for f in fields(self)}
-        return replace(self, **{name: col[::stride] for name, col in columns.items()
-                                if col is not None})
+        return replace(self, **{name: col[::stride] for name, col in self.columns()})
 
 
 def _disturbance_series(sim: SimConfig, dist: DisturbanceSpec):
@@ -371,29 +370,27 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, stream: Trajectory |
 
 
 def simulate_closed_loop(cfgs, sim: SimConfig, dist: DisturbanceSpec,
-                         lyapunov_P=None) -> list[Trajectory]:
+                         lyapunov: bool = True) -> list[Trajectory]:
     """Run one adaptive controller per gain configuration, each on its own
-    copy of the plant, as one batch; one record per cell, thinned by
-    ``sim.log_stride``.  ``lyapunov_P`` holds one P factor (or None) per cell;
-    a cell with one gets V at the transformed state and the gain level in
-    effect at each sample, with the companion coordinate ``x2 = d - integral``,
-    computed from the logged record after the loop.
+    copy of the plant, as one batch; one full-rate record per cell.  With
+    ``lyapunov``, each smooth cell (m > 2) gets V under its ``build_p_block``
+    at the transformed state and the gain level in effect at each sample,
+    with the companion coordinate ``x2 = d - integral``, computed from the
+    logged record after the loop.
     """
     cfgs = list(cfgs)
-    lyapunov_P = [None] * len(cfgs) if lyapunov_P is None else list(lyapunov_P)
-    if len(lyapunov_P) != len(cfgs):
-        raise ValueError("one Lyapunov factor (or None) per cell")
-    trajs, integral = _step_loop(sim, dist, cfgs,
-                                 log_integral=any(p is not None for p in lyapunov_P))
-    for b, (traj, cfg, p) in enumerate(zip(trajs, cfgs, lyapunov_P)):
-        if p is not None:
+    logs_v = [lyapunov and cfg.m > 2 for cfg in cfgs]
+    trajs, integral = _step_loop(sim, dist, cfgs, log_integral=any(logs_v))
+    for b, (traj, cfg) in enumerate(zip(trajs, cfgs)):
+        if logs_v[b]:
             trajs[b] = replace(traj, V=lyapunov_series(
-                traj.x1, traj.d_true - integral[b], traj.L0, cfg.m, p, sim.singular_tol))
-    return [traj.thinned(sim.log_stride) for traj in trajs]
+                traj.x1, traj.d_true - integral[b], traj.L0, cfg.m, build_p_block(cfg),
+                sim.singular_tol))
+    return trajs
 
 
 def simulate_open_loop(sim: SimConfig, dist: DisturbanceSpec) -> Trajectory:
-    """The plant under zero control, thinned by ``sim.log_stride``.
+    """The plant under zero control, one full-rate record.
 
     With ``u = 0`` every RK4 increment depends on ``d`` alone, so the state
     is ``x1(0)`` plus a running sum of precomputed increments.  The sum is
@@ -407,8 +404,7 @@ def simulate_open_loop(sim: SimConfig, dist: DisturbanceSpec) -> Trajectory:
     if not finite.all():
         k = int(np.flatnonzero(~finite)[0]) - 1
         raise SimulationAborted(k, float(times[k]) + sim.dt, x1[k + 1])
-    return Trajectory(times=times, x1=x1[:-1], u=np.zeros_like(d_now),
-                      d_true=d_now).thinned(sim.log_stride)
+    return Trajectory(times=times, x1=x1[:-1], u=np.zeros_like(d_now), d_true=d_now)
 
 
 def simulate_observer(cfgs, sim: SimConfig, dist: DisturbanceSpec) -> list[Trajectory]:
@@ -417,34 +413,24 @@ def simulate_observer(cfgs, sim: SimConfig, dist: DisturbanceSpec) -> list[Traje
 
     The observer never acts on the plant, so the stream is a plain plant run,
     :func:`simulate_open_loop` under ``dist``, computed once for the batch.
-    The records are thinned by ``sim.log_stride``.
+    One full-rate record per cell.
     """
-    stream = simulate_open_loop(replace(sim, log_stride=1), dist)
-    trajs, _ = _step_loop(sim, dist, list(cfgs), stream=stream)
-    return [traj.thinned(sim.log_stride) for traj in trajs]
+    return _step_loop(sim, dist, list(cfgs), stream=simulate_open_loop(sim, dist))[0]
 
 
 def trajectory_columns(traj: Trajectory) -> list[str]:
     """Column names in the fixed export order (absent columns omitted)."""
-    n = traj.n
-    cols = (["t"]
-            + [f"x1{i}" for i in range(1, n + 1)]
-            + [f"u{i}" for i in range(1, n + 1)]
-            + [f"d{i}" for i in range(1, n + 1)])
-    if traj.d_hat is not None:
-        cols += [f"dhat{i}" for i in range(1, n + 1)]
-    if traj.L0 is not None:
-        cols.append("L0")
-    if traj.V is not None:
-        cols.append("V")
-    return cols
+    names = []
+    for name, col in traj.columns():
+        head = _CSV_NAMES.get(name, name)
+        names += [head] if col.ndim == 1 else [f"{head}{i}" for i in range(1, col.shape[1] + 1)]
+    return names
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the trajectory with 17 significant digits per value so that a
     round-trip through text reproduces the floats bit for bit."""
-    blocks = (traj.times, traj.x1, traj.u, traj.d_true, traj.d_hat, traj.L0, traj.V)
-    np.savetxt(path, np.column_stack([b for b in blocks if b is not None]),
+    np.savetxt(path, np.column_stack([col for _, col in traj.columns()]),
                fmt="%.17g", delimiter=",", header=",".join(trajectory_columns(traj)),
                comments="")
 
@@ -454,17 +440,14 @@ def load_trajectory_csv(path) -> Trajectory:
     with open(path, "r") as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    cols = {name: i for i, name in enumerate(header)}
-    n = sum(1 for name in header if name.startswith("x1"))
-
-    def block(prefix):
-        idx = [cols[f"{prefix}{i}"] for i in range(1, n + 1)]
-        return data[:, idx]
-
-    return Trajectory(
-        times=data[:, cols["t"]],
-        x1=block("x1"), u=block("u"), d_true=block("d"),
-        d_hat=block("dhat") if "dhat1" in cols else None,
-        L0=data[:, cols["L0"]] if "L0" in cols else None,
-        V=data[:, cols["V"]] if "V" in cols else None,
-    )
+    index = {name: i for i, name in enumerate(header)}
+    columns = {}
+    for f in fields(Trajectory):
+        head = _CSV_NAMES.get(f.name, f.name)
+        # a vector field has the columns head1 .. headn, and n < len(header)
+        block = [index[h] for h in (f"{head}{i}" for i in range(1, len(header))) if h in index]
+        if head in index:
+            columns[f.name] = data[:, index[head]]
+        elif block:
+            columns[f.name] = data[:, block]
+    return Trajectory(**columns)

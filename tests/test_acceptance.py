@@ -26,7 +26,7 @@ from smoothsmc import (
     solve_residual_split,
     write_trajectory_csv,
 )
-from smoothsmc.certificate import _split_residual, build_p_block
+from smoothsmc.certificate import _split_residual
 from smoothsmc.laws import gain_condition_terms
 from smoothsmc.linalg import SymMatrix
 from smoothsmc.metrics import chattering_index, settling_time, ultimate_bound
@@ -67,8 +67,7 @@ def timed_run():
     cfg = reference_gains()
     sim = SimConfig(x1_init=(1.0, 3.0, 2.0), dt=1e-3, horizon=10.0)
     start = time.perf_counter()
-    traj = simulate_closed_loop([cfg], sim, DisturbanceSpec.none(3),
-                                lyapunov_P=[build_p_block(cfg)])[0]
+    traj = simulate_closed_loop([cfg], sim, DisturbanceSpec.none(3), lyapunov=True)[0]
     elapsed = time.perf_counter() - start
     return traj, elapsed
 

@@ -304,11 +304,14 @@ class TestBadInputs:
         "nan-x1-init", "nan-constant-value", "infinite-k4-run", "nan-m-sweep",
         "certify-infinite-k4", "certify-infinite-m", "certify-nan-v0", "certify-nan-delta",
         "certify-infinite-l0", "certify-infinite-l0-dot", "certify-nan-theta1", "certify-nan-theta2",
-        "too-many-steps", *CONFIGS,
+        "too-many-steps", "string-is-cosine", "boolean-amplitude",
+        "reproduce-out-is-a-file", "run-out-is-a-file", *CONFIGS,
     ])
     def test_usage_error_without_traceback(self, tmp_path, capsys, case):
         malformed = tmp_path / "malformed.json"
         malformed.write_text("{not json")
+        afile = tmp_path / "afile"
+        afile.write_text("")
         custom = ["run", "--experiment", "custom", "--method", "amssosmc",
                   "--horizon", "0.1", "--out", str(tmp_path)]
         channels = [{"amplitude": 1.0, "frequency": 1.0}, {"amplitude": 2.0, "frequency": 4.0}]
@@ -361,6 +364,18 @@ class TestBadInputs:
             # 1e15 steps: refused before any array is allocated
             "too-many-steps": ["run", "--experiment", "exp1", "--method", "amssosmc",
                                "--dt", "1e-12", "--horizon", "1e3", "--out", str(tmp_path)],
+            "string-is-cosine": custom + [
+                "--x1-init", "1,2,3", "--disturbance", json.dumps(
+                    {"kind": "sinusoid-mix",
+                     "channels": channels + [{"amplitude": 2.0, "frequency": 2.0,
+                                              "is_cosine": "false"}]})],
+            "boolean-amplitude": custom + [
+                "--x1-init", "1,2,3", "--disturbance", json.dumps(
+                    {"kind": "sinusoid-mix",
+                     "channels": channels + [{"amplitude": True, "frequency": 2.0}]})],
+            "reproduce-out-is-a-file": ["reproduce", "--out", str(afile), "--horizon", "0.1"],
+            "run-out-is-a-file": ["run", "--experiment", "exp1", "--method", "amssosmc",
+                                  "--horizon", "0.1", "--out", str(afile)],
             **{name: run_config for name in CONFIGS},
         }[case]
         code, out, err = run_cli(capsys, argv)

@@ -73,6 +73,40 @@ class TestKron:
             kron_with_identity(SymMatrix(np.eye(2)), 0)
 
 
+def copying_jacobi(entries):
+    """The cyclic-Jacobi loop written with copied rows and columns and numpy
+    scalars: the bit-level oracle of ``jacobi_eigh``."""
+    a, n = entries.astype(float, copy=True), entries.shape[0]
+    v, iu = np.eye(n), np.triu_indices(n, 1)
+    while (float(np.abs(a[iu]).max()) if n > 1 else 0.0) > 1e-14 * np.abs(np.diagonal(a)).max():
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if abs(theta) > 1e154:
+                    t = 1.0 / (2.0 * theta)
+                else:
+                    t = np.sign(theta) if theta != 0.0 else 1.0
+                    t /= abs(theta) + np.sqrt(theta * theta + 1.0)
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                a[p, q] = a[q, p] = 0.0
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    values = np.diagonal(a).copy()
+    order = np.argsort(values, kind="stable")
+    return values[order], v[:, order]
+
+
 class TestEig:
     def test_diagonal(self):
         summary = eig_sym(SymMatrix(np.diag([1.0, 2.0, 3.0])))
@@ -96,6 +130,18 @@ class TestEig:
         assert summary.lambda_max == summary.spectrum[-1]
         assert len(summary.spectrum) == 5
         assert list(summary.spectrum) == sorted(summary.spectrum)
+
+    @pytest.mark.parametrize("mat", [random_symmetric(seed, order) for seed in range(4)
+                                     for order in range(1, 7)]
+                             + [SymMatrix(np.array([[1.0, -0.5], [-0.5, 1.0]]))],
+                             ids=[f"seed{seed}-order{order}" for seed in range(4)
+                                  for order in range(1, 7)] + ["theta-negative-zero"])
+    def test_rotations_are_bitwise_the_copying_loop(self, mat):
+        # a_pp == a_qq with a_pq < 0 makes theta -0.0, which must rotate by +pi/4
+        values, vectors = jacobi_eigh(mat)
+        want_values, want_vectors = copying_jacobi(mat.entries)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(vectors, want_vectors)
 
     def test_nonconvergence_is_loud(self):
         with pytest.raises(JacobiConvergenceError):

@@ -91,8 +91,8 @@ class TestClosedLoopBasics:
             simulate_open_loop(sim, EXP1)
 
     def test_log_stride(self):
-        sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=1e-2, horizon=1.0, log_stride=5)
-        traj = simulate_closed_loop([reference_gains()], sim, EXP1)[0]
+        traj, _ = run_cell("exp1", "amssosmc",
+                           sim_overrides={"dt": 1e-2, "horizon": 1.0, "log_stride": 5})
         assert traj.times.size == 20
         assert np.allclose(np.diff(traj.times), 5e-2)
 
@@ -132,7 +132,7 @@ class TestDeterminismAndExport:
         traj_a, _ = exp1_m3
         cfg = reference_gains()
         sim = SimConfig(x1_init=[1.0, 3.0, 2.0])
-        traj_b = simulate_closed_loop([cfg], sim, EXP1, lyapunov_P=[build_p_block(cfg)])[0]
+        traj_b = simulate_closed_loop([cfg], sim, EXP1, lyapunov=True)[0]
         assert np.array_equal(traj_a.x1, traj_b.x1)
         assert np.array_equal(traj_a.u, traj_b.u)
         assert np.array_equal(traj_a.V, traj_b.V)
@@ -157,6 +157,20 @@ class TestDeterminismAndExport:
                     assert got is None, (name, col)
                 else:
                     assert np.array_equal(want, got), (name, col)
+
+
+    def test_csv_round_trip_of_every_column_at_n2(self, tmp_path):
+        # no run has both d_hat and V, and every built-in run has n = 3
+        rng = np.random.default_rng(11)
+        steps = 7
+        traj = Trajectory(times=np.arange(steps) * 1e-3, x1=rng.normal(size=(steps, 2)),
+                          u=rng.normal(size=(steps, 2)), d_true=rng.normal(size=(steps, 2)),
+                          d_hat=rng.normal(size=(steps, 2)), L0=rng.uniform(1, 9, steps),
+                          V=rng.uniform(0, 1e3, steps) ** 3)
+        path = tmp_path / "all.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_text().splitlines()[0] == "t,x11,x12,u1,u2,d1,d2,dhat1,dhat2,L0,V"
+        assert_same_record(load_trajectory_csv(path), traj)
 
 
 class TestDisturbanceHonesty:
@@ -309,17 +323,13 @@ MIXED_OBSERVERS = (
 )
 
 
-def p_blocks(cfgs):
-    return [build_p_block(cfg) if cfg.m > 2 else None for cfg in cfgs]
-
-
 class TestBatchedLoopIsTheScalarLaws:
     @pytest.mark.parametrize("cfg,dist", [(reference_gains(), EXP1),
                                           (reference_gains(m=2.0), EXP2)],
                              ids=["exp1-m3-with-V", "exp2-m2"])
     def test_controller_at_b1_is_the_reference_loop(self, cfg, dist):
         p_block = build_p_block(cfg) if cfg.m > 2 else None
-        got = simulate_closed_loop([cfg], SHORT, dist, lyapunov_P=[p_block])[0]
+        got = simulate_closed_loop([cfg], SHORT, dist, lyapunov=True)[0]
         assert_same_record(got, reference_controller_run(cfg, SHORT, dist, p_block))
 
     @pytest.mark.parametrize("m", [3.0, 2.0])
@@ -329,11 +339,10 @@ class TestBatchedLoopIsTheScalarLaws:
         assert_same_record(got, reference_observer_run(cfg, SHORT, EXP3))
 
     def test_mixed_controller_batch_rows_are_their_own_runs(self):
-        batch = simulate_closed_loop(MIXED_CONTROLLERS, SHORT, EXP2,
-                                     lyapunov_P=p_blocks(MIXED_CONTROLLERS))
+        batch = simulate_closed_loop(MIXED_CONTROLLERS, SHORT, EXP2, lyapunov=True)
         assert [traj.V is None for traj in batch] == [False, True, False]
-        for i, (cfg, p_block) in enumerate(zip(MIXED_CONTROLLERS, p_blocks(MIXED_CONTROLLERS))):
-            alone = simulate_closed_loop([cfg], SHORT, EXP2, lyapunov_P=[p_block])[0]
+        for i, cfg in enumerate(MIXED_CONTROLLERS):
+            alone = simulate_closed_loop([cfg], SHORT, EXP2, lyapunov=True)[0]
             assert_same_record(batch[i], alone, i)
 
     def test_mixed_observer_batch_rows_are_their_own_runs(self):
@@ -371,9 +380,8 @@ class TestBatchedLoopIsTheScalarLaws:
             batch = simulate_observer(cfgs, sim, EXP3)
             alone = [simulate_observer([cfg], sim, EXP3)[0] for cfg in cfgs]
         else:
-            batch = simulate_closed_loop(cfgs, sim, EXP2, lyapunov_P=p_blocks(cfgs))
-            alone = [simulate_closed_loop([cfg], sim, EXP2, lyapunov_P=[p])[0]
-                     for cfg, p in zip(cfgs, p_blocks(cfgs))]
+            batch = simulate_closed_loop(cfgs, sim, EXP2, lyapunov=True)
+            alone = [simulate_closed_loop([cfg], sim, EXP2, lyapunov=True)[0] for cfg in cfgs]
         for i, (got, want) in enumerate(zip(batch, alone)):
             assert_same_record(got, want, i)
 
