@@ -35,6 +35,7 @@ from .laws import (
     gains_from_L0,
     initial_controller_state,
     initial_observer_state,
+    law_step,
     observer_step,
     unit_power_direction,
     update_L0,
@@ -66,7 +67,6 @@ from .sim import (
     rate_bound,
     simulate_closed_loop,
     simulate_observer,
-    simulate_open_loop,
     write_trajectory_csv,
 )
 

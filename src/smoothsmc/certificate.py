@@ -375,6 +375,8 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
         raise ValueError("V0 must be non-negative")
     L0 = cfg.L0_init if L0 is None else L0
     L0_dot = cfg.kappa if L0_dot is None else L0_dot
+    if not (L0 > 0 and L0_dot >= 0):  # the dead-zone rule never lowers L0
+        raise ValueError("L0 must be positive and L0_dot non-negative")
     m = cfg.m
     c1 = L0 * cert.n1
     c2 = L0 * cert.n3 - (2.0 * m - 2.0) / m * cert.n4 * L0_dot / L0

@@ -19,6 +19,7 @@ from .certificate import build_certificate, estimate_convergence
 from .experiments import (
     EXPERIMENTS,
     METHODS,
+    PAIRS,
     build_gain_config,
     build_sim_config,
     certificate_summary,
@@ -236,11 +237,6 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-# The smooth method and its baseline, per kind of method.
-_PAIRS = {"controller": ("amssosmc", "amstsmc-baseline"),
-          "observer": ("amsdo", "amdo-baseline")}
-
-
 def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if len(methods) < 2:
@@ -261,7 +257,7 @@ def cmd_compare(args) -> int:
     print(table, end="")
 
     by_method = {r.method_id: r for r in reports}
-    for smooth, baseline in _PAIRS.values():
+    for smooth, baseline in PAIRS.values():
         if smooth in by_method and baseline in by_method:
             if not by_method[smooth].chattering_index < by_method[baseline].chattering_index:
                 print(f"ordering violated: chattering({smooth}) >= chattering({baseline})",
@@ -302,7 +298,7 @@ def cmd_reproduce(args) -> int:
     print(f"certificate: condition holds={cert.gain_condition.holds}, "
           f"all blocks PD={cert.all_pd}")
     for experiment in EXPERIMENTS:
-        pair = _PAIRS[EXPERIMENTS[experiment]]
+        pair = PAIRS[EXPERIMENTS[experiment]]
         results = run_cells(experiment, [(method, None) for method in pair],
                             sim_overrides=_sim_overrides(args))
         for method, (traj, report) in zip(pair, results):

@@ -35,12 +35,11 @@ X1_INIT = (1.0, 3.0, 2.0)
 
 DEFAULT_GAINS = {"k1": 2.0, "k2": 2.5, "k3": 4.0, "k4": 30.0, "kappa": 10.0}
 
-METHODS = {
-    "amssosmc": {"kind": "controller", "m": 3.0},
-    "amstsmc-baseline": {"kind": "controller", "m": 2.0},
-    "amsdo": {"kind": "observer", "m": 3.0},
-    "amdo-baseline": {"kind": "observer", "m": 2.0},
-}
+# The smooth method (m = 3) and its baseline (m = 2), per kind of method.
+PAIRS = {"controller": ("amssosmc", "amstsmc-baseline"), "observer": ("amsdo", "amdo-baseline")}
+
+METHODS = {method: {"kind": kind, "m": m}
+           for kind, pair in PAIRS.items() for method, m in zip(pair, (3.0, 2.0))}
 
 EXPERIMENTS = {"exp1": "controller", "exp2": "controller", "exp3": "observer"}
 

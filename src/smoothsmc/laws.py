@@ -5,8 +5,9 @@ term, a linear term, and an integral term, all scaled by four gains that are
 power laws of a single non-decreasing scalar ``L0``.  ``m > 2`` gives the
 smooth variant; ``m = 2`` recovers the classical super-twisting baseline.
 
-Both laws are discrete blocks: gains, integral and ``L0`` advance by explicit
-Euler once per major step, matching a sampled digital implementation.
+Both laws are the one discrete block :func:`law_step`: gains, integral and
+``L0`` advance by explicit Euler once per major step, matching a sampled
+digital implementation.
 """
 
 from __future__ import annotations
@@ -167,29 +168,35 @@ def initial_controller_state(cfg: GainConfig, n: int) -> ControllerState:
     return ControllerState(integral_term=np.zeros(n), L0=cfg.L0_init)
 
 
+def law_step(s: np.ndarray, integral: np.ndarray, L0: float, cfg: GainConfig, dt: float,
+             singular_tol: float = DEFAULT_SINGULAR_TOL):
+    """One sampled step of the adaptive law on the signal ``s``: returns
+    ``(y, new_integral, new_L0)`` with ``y = L1*s/||s||**(1/m) + L2*s + integral``.
+
+    The output, the integral increment ``dt*(L3*s/||s||**(2/m) + L4*s)`` and
+    the adaptation all see the gains at the pre-update ``L0``; ``L0``
+    advances last.  The controller feeds back ``-y`` on ``x1``, the observer
+    ``y`` on its innovation.
+    """
+    g = gains_from_L0(cfg, L0)
+    y = g.L1 * unit_power_direction(s, 1.0 / cfg.m, singular_tol) + g.L2 * s + integral
+    new_integral = integral + dt * (
+        g.L3 * unit_power_direction(s, 2.0 / cfg.m, singular_tol) + g.L4 * s
+    )
+    return y, new_integral, update_L0(L0, float(np.linalg.norm(s)), cfg, dt)
+
+
 def controller_step(x1: np.ndarray, state: ControllerState, cfg: GainConfig,
                     dt: float, singular_tol: float = DEFAULT_SINGULAR_TOL):
-    """One sampled controller update: returns ``(u, new_state)``.
-
-    The control and the integral increment both use the gains at the state's
-    current ``L0``; ``L0`` itself advances last.
-    """
+    """One sampled controller update: returns ``(u, new_state)`` with
+    ``u = -(L1*x1/||x1||**(1/m) + L2*x1 + integral)``, the law on ``x1``."""
     x1 = np.asarray(x1, dtype=float)
     if x1.shape != state.integral_term.shape:
         raise ValueError(
             f"dimension mismatch: x1 {x1.shape} vs integral {state.integral_term.shape}"
         )
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    g = gains_from_L0(cfg, state.L0)
-    u = (-g.L1 * unit_power_direction(x1, 1.0 / cfg.m, singular_tol)
-         - g.L2 * x1
-         - state.integral_term)
-    new_integral = state.integral_term + dt * (
-        g.L3 * unit_power_direction(x1, 2.0 / cfg.m, singular_tol) + g.L4 * x1
-    )
-    new_L0 = update_L0(state.L0, float(np.linalg.norm(x1)), cfg, dt)
-    return u, ControllerState(integral_term=new_integral, L0=new_L0)
+    y, new_integral, new_L0 = law_step(x1, state.integral_term, state.L0, cfg, dt, singular_tol)
+    return -y, ControllerState(integral_term=new_integral, L0=new_L0)
 
 
 @dataclass(frozen=True)
@@ -221,27 +228,16 @@ def observer_step(x1_measured: np.ndarray, u: np.ndarray, state: ObserverState,
                   singular_tol: float = DEFAULT_SINGULAR_TOL):
     """One sampled observer update: returns ``(d_hat, new_state)``.
 
-    The innovation is ``e = x1 - z1`` (measured minus auxiliary state); with
-    the plus-signed feedback below this makes the error dynamics the stable
-    mirror of the controller loop, driven by the disturbance rate.  The
-    estimate, the integral increment and the adaptation all see the same
-    pre-update ``L0``.
+    ``d_hat`` is the law on the innovation ``e = x1 - z1`` (measured minus
+    auxiliary state), fed back with a plus sign in ``z1 += dt*(u + d_hat)``;
+    this makes the error dynamics the stable mirror of the controller loop,
+    driven by the disturbance rate.
     """
     x1_measured = np.asarray(x1_measured, dtype=float)
     u = np.asarray(u, dtype=float)
     if x1_measured.shape != state.z1.shape or u.shape != state.z1.shape:
         raise ValueError("dimension mismatch between measurement, control and observer state")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    e = x1_measured - state.z1
-    g = gains_from_L0(cfg, state.L0)
-    d_hat = (g.L1 * unit_power_direction(e, 1.0 / cfg.m, singular_tol)
-             + g.L2 * e
-             + state.integral_term)
-    new_integral = state.integral_term + dt * (
-        g.L3 * unit_power_direction(e, 2.0 / cfg.m, singular_tol) + g.L4 * e
-    )
-    new_z1 = state.z1 + dt * (u + d_hat)
-    new_L0 = update_L0(state.L0, float(np.linalg.norm(e)), cfg, dt)
-    return d_hat, ObserverState(z1=new_z1, d_hat=d_hat,
+    d_hat, new_integral, new_L0 = law_step(x1_measured - state.z1, state.integral_term,
+                                           state.L0, cfg, dt, singular_tol)
+    return d_hat, ObserverState(z1=state.z1 + dt * (u + d_hat), d_hat=d_hat,
                                 integral_term=new_integral, L0=new_L0)

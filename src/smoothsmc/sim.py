@@ -7,11 +7,11 @@ four-stage Runge-Kutta, the disturbance evaluated at the substage times.
 One step loop advances a batch of cells at once, one row of a (B, n) array
 each: :func:`simulate_closed_loop` runs one adaptive controller per gain
 set, each on its own copy of the plant, and :func:`simulate_observer` one
-observer per gain set over the stream of :func:`simulate_open_loop`, the
-plant under zero control (a running sum of RK4 increments, no loop).  The
-loop only steps; V is computed from the logged record after it.  Every row
-is bitwise what the scalar laws give on their own.  The simulators return
-full-rate records; ``log_stride`` is applied by their caller
+observer per gain set over the measurement of the plant under zero control,
+which the loop builds as a running sum of RK4 increments.  The loop only
+steps; V is computed from the logged record after it.  Every row is bitwise
+what the scalar laws give on their own.  The simulators return full-rate
+records; ``log_stride`` is applied by their caller
 (``experiments.run_configured_cells``) to what a run returns and writes.
 Everything is deterministic: identical configs give bit-identical logs.
 """
@@ -31,6 +31,18 @@ from .laws import is_real_number
 # The longest run accepted, in steps (one controller cell at n = 3 needs about
 # 250 bytes a step, 2.5 GB here), checked before any array is allocated.
 MAX_STEPS = 10**7
+
+
+def _real_vector(value, name: str) -> np.ndarray:
+    """A read-only float copy of a non-empty 1-D sequence of finite real
+    numbers; JSON booleans and numeric strings are refused, not converted."""
+    items = value.tolist() if isinstance(value, np.ndarray) and value.ndim == 1 else value
+    if not (isinstance(items, (list, tuple)) and items
+            and all(is_real_number(v) and math.isfinite(v) for v in items)):
+        raise ValueError(f"{name} must be a non-empty vector of finite numbers")
+    vec = np.array(items, dtype=float)
+    vec.setflags(write=False)
+    return vec
 
 
 class SineChannel(NamedTuple):
@@ -53,13 +65,12 @@ class DisturbanceSpec:
     def __post_init__(self):
         if self.kind not in ("none", "constant", "sinusoid-mix"):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
+        if not (is_real_number(self.n) and isinstance(self.n, numbers.Integral) and self.n >= 1):
+            raise ValueError("a disturbance dimension n must be an integer >= 1")
         if self.kind == "constant":
-            vec = np.asarray(self.constant_value, dtype=float).copy()
+            vec = _real_vector(self.constant_value, "constant_value")
             if vec.shape != (self.n,):
                 raise ValueError("constant_value dimension mismatch")
-            if not np.isfinite(vec).all():
-                raise ValueError("constant_value must be finite")
-            vec.setflags(write=False)
             object.__setattr__(self, "constant_value", vec)
         if self.kind == "sinusoid-mix":
             if self.channels is None or len(self.channels) != self.n:
@@ -77,7 +88,7 @@ class DisturbanceSpec:
 
     @classmethod
     def constant(cls, value) -> "DisturbanceSpec":
-        value = np.asarray(value, dtype=float)
+        value = _real_vector(value, "constant_value")
         return cls(kind="constant", n=value.size, constant_value=value)
 
     @classmethod
@@ -105,7 +116,7 @@ class DisturbanceSpec:
             dim = d.get("n", n)
             if dim is None:
                 raise ValueError("disturbance kind 'none' needs a dimension")
-            return cls.none(int(dim))
+            return cls.none(dim)
         if kind == "constant":
             value = d.get("constant_value", d.get("value"))
             if not isinstance(value, (list, tuple)):
@@ -169,14 +180,7 @@ class SimConfig:
     log_stride: int = 1
 
     def __post_init__(self):
-        try:
-            x = np.array(self.x1_init, dtype=float)
-        except TypeError:  # not a sequence of numbers: fails the check below
-            x = np.empty(0)
-        if x.ndim != 1 or x.size == 0 or not np.isfinite(x).all():
-            raise ValueError("x1_init must be a non-empty vector of finite values")
-        x.setflags(write=False)
-        object.__setattr__(self, "x1_init", x)
+        object.__setattr__(self, "x1_init", _real_vector(self.x1_init, "x1_init"))
         if not (is_real_number(self.dt) and self.dt > 0):
             raise ValueError("dt must be a positive number")
         if not (is_real_number(self.horizon) and self.dt < self.horizon < math.inf):
@@ -278,17 +282,20 @@ def _rk4_increment(dt6, U, d_now, d_mid, d_end):
     return dt6 * (U + d_now + F2 + F2 + (U + d_end))
 
 
-def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, stream: Trajectory | None = None,
+def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = False,
                log_integral: bool = False):
     """The one step loop: advances B cells at once, one row of a (B, n)
     array each.  Returns one full-rate record per cell and, if
     ``log_integral``, the integral term before each step, shape (B, steps, n).
 
-    Without ``stream`` every row is a copy of the plant, driven by the
-    adaptive controller ``cfgs[b]``.  With ``stream`` every row is the
-    adaptive observer ``cfgs[b]`` over that one measurement and control
-    stream.  The time grid, the disturbance and the stream are shared by the
-    batch.
+    Every row applies the adaptive law ``cfgs[b]`` (``laws.law_step``) and
+    keeps one state ``W``, which starts at ``x1(0)``.  Without ``observe``
+    the row is a copy of the plant, ``W = x1``, driven by ``u = -Y``.  With
+    ``observe`` it is an observer, ``W = z1``, with ``d_hat = Y`` on the
+    innovation over one shared measurement: the plant under zero control,
+    whose state is ``x1(0)`` plus a running sum of precomputed RK4
+    increments (sequential, so bitwise the step-by-step integration).  The
+    time grid and the disturbance are shared by the batch.
 
     Each row is bitwise the scalar reference (``laws.controller_step`` or
     ``laws.observer_step``, RK4 plant): one norm ``sqrt(vecdot)``, which is
@@ -300,15 +307,21 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, stream: Trajectory |
     if not cfgs:
         raise ValueError("a batch needs at least one gain configuration")
     n, dt, tol, rows = sim.n, sim.dt, sim.singular_tol, len(cfgs)
-    if stream is None:
-        times, d_now, d_mid, d_end = _disturbance_series(sim, dist)
-        X = np.tile(sim.x1_init, (rows, 1))
-        x1_log = np.empty((rows, times.size, n))
-        u_log = np.empty((rows, times.size, n))
+    times, d_now, d_mid, d_end = _disturbance_series(sim, dist)
+    dt6 = dt / 6.0
+    if observe:
+        with np.errstate(all="ignore"):
+            x1 = np.cumsum(np.vstack([sim.x1_init, _rk4_increment(dt6, 0.0, d_now, d_mid, d_end)]),
+                           axis=0)
+        finite = np.isfinite(x1).all(axis=1)
+        if not finite.all():
+            k = int(np.flatnonzero(~finite)[0]) - 1
+            raise SimulationAborted(k, float(times[k]) + dt, x1[k + 1])
+        x1 = x1[:-1]
     else:
-        times = stream.times
-        Z = np.tile(stream.x1[0], (rows, 1))
-        dhat_log = np.empty((rows, times.size, n))
+        x1_log = np.empty((rows, times.size, n))
+    W = np.tile(sim.x1_init, (rows, 1))
+    y_log = np.empty((rows, times.size, n))  # u = -Y, or d_hat = Y
     k1, k2, k3, k4, eps, kappa_dt = (np.array(col) for col in zip(*(
         (c.k1, c.k2, c.k3, c.k4, c.epsilon, c.kappa * dt) for c in cfgs)))
     e1 = [(c.m - 1.0) / c.m for c in cfgs]
@@ -320,13 +333,12 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, stream: Trajectory |
     l0_log = np.empty((rows, times.size))
     i_log = np.empty((rows, times.size, n)) if log_integral else None
     stale = True
-    dt6 = dt / 6.0
 
     # A diverging cell overflows before it turns non-finite; the check at the
     # end of each step reports it, so numpy's warnings are not needed.
     with np.errstate(all="ignore"):
         for k in range(times.size):
-            S = X if stream is None else stream.x1[k] - Z
+            S = x1[k] - W if observe else W
             if stale:
                 l0 = L0.tolist()
                 L1 = (k1 * np.array(list(map(pow, l0, e1))))[:, None]
@@ -350,22 +362,24 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, stream: Trajectory |
             stale = adapt.any()
             if stale:
                 L0 = np.where(adapt, L0 + kappa_dt, L0)
-            if stream is None:
-                U = -Y  # bitwise -L1*D1 - L2*x - I: rounding is symmetric
-                x1_log[:, k] = X
-                u_log[:, k] = U
-                X = new = X + _rk4_increment(dt6, U, d_now[k], d_mid[k], d_end[k])
+            # Y is never -0.0 (I starts at +0.0), so dt * Y is bitwise
+            # laws.observer_step's dt * (u + d_hat) at u = 0
+            if observe:
+                y_log[:, k] = Y
+                W = W + dt * Y
             else:
-                dhat_log[:, k] = Y
-                Z = new = Z + dt * (stream.u[k] + Y)
-            if not np.isfinite(new).all():
-                cell = int(np.flatnonzero(~np.isfinite(new).all(axis=1))[0])
-                raise SimulationAborted(k, float(times[k]) + dt, new[cell], cell)
+                x1_log[:, k] = W
+                y_log[:, k] = U = -Y
+                W = W + _rk4_increment(dt6, U, d_now[k], d_mid[k], d_end[k])
+            if not np.isfinite(W).all():
+                cell = int(np.flatnonzero(~np.isfinite(W).all(axis=1))[0])
+                raise SimulationAborted(k, float(times[k]) + dt, W[cell], cell)
 
-    if stream is not None:
-        return [Trajectory(times=times, x1=stream.x1, u=stream.u, d_true=stream.d_true,
-                           d_hat=dhat_log[b], L0=l0_log[b]) for b in range(rows)], i_log
-    return [Trajectory(times=times, x1=x1_log[b], u=u_log[b], d_true=d_now, L0=l0_log[b])
+    if observe:
+        u = np.zeros_like(d_now)
+        return [Trajectory(times=times, x1=x1, u=u, d_true=d_now, d_hat=y_log[b], L0=l0_log[b])
+                for b in range(rows)], i_log
+    return [Trajectory(times=times, x1=x1_log[b], u=y_log[b], d_true=d_now, L0=l0_log[b])
             for b in range(rows)], i_log
 
 
@@ -389,33 +403,11 @@ def simulate_closed_loop(cfgs, sim: SimConfig, dist: DisturbanceSpec,
     return trajs
 
 
-def simulate_open_loop(sim: SimConfig, dist: DisturbanceSpec) -> Trajectory:
-    """The plant under zero control, one full-rate record.
-
-    With ``u = 0`` every RK4 increment depends on ``d`` alone, so the state
-    is ``x1(0)`` plus a running sum of precomputed increments.  The sum is
-    sequential, so each row is bitwise the step-by-step integration.
-    """
-    times, d_now, d_mid, d_end = _disturbance_series(sim, dist)
-    with np.errstate(all="ignore"):
-        increments = _rk4_increment(sim.dt / 6.0, 0.0, d_now, d_mid, d_end)
-        x1 = np.cumsum(np.vstack([sim.x1_init, increments]), axis=0)
-    finite = np.isfinite(x1).all(axis=1)
-    if not finite.all():
-        k = int(np.flatnonzero(~finite)[0]) - 1
-        raise SimulationAborted(k, float(times[k]) + sim.dt, x1[k + 1])
-    return Trajectory(times=times, x1=x1[:-1], u=np.zeros_like(d_now), d_true=d_now)
-
-
 def simulate_observer(cfgs, sim: SimConfig, dist: DisturbanceSpec) -> list[Trajectory]:
-    """Run one disturbance observer per gain configuration over one plant's
-    measurement and control stream, as one batch.
-
-    The observer never acts on the plant, so the stream is a plain plant run,
-    :func:`simulate_open_loop` under ``dist``, computed once for the batch.
-    One full-rate record per cell.
-    """
-    return _step_loop(sim, dist, list(cfgs), stream=simulate_open_loop(sim, dist))[0]
+    """Run one disturbance observer per gain configuration over the
+    measurement of one uncontrolled plant under ``dist``, as one batch (the
+    observer never acts on the plant); one full-rate record per cell."""
+    return _step_loop(sim, dist, list(cfgs), observe=True)[0]
 
 
 def trajectory_columns(traj: Trajectory) -> list[str]:

@@ -292,6 +292,7 @@ CONFIGS = {
     "config-dict-x1-init": {"sim": {"horizon": 0.1, "x1_init": {"a": 1}}},
     "config-string-allow-uncertified": {"gains": {"allow_uncertified": "no"},
                                         "sim": {"horizon": 0.1}},
+    "config-mixed-x1-init": {"sim": {"horizon": 0.1, "x1_init": [True, "2", 3]}},
 }
 
 
@@ -305,7 +306,9 @@ class TestBadInputs:
         "certify-infinite-k4", "certify-infinite-m", "certify-nan-v0", "certify-nan-delta",
         "certify-infinite-l0", "certify-infinite-l0-dot", "certify-nan-theta1", "certify-nan-theta2",
         "too-many-steps", "string-is-cosine", "boolean-amplitude",
-        "reproduce-out-is-a-file", "run-out-is-a-file", *CONFIGS,
+        "reproduce-out-is-a-file", "run-out-is-a-file",
+        "certify-zero-l0", "certify-negative-l0", "certify-negative-l0-dot",
+        "mixed-constant-value", "fractional-none-dimension", *CONFIGS,
     ])
     def test_usage_error_without_traceback(self, tmp_path, capsys, case):
         malformed = tmp_path / "malformed.json"
@@ -376,6 +379,15 @@ class TestBadInputs:
             "reproduce-out-is-a-file": ["reproduce", "--out", str(afile), "--horizon", "0.1"],
             "run-out-is-a-file": ["run", "--experiment", "exp1", "--method", "amssosmc",
                                   "--horizon", "0.1", "--out", str(afile)],
+            # L0 never falls below L0_init > 0, and never decreases
+            "certify-zero-l0": certify + ["--delta", "0.3", "--l0", "0"],
+            "certify-negative-l0": certify + ["--delta", "0.3", "--l0", "-1"],
+            "certify-negative-l0-dot": certify + ["--delta", "0.3", "--l0", "8", "--l0-dot", "-5"],
+            "mixed-constant-value": custom + [
+                "--x1-init", "1,2,3",
+                "--disturbance", json.dumps({"kind": "constant", "value": [True, "0.2", 0]})],
+            "fractional-none-dimension": custom + [
+                "--x1-init", "1,2", "--disturbance", json.dumps({"kind": "none", "n": 2.7})],
             **{name: run_config for name in CONFIGS},
         }[case]
         code, out, err = run_cli(capsys, argv)

@@ -23,7 +23,6 @@ from smoothsmc import (
     rate_bound,
     simulate_closed_loop,
     simulate_observer,
-    simulate_open_loop,
     transform_state,
     write_trajectory_csv,
 )
@@ -35,6 +34,11 @@ from conftest import reference_gains
 EXP1 = experiment_disturbance("exp1")
 EXP2 = experiment_disturbance("exp2")
 EXP3 = experiment_disturbance("exp3")
+
+
+def open_loop(sim, dist):
+    """The uncontrolled plant, as the x1 and u columns of an observer record."""
+    return simulate_observer([reference_gains()], sim, dist)[0]
 
 
 class TestDisturbanceSpecs:
@@ -75,20 +79,20 @@ class TestDisturbanceSpecs:
 class TestClosedLoopBasics:
     def test_zero_law_zero_disturbance_is_equilibrium(self):
         sim = SimConfig(x1_init=[0.3, -0.7, 2.0], dt=1e-2, horizon=1.0)
-        traj = simulate_open_loop(sim, DisturbanceSpec.none(3))
+        traj = open_loop(sim, DisturbanceSpec.none(3))
         assert np.array_equal(traj.x1, np.tile(sim.x1_init, (traj.times.size, 1)))
-        assert traj.L0 is None and traj.V is None
+        assert traj.V is None
 
     def test_zero_law_constant_disturbance_integrates_exactly(self):
         sim = SimConfig(x1_init=[0.0, 0.0, 0.0], dt=1e-2, horizon=1.0)
-        traj = simulate_open_loop(sim, EXP1)
+        traj = open_loop(sim, EXP1)
         expected = traj.times[:, None] * np.array([0.1, 0.2, 0.2])
         assert np.abs(traj.x1 - expected).max() < 1e-12
 
     def test_dimension_mismatch_rejected(self):
         sim = SimConfig(x1_init=[0.0, 0.0], dt=1e-2, horizon=1.0)
         with pytest.raises(ValueError):
-            simulate_open_loop(sim, EXP1)
+            open_loop(sim, EXP1)
 
     def test_log_stride(self):
         traj, _ = run_cell("exp1", "amssosmc",
@@ -109,7 +113,7 @@ class TestClosedLoopBasics:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SimulationAborted) as info:
-                simulate_open_loop(sim, DisturbanceSpec.constant([1e308, 0, 0]))
+                open_loop(sim, DisturbanceSpec.constant([1e308, 0, 0]))
         assert info.value.step == 0
         assert info.value.time == pytest.approx(1e-2)
         assert not np.isfinite(info.value.state).all()
@@ -121,7 +125,7 @@ class TestClosedLoopBasics:
         for k in range(sim.steps):
             xs.append(x)
             x = textbook_rk4(x, zero, spec, k * sim.dt, sim.dt)
-        traj = simulate_open_loop(sim, spec)
+        traj = open_loop(sim, spec)
         assert np.array_equal(traj.x1, np.array(xs))
         assert np.signbit(traj.x1[0, 0])
         assert np.array_equal(traj.u, np.zeros((sim.steps, 3)))
@@ -260,7 +264,7 @@ def assert_same_record(got, want, label=""):
         if b is None:
             assert a is None, (label, col)
         else:
-            assert np.array_equal(a, b), (label, col)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (label, col)
 
 
 def textbook_rk4(x, u, dist, t, dt):
@@ -312,6 +316,7 @@ def reference_observer_run(cfg, sim, dist):
 
 
 SHORT = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=1e-3, horizon=1.0)
+NEGATIVE_ZERO = SimConfig(x1_init=[-0.0, 3.0, 2.0], dt=1e-3, horizon=1.0)
 MIXED_CONTROLLERS = (
     reference_gains(),
     reference_gains(m=2.0, k4=25.0, kappa=7.0, epsilon=2e-3),
@@ -324,13 +329,17 @@ MIXED_OBSERVERS = (
 
 
 class TestBatchedLoopIsTheScalarLaws:
-    @pytest.mark.parametrize("cfg,dist", [(reference_gains(), EXP1),
-                                          (reference_gains(m=2.0), EXP2)],
-                             ids=["exp1-m3-with-V", "exp2-m2"])
-    def test_controller_at_b1_is_the_reference_loop(self, cfg, dist):
+    @pytest.mark.parametrize("cfg,dist,sim", [
+        (reference_gains(), EXP1, SHORT),
+        (reference_gains(m=2.0), EXP2, SHORT),
+        # u = -(L1*D1 + L2*x + I) turns the +0.0 law output at x = -0.0 into -0.0
+        (reference_gains(), DisturbanceSpec.none(3), NEGATIVE_ZERO),
+        (reference_gains(m=2.0), EXP2, NEGATIVE_ZERO),
+    ], ids=["exp1-m3-with-V", "exp2-m2", "negative-zero-none-m3-with-V", "negative-zero-exp2-m2"])
+    def test_controller_at_b1_is_the_reference_loop(self, cfg, dist, sim):
         p_block = build_p_block(cfg) if cfg.m > 2 else None
-        got = simulate_closed_loop([cfg], SHORT, dist, lyapunov=True)[0]
-        assert_same_record(got, reference_controller_run(cfg, SHORT, dist, p_block))
+        got = simulate_closed_loop([cfg], sim, dist, lyapunov=True)[0]
+        assert_same_record(got, reference_controller_run(cfg, sim, dist, p_block))
 
     @pytest.mark.parametrize("m", [3.0, 2.0])
     def test_observer_at_b1_is_the_reference_loop(self, m):
