@@ -215,6 +215,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    given = [f"--{f}" for f in ("delta", "l0", "l0-dot", "theta1", "theta2")
+             if getattr(args, f.replace("-", "_")) is not None]
+    if given and args.v0 is None:
+        raise UsageError(f"{', '.join(given)} set the convergence estimate, which needs --v0")
     gains = _gain_overrides(args)
     cfg = build_gain_config(gains.pop("m", 3.0), **gains)
 

@@ -160,9 +160,12 @@ def run_configured_cells(scenario_id: str, cells, sim: SimConfig, dist: Disturba
     cfgs = [cfg for _, cfg in cells]
     # each cell's norm series (settling time, ultimate bound) and vector series (chattering)
     if kinds == {"controller"}:
+        threshold = CONTROLLER_SETTLE_REL * float((sim.x1_init @ sim.x1_init) ** 0.5)
+        if not threshold > 0:
+            raise ValueError("a controller settles relative to ||x1(0)||, so --x1-init "
+                             "must not be the origin")
         trajs = simulate_closed_loop(cfgs, sim, dist, lyapunov)
         signals = [(np.linalg.norm(t.x1, axis=1), t.u) for t in trajs]
-        threshold = CONTROLLER_SETTLE_REL * float((sim.x1_init @ sim.x1_init) ** 0.5)
     else:
         trajs = simulate_observer(cfgs, sim, dist)
         signals = [(np.linalg.norm(t.d_hat - t.d_true, axis=1), t.d_hat) for t in trajs]

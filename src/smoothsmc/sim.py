@@ -254,32 +254,33 @@ class Trajectory:
 
 
 def _disturbance_series(sim: SimConfig, dist: DisturbanceSpec):
-    """The time grid ``t_k`` and ``d`` at ``t_k``, ``t_k + dt/2`` and
-    ``t_k + dt`` for every step, each an array of shape (steps, n)
-    (``t_k + dt`` is not ``t_{k+1}`` in floating point).  A constant
-    disturbance gives one array three times."""
+    """The time grid ``t_k``, ``d`` at ``t_k`` of shape (steps, n), and ``d``
+    at ``t_k``, ``t_k + dt/2`` and ``t_k + dt`` stacked with shape
+    (3, steps, 1, n), the stage axis first (``t_k + dt`` is not ``t_{k+1}``
+    in floating point)."""
     if dist.n != sim.n:
         raise ValueError("disturbance dimension does not match the initial state")
     times, dt = np.arange(sim.steps) * sim.dt, sim.dt
-    if dist.kind != "sinusoid-mix":
-        value = dist.constant_value if dist.kind == "constant" else np.zeros(dist.n)
-        series = np.tile(value, (times.size, 1))
-        return times, series, series, series
 
     def at(t):
+        if dist.kind != "sinusoid-mix":
+            return np.tile(dist.constant_value if dist.kind == "constant" else np.zeros(dist.n),
+                           (t.size, 1))
         out = np.empty((t.size, dist.n))
         for i, ch in enumerate(dist.channels):
             out[:, i] = ch.amplitude * (np.cos if ch.is_cosine else np.sin)(ch.frequency * t)
         return out
 
-    return times, at(times), at(times + 0.5 * dt), at(times + dt)
+    d_now = at(times)
+    return times, d_now, np.stack([d_now, at(times + 0.5 * dt), at(times + dt)])[:, :, None]
 
 
-def _rk4_increment(dt6, U, d_now, d_mid, d_end):
-    """The plant's RK4 increment over one step with ``U`` held: the stages
-    at ``t_k + dt/2`` share one disturbance value."""
-    F2 = 2.0 * (U + d_mid)
-    return dt6 * (U + d_now + F2 + F2 + (U + d_end))
+def _rk4_increment(dt6, stages):
+    """The plant's RK4 increment over one step with ``U`` held, from the
+    stage sums ``U + d`` at ``t_k``, ``t_k + dt/2`` and ``t_k + dt`` stacked
+    on the first axis (the two middle stages share one)."""
+    F2 = 2.0 * stages[1]
+    return dt6 * (stages[0] + F2 + F2 + stages[2])
 
 
 def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = False,
@@ -301,18 +302,24 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = Fals
     ``laws.observer_step``, RK4 plant): one norm ``sqrt(vecdot)``, which is
     ``np.linalg.norm`` bit for bit, and every power of the spec as Python's
     float ``**`` per cell, because numpy's vectorised power is not libm
-    ``pow``.  Gains depend on L0 alone, so they are recomputed only after a
-    cell adapted.
+    ``pow``.  A step makes few numpy calls, most on arrays of one shape:
+    ``G = [L1; L3]`` and ``H = [L2; L4]`` are the gains repeated to shape
+    (2, B, n), rebuilt from Python floats only after a row adapted;
+    ``D = S / [r**(1/m); r**(2/m)]`` holds both direction terms and
+    ``T = G*D + H*S`` both sums of the law (``Y = T[0] + I`` and the
+    integral increment ``dt*T[1]``); ``U + d`` with the stacked disturbance
+    gives the three RK4 stage sums.  The singular and adaptation tests read
+    the norms ``r`` as a list.  A non-finite state makes the next norm
+    non-finite, so the state is checked only then and after the last step.
     """
     if not cfgs:
         raise ValueError("a batch needs at least one gain configuration")
     n, dt, tol, rows = sim.n, sim.dt, sim.singular_tol, len(cfgs)
-    times, d_now, d_mid, d_end = _disturbance_series(sim, dist)
+    times, d_now, d3 = _disturbance_series(sim, dist)
     dt6 = dt / 6.0
     if observe:
         with np.errstate(all="ignore"):
-            x1 = np.cumsum(np.vstack([sim.x1_init, _rk4_increment(dt6, 0.0, d_now, d_mid, d_end)]),
-                           axis=0)
+            x1 = np.cumsum(np.vstack([sim.x1_init, _rk4_increment(dt6, 0.0 + d3)[:, 0]]), axis=0)
         finite = np.isfinite(x1).all(axis=1)
         if not finite.all():
             k = int(np.flatnonzero(~finite)[0]) - 1
@@ -320,48 +327,42 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = Fals
         x1 = x1[:-1]
     else:
         x1_log = np.empty((rows, times.size, n))
+    d3 = d3.swapaxes(0, 1)  # the stages of step k are d3[k]
     W = np.tile(sim.x1_init, (rows, 1))
     y_log = np.empty((rows, times.size, n))  # u = -Y, or d_hat = Y
-    k1, k2, k3, k4, eps, kappa_dt = (np.array(col) for col in zip(*(
-        (c.k1, c.k2, c.k3, c.k4, c.epsilon, c.kappa * dt) for c in cfgs)))
-    e1 = [(c.m - 1.0) / c.m for c in cfgs]
-    e3 = [(2.0 * c.m - 2.0) / c.m for c in cfgs]
-    f1 = [1.0 / c.m for c in cfgs]
-    f2 = [2.0 / c.m for c in cfgs]
-    L0 = np.array([c.L0_init for c in cfgs])
+    law = [(c.k1, c.k2, c.k3, c.k4, (c.m - 1.0) / c.m, (2.0 * c.m - 2.0) / c.m) for c in cfgs]
+    powers = [1.0 / c.m for c in cfgs] + [2.0 / c.m for c in cfgs]
+    adapt = [(c.epsilon, c.kappa * dt) for c in cfgs]
+    l0 = [c.L0_init for c in cfgs]
     I = np.zeros((rows, n))
     l0_log = np.empty((rows, times.size))
     i_log = np.empty((rows, times.size, n)) if log_integral else None
     stale = True
 
-    # A diverging cell overflows before it turns non-finite; the check at the
-    # end of each step reports it, so numpy's warnings are not needed.
+    # a diverging cell overflows before it turns non-finite
     with np.errstate(all="ignore"):
         for k in range(times.size):
             S = x1[k] - W if observe else W
+            r = np.sqrt(np.vecdot(S, S)).tolist()
+            if not math.isfinite(sum(r)) and not np.isfinite(W).all():
+                k -= 1  # the state step k - 1 made is not finite
+                break
             if stale:
-                l0 = L0.tolist()
-                L1 = (k1 * np.array(list(map(pow, l0, e1))))[:, None]
-                L2 = (k2 * L0)[:, None]
-                L3 = (k3 * np.array(list(map(pow, l0, e3))))[:, None]
-                L4 = (k4 * np.array([v ** 2 for v in l0]))[:, None]
-            nrm = np.sqrt(np.vecdot(S, S))
-            r = nrm.tolist()
-            D1 = S / np.array(list(map(pow, r, f1)))[:, None]
-            D2 = S / np.array(list(map(pow, r, f2)))[:, None]
-            singular = nrm < tol
-            if singular.any():
-                D1[singular] = 0.0
-                D2[singular] = 0.0
-            Y = L1 * D1 + L2 * S + I
+                L0 = np.array(l0)
+                gains = [(k1 * v ** e1, k3 * v ** e3, k2 * v, k4 * v ** 2)
+                         for v, (k1, k2, k3, k4, e1, e3) in zip(l0, law)]
+                G, H = np.array(gains).T.reshape(2, 2, rows, 1).repeat(n, axis=3)
+            D = S / np.array([*map(pow, r + r, powers)]).reshape(2, rows, 1)
+            if min(r) < tol:
+                D[:, [v < tol for v in r]] = 0.0
+            T = G * D + H * S
+            Y = T[0] + I
             if i_log is not None:
                 i_log[:, k] = I
             l0_log[:, k] = L0
-            I = I + dt * (L3 * D2 + L4 * S)
-            adapt = nrm >= eps
-            stale = adapt.any()
-            if stale:
-                L0 = np.where(adapt, L0 + kappa_dt, L0)
+            I = I + dt * T[1]
+            new = [v + kd if s >= e else v for v, s, (e, kd) in zip(l0, r, adapt)]
+            stale, l0 = new != l0, new
             # Y is never -0.0 (I starts at +0.0), so dt * Y is bitwise
             # laws.observer_step's dt * (u + d_hat) at u = 0
             if observe:
@@ -369,11 +370,11 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = Fals
                 W = W + dt * Y
             else:
                 x1_log[:, k] = W
-                y_log[:, k] = U = -Y
-                W = W + _rk4_increment(dt6, U, d_now[k], d_mid[k], d_end[k])
-            if not np.isfinite(W).all():
-                cell = int(np.flatnonzero(~np.isfinite(W).all(axis=1))[0])
-                raise SimulationAborted(k, float(times[k]) + dt, W[cell], cell)
+                U = np.negative(Y, out=y_log[:, k])
+                W = W + _rk4_increment(dt6, U + d3[k])
+        bad = np.flatnonzero(~np.isfinite(W).all(axis=1))
+        if bad.size:  # the state step k made is not finite
+            raise SimulationAborted(k, float(times[k]) + dt, W[bad[0]], int(bad[0]))
 
     if observe:
         u = np.zeros_like(d_now)

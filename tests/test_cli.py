@@ -81,6 +81,24 @@ class TestRun:
         assert code == 1
         assert "custom runs need" in err
 
+    def test_controller_from_the_origin_is_refused_before_stepping(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # its settling threshold, 1 % of ||x1(0)||, would be zero
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the plant was stepped")
+
+        monkeypatch.setattr("smoothsmc.experiments.simulate_closed_loop", no_stepping)
+        code, out, err = run_cli(capsys, [
+            "run", "--experiment", "custom", "--method", "amssosmc", "--x1-init", "0,0,0",
+            "--disturbance", json.dumps({"kind": "constant", "value": [0.1, 0.2, 0.2]}),
+            "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "--x1-init" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numerical_abort_exit_code(self, tmp_path, capsys):
         # an astronomically large constant disturbance overflows within a few
@@ -139,6 +157,18 @@ class TestCertify:
         code, _, err = run_cli(capsys, ["certify", "--m", "0.5"])
         assert code == 1
         assert "usage error" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--l0", "-1", "--l0-dot", "-5", "--delta", "0.3"],
+        ["--delta", "0.3"], ["--l0", "8"], ["--l0-dot", "0"],
+        ["--theta1", "0.5"], ["--theta2", "0.5"],
+    ], ids=["mixed", "delta", "l0", "l0-dot", "theta1", "theta2"])
+    def test_estimate_flags_need_v0(self, capsys, flags):
+        code, out, err = run_cli(capsys, ["certify", "--m", "3", *flags])
+        assert code == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "--v0" in err and flags[0] in err
+        assert out == ""
 
     def test_bound_evaluation_at_settled_gain_level(self, capsys):
         code, out, _ = run_cli(capsys, [
@@ -293,6 +323,7 @@ CONFIGS = {
     "config-string-allow-uncertified": {"gains": {"allow_uncertified": "no"},
                                         "sim": {"horizon": 0.1}},
     "config-mixed-x1-init": {"sim": {"horizon": 0.1, "x1_init": [True, "2", 3]}},
+    "config-origin-x1-init": {"sim": {"horizon": 0.1, "x1_init": [0.0, 0.0, 0.0]}},
 }
 
 

@@ -26,7 +26,13 @@ from smoothsmc import (
     transform_state,
     write_trajectory_csv,
 )
-from smoothsmc.experiments import build_sim_config, experiment_disturbance, run_cell, run_cells
+from smoothsmc.experiments import (
+    build_sim_config,
+    experiment_disturbance,
+    method_gain_config,
+    run_cell,
+    run_cells,
+)
 from smoothsmc.sim import trajectory_columns
 
 from conftest import reference_gains
@@ -414,3 +420,37 @@ class TestAbortsAreClean:
         assert info.value.cell == 1
         assert "cell 1" in str(info.value)
         assert info.value.state.shape == (3,)
+
+    # The loop checks the state only when a norm is not finite; the abort
+    # still names the step whose update left the state non-finite.
+    @pytest.mark.parametrize("cells, cell", [
+        ([("amssosmc", None)], 0),
+        ([("amssosmc", {"k4": 20.0}), ("amssosmc", {"k4": 30.0})], 1),
+    ], ids=["alone", "batch"])
+    def test_abort_names_the_step_that_made_the_state(self, cells, cell):
+        with pytest.raises(SimulationAborted) as info:
+            run_cells("exp1", cells, {"dt": 0.01, "horizon": 20})
+        assert (info.value.step, info.value.cell) == (899, cell)
+        assert info.value.time == pytest.approx(9.0)
+        assert not np.isfinite(info.value.state).all()
+
+    def test_finite_states_with_overflowing_norms_do_not_abort(self):
+        # the run above, stopped before step 899: its last states are finite,
+        # but their norms overflow to inf
+        sim = build_sim_config(dt=0.01, horizon=8.99)
+        traj = simulate_closed_loop([method_gain_config("amssosmc")], sim, EXP1,
+                                    lyapunov=False)[0]
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.vecdot(traj.x1, traj.x1))
+        assert traj.times.size == 899
+        assert np.isfinite(traj.x1).all()
+        assert np.isinf(norms[896:899]).all()
+
+    def test_one_step_run_is_checked_after_the_loop(self):
+        sim = SimConfig(x1_init=[1.0, 0.0, 0.0], dt=1e-2, horizon=1.4e-2)
+        assert sim.steps == 1
+        with pytest.raises(SimulationAborted) as info:
+            simulate_closed_loop([reference_gains()], sim, DisturbanceSpec.constant([1e308, 0, 0]))
+        assert (info.value.step, info.value.cell) == (0, 0)
+        assert info.value.time == pytest.approx(1e-2)
+        assert not np.isfinite(info.value.state).all()
