@@ -257,22 +257,19 @@ def _disturbance_series(sim: SimConfig, dist: DisturbanceSpec):
     """The time grid ``t_k``, ``d`` at ``t_k`` of shape (steps, n), and ``d``
     at ``t_k``, ``t_k + dt/2`` and ``t_k + dt`` stacked with shape
     (3, steps, 1, n), the stage axis first (``t_k + dt`` is not ``t_{k+1}``
-    in floating point)."""
+    in floating point).  A constant disturbance stacks one broadcast value."""
     if dist.n != sim.n:
         raise ValueError("disturbance dimension does not match the initial state")
     times, dt = np.arange(sim.steps) * sim.dt, sim.dt
-
-    def at(t):
-        if dist.kind != "sinusoid-mix":
-            return np.tile(dist.constant_value if dist.kind == "constant" else np.zeros(dist.n),
-                           (t.size, 1))
-        out = np.empty((t.size, dist.n))
+    if dist.kind != "sinusoid-mix":
+        value = dist.constant_value if dist.kind == "constant" else np.zeros(dist.n)
+        return (times, np.tile(value, (times.size, 1)),
+                np.broadcast_to(value, (3, times.size, 1, dist.n)))
+    d3 = np.empty((3, times.size, 1, dist.n))
+    for stage, t in zip(d3[:, :, 0], (times, times + 0.5 * dt, times + dt)):
         for i, ch in enumerate(dist.channels):
-            out[:, i] = ch.amplitude * (np.cos if ch.is_cosine else np.sin)(ch.frequency * t)
-        return out
-
-    d_now = at(times)
-    return times, d_now, np.stack([d_now, at(times + 0.5 * dt), at(times + dt)])[:, :, None]
+            stage[:, i] = ch.amplitude * (np.cos if ch.is_cosine else np.sin)(ch.frequency * t)
+    return times, d3[0, :, 0].copy(), d3
 
 
 def _rk4_increment(dt6, stages):
@@ -339,7 +336,7 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = Fals
     i_log = np.empty((rows, times.size, n)) if log_integral else None
     stale = True
 
-    # a diverging cell overflows before it turns non-finite
+    # a diverging cell overflows before it turns non-finite, and the abort reports it
     with np.errstate(all="ignore"):
         for k in range(times.size):
             S = x1[k] - W if observe else W
