@@ -218,7 +218,7 @@ def cmd_certify(args) -> int:
     given = [f"--{f}" for f in ("delta", "l0", "l0-dot", "theta1", "theta2")
              if getattr(args, f.replace("-", "_")) is not None]
     if given and args.v0 is None:
-        raise UsageError(f"{', '.join(given)} set the convergence estimate, which needs --v0")
+        raise UsageError(f"{', '.join(given)}: the convergence estimate needs --v0")
     gains = _gain_overrides(args)
     cfg = build_gain_config(gains.pop("m", 3.0), **gains)
 

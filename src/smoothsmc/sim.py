@@ -255,9 +255,10 @@ class Trajectory:
 
 def _disturbance_series(sim: SimConfig, dist: DisturbanceSpec):
     """The time grid ``t_k``, ``d`` at ``t_k`` of shape (steps, n), and ``d``
-    at ``t_k``, ``t_k + dt/2`` and ``t_k + dt`` stacked with shape
-    (3, steps, 1, n), the stage axis first (``t_k + dt`` is not ``t_{k+1}``
-    in floating point).  A constant disturbance stacks one broadcast value."""
+    at ``t_k``, ``t_k + dt/2`` and ``t_k + dt`` stacked stage first, shape
+    (3, steps, 1, n) (``t_k + dt`` is not ``t_{k+1}`` in floating point).
+    The first is a copy, so a record does not keep the stack alive; a
+    constant disturbance stacks a broadcast view of its value."""
     if dist.n != sim.n:
         raise ValueError("disturbance dimension does not match the initial state")
     times, dt = np.arange(sim.steps) * sim.dt, sim.dt
