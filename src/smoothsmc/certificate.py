@@ -369,6 +369,10 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
     """
     if cert.n1 is None or cert.n3 is None or cert.n4 is None or cert.n2_coeff is None:
         raise ValueError("certificate has no valid constants (a matrix failed the PD check)")
+    for name, value in (("v0", v0), ("delta", delta), ("L0", L0), ("L0_dot", L0_dot),
+                        ("theta1", theta1), ("theta2", theta2)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
     if delta < 0:
         raise ValueError("delta must be non-negative")
     if v0 < 0:

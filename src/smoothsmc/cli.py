@@ -1,6 +1,7 @@
 """Command-line surface: run experiments, certify gain sets, compare methods,
-sweep parameters and reproduce the built-in experiments.  CSV/JSON outputs
-are the plotting contract; nothing is rendered here.
+sweep parameters and reproduce the built-in experiments.  It only parses,
+dispatches and prints (CSV/JSON outputs are the plotting contract): each
+flag's ``dest`` is what it sets, and the library checks every number.
 
 Exit codes: 0 success, 1 usage error (a rejected flag, file or value),
 2 numerical abort, 3 qualitative-ordering check failed (compare only).
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -38,8 +38,9 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_ORDERING = 3
 
-GAIN_FLAGS = ("m", "k1", "k2", "k3", "k4", "kappa", "epsilon", "l0_init")
+GAIN_FLAGS = ("m", "k1", "k2", "k3", "k4", "kappa", "epsilon", "L0_init")
 SIM_FLAGS = ("dt", "horizon", "log_stride")
+ESTIMATE_FLAGS = ("v0", "delta", "L0", "L0_dot", "theta1", "theta2")
 
 
 class UsageError(Exception):
@@ -53,31 +54,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
-
-
 def _add_gain_args(p: argparse.ArgumentParser):
-    p.add_argument("--m", type=float, default=None,
-                   help="homogeneity degree (m=2 baseline, m>2 smooth)")
+    p.add_argument("--m", type=float, help="homogeneity degree (m=2 baseline, m>2 smooth)")
     for name in ("k1", "k2", "k3", "k4"):
-        p.add_argument(f"--{name}", type=float, default=None)
-    p.add_argument("--kappa", type=float, default=None, help="adaptation rate")
-    p.add_argument("--epsilon", type=float, default=None, help="adaptation dead-zone radius")
-    p.add_argument("--l0-init", dest="l0_init", type=float, default=None,
-                   help="initial adaptive gain")
+        p.add_argument(f"--{name}", type=float)
+    p.add_argument("--kappa", type=float, help="adaptation rate")
+    p.add_argument("--epsilon", type=float, help="adaptation dead-zone radius")
+    p.add_argument("--l0-init", dest="L0_init", type=float, help="initial adaptive gain")
 
 
 def _add_sim_args(p: argparse.ArgumentParser):
-    p.add_argument("--dt", type=float, default=None, help="integration step (s)")
-    p.add_argument("--horizon", type=float, default=None, help="simulation horizon (s)")
-    p.add_argument("--log-stride", dest="log_stride", type=int, default=None,
+    p.add_argument("--dt", type=float, help="integration step (s)")
+    p.add_argument("--horizon", type=float, help="simulation horizon (s)")
+    p.add_argument("--log-stride", type=int,
                    help="write every Nth step to trajectory.csv (metrics use every step)")
 
 
@@ -87,74 +76,74 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one (experiment, method) cell")
-    run.add_argument("--experiment", choices=[*EXPERIMENTS, "custom"], default=None)
-    run.add_argument("--method", choices=list(METHODS), default=None)
-    run.add_argument("--config", type=Path, default=None,
+    run.set_defaults(handler=cmd_run)
+    run.add_argument("--experiment", choices=[*EXPERIMENTS, "custom"])
+    run.add_argument("--method", choices=list(METHODS))
+    run.add_argument("--config", type=Path,
                      help="JSON run spec; explicit flags override its values")
-    run.add_argument("--out", type=Path, default=None, help="output directory")
-    run.add_argument("--x1-init", dest="x1_init", default=None,
-                     help="comma-separated initial state (custom runs)")
-    run.add_argument("--disturbance", default=None,
-                     help="JSON disturbance spec (custom runs)")
+    run.add_argument("--out", type=Path, help="output directory")
+    run.add_argument("--x1-init", help="comma-separated initial state (custom runs)")
+    run.add_argument("--disturbance", help="JSON disturbance spec (custom runs)")
     _add_gain_args(run)
     _add_sim_args(run)
 
     cert = sub.add_parser("certify", help="evaluate the gain certificate")
+    cert.set_defaults(handler=cmd_certify)
     _add_gain_args(cert)
-    cert.add_argument("--v0", type=_finite, default=None,
-                      help="initial Lyapunov value for the settling bound")
-    cert.add_argument("--delta", type=_finite, default=None,
+    cert.add_argument("--v0", type=float, help="initial Lyapunov value for the settling bound")
+    cert.add_argument("--delta", type=float,
                       help="disturbance norm bound for the residual set")
-    cert.add_argument("--l0", type=_finite, default=None,
+    cert.add_argument("--l0", dest="L0", type=float,
                       help="gain level at which to freeze the decrease coefficients")
-    cert.add_argument("--l0-dot", dest="l0_dot", type=_finite, default=None,
+    cert.add_argument("--l0-dot", dest="L0_dot", type=float,
                       help="adaptation rate at the freeze point (default kappa)")
-    cert.add_argument("--theta1", type=_finite, default=None)
-    cert.add_argument("--theta2", type=_finite, default=None)
+    cert.add_argument("--theta1", type=float)
+    cert.add_argument("--theta2", type=float)
 
     cmp_ = sub.add_parser("compare", help="run several methods on one experiment")
+    cmp_.set_defaults(handler=cmd_compare)
     cmp_.add_argument("--experiment", choices=list(EXPERIMENTS), required=True)
-    cmp_.add_argument("--methods", required=True,
-                      help="comma-separated method list (>= 2)")
-    cmp_.add_argument("--out", type=Path, default=None)
+    cmp_.add_argument("--methods", required=True, help="comma-separated method list (>= 2)")
+    cmp_.add_argument("--out", type=Path)
     _add_gain_args(cmp_)
     _add_sim_args(cmp_)
 
     swp = sub.add_parser("sweep", help="grid over one parameter")
+    swp.set_defaults(handler=cmd_sweep)
     swp.add_argument("--parameter", choices=["m", "k4", "kappa", "epsilon"], required=True)
     swp.add_argument("--values", required=True, help="comma-separated grid")
     swp.add_argument("--experiment", choices=list(EXPERIMENTS), default="exp1")
     swp.add_argument("--method", choices=list(METHODS), default="amssosmc")
-    swp.add_argument("--out", type=Path, default=None)
+    swp.add_argument("--out", type=Path)
     _add_gain_args(swp)
     _add_sim_args(swp)
 
     rep = sub.add_parser("reproduce", help="run every experiment's pair and the certificate")
+    rep.set_defaults(handler=cmd_reproduce)
     rep.add_argument("--out", type=Path, default=Path("results"))
-    rep.add_argument("--dt", type=float, default=None, help="integration step (s)")
-    rep.add_argument("--horizon", type=float, default=None, help="simulation horizon (s)")
+    rep.add_argument("--dt", type=float, help="integration step (s)")
+    rep.add_argument("--horizon", type=float, help="simulation horizon (s)")
 
     return parser
 
 
-def _gain_overrides(args) -> dict:
-    mapping = {"l0_init": "L0_init"}
-    out = {}
-    for flag in GAIN_FLAGS:
-        value = getattr(args, flag, None)
-        if value is not None:
-            out[mapping.get(flag, flag)] = value
-    return out
+def _overrides(args, names) -> dict:
+    """The given flags among ``names``, keyed by the field each one sets."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name, None) is not None}
 
 
-def _sim_overrides(args) -> dict:
-    return {flag: getattr(args, flag, None) for flag in SIM_FLAGS
-            if getattr(args, flag, None) is not None}
+def _emit_table(table: str, out, name: str) -> None:
+    """Print ``table`` and, with ``--out``, write it to ``<out>/<name>``."""
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(table)
+    print(table, end="")
 
 
 def _parse_vector(text: str):
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"cannot parse vector {text!r}: {exc}") from exc
 
@@ -189,15 +178,13 @@ def cmd_run(args) -> int:
         raise UsageError("the output directory must be a path")
 
     gains = _config_section(file_spec, "gains", GainConfig)
-    gains.update(_gain_overrides(args))
+    gains.update(_overrides(args, GAIN_FLAGS))
     sim_over = _config_section(file_spec, "sim", SimConfig)
-    sim_over.update(_sim_overrides(args))
+    sim_over.update(_overrides(args, SIM_FLAGS))
 
     if experiment == "custom":
         x1_text = args.x1_init or file_spec.get("x1_init")
         dist_spec = args.disturbance or file_spec.get("disturbance")
-        if method not in METHODS:
-            raise UsageError(f"unknown method {method!r}")
         if x1_text is None or dist_spec is None:
             raise UsageError("custom runs need --x1-init and --disturbance")
         sim_over["x1_init"] = _parse_vector(x1_text) if isinstance(x1_text, str) else x1_text
@@ -215,12 +202,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    given = [f"--{f}" for f in ("delta", "l0", "l0-dot", "theta1", "theta2")
-             if getattr(args, f.replace("-", "_")) is not None]
-    if given and args.v0 is None:
-        raise UsageError(f"{', '.join(given)}: the convergence estimate needs --v0")
-    gains = _gain_overrides(args)
+    gains = _overrides(args, GAIN_FLAGS)
     cfg = build_gain_config(gains.pop("m", 3.0), **gains)
+    estimate = _overrides(args, ESTIMATE_FLAGS)
+    if estimate and (cfg.m <= 2 or "v0" not in estimate):
+        given = ", ".join("--" + name.lower().replace("_", "-") for name in estimate)
+        needs = "--v0" if cfg.m > 2 else "--m above 2"
+        raise UsageError(f"{given}: the convergence estimate needs {needs}")
 
     payload: dict = {"gains": dataclasses.asdict(cfg)}
     del payload["gains"]["allow_uncertified"]
@@ -228,12 +216,9 @@ def cmd_certify(args) -> int:
         cert = build_certificate(cfg)
         payload.update(cert.to_dict())
         payload["certified"] = cert.certified
-        if args.v0 is not None:
-            delta = args.delta if args.delta is not None else 0.0
-            estimate = estimate_convergence(cert, cfg, args.v0, delta,
-                                            L0=args.l0, L0_dot=args.l0_dot,
-                                            theta1=args.theta1, theta2=args.theta2)
-            payload["convergence"] = estimate.to_dict()
+        if estimate:
+            payload["convergence"] = estimate_convergence(
+                cert, cfg, **{"delta": 0.0, **estimate}).to_dict()
     else:
         payload.update(certificate_summary(cfg))
         payload["certified"] = False
@@ -245,20 +230,15 @@ def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise UsageError("compare needs at least two methods")
-    gain_over = _gain_overrides(args)
+    gain_over = _overrides(args, GAIN_FLAGS)
     results = run_cells(args.experiment, [(method, gain_over) for method in methods],
-                        sim_overrides=_sim_overrides(args))
+                        sim_overrides=_overrides(args, SIM_FLAGS))
     reports = [report for _, report in results]
     if args.out is not None:
         for method, (traj, report) in zip(methods, results):
             write_cell_outputs(args.out, args.experiment, method, traj, report)
 
-    table = comparison_csv(reports)
-    if args.out is not None:
-        out_path = Path(args.out) / f"comparison_{args.experiment}.csv"
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(table)
-    print(table, end="")
+    _emit_table(comparison_csv(reports), args.out, f"comparison_{args.experiment}.csv")
 
     by_method = {r.method_id: r for r in reports}
     for smooth, baseline in PAIRS.values():
@@ -272,23 +252,19 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     values = _parse_vector(args.values)
-    if not values:
-        raise UsageError("sweep grid is empty")
-    base_gains = _gain_overrides(args)
+    base_gains = _overrides(args, GAIN_FLAGS)
+    if args.parameter in base_gains:
+        raise UsageError(f"--{args.parameter} names the swept parameter; "
+                         f"--parameter {args.parameter} takes its values from --values")
     cells = [(args.method, {**base_gains, args.parameter: value}) for value in values]
-    results = run_cells(args.experiment, cells, sim_overrides=_sim_overrides(args),
+    results = run_cells(args.experiment, cells, sim_overrides=_overrides(args, SIM_FLAGS),
                         lyapunov=False)
     rows = [",".join(("parameter", "value", "gain_condition", "reason", *METRIC_COLUMNS))]
     for value, (_, report) in zip(values, results):
         chk = report.certificate_summary["gain_condition"]
         rows.append(",".join([args.parameter, format(value, ".17g"), str(chk["holds"]).lower(),
                               chk["reason"], *metric_cells(report)]))
-    table = "\n".join(rows) + "\n"
-    if args.out is not None:
-        out_path = Path(args.out) / f"sweep_{args.parameter}.csv"
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(table)
-    print(table, end="")
+    _emit_table("\n".join(rows) + "\n", args.out, f"sweep_{args.parameter}.csv")
     return EXIT_OK
 
 
@@ -304,7 +280,7 @@ def cmd_reproduce(args) -> int:
     for experiment in EXPERIMENTS:
         pair = PAIRS[EXPERIMENTS[experiment]]
         results = run_cells(experiment, [(method, None) for method in pair],
-                            sim_overrides=_sim_overrides(args))
+                            sim_overrides=_overrides(args, SIM_FLAGS))
         for method, (traj, report) in zip(pair, results):
             write_cell_outputs(args.out, experiment, method, traj, report)
             settle = ("not settled" if report.settling_time is None
@@ -320,20 +296,9 @@ def cmd_reproduce(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "certify":
-            return cmd_certify(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "reproduce":
-            return cmd_reproduce(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except (UsageError, ValueError, OSError) as exc:  # a bad value or an unusable path
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

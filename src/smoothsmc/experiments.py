@@ -64,6 +64,13 @@ def experiment_disturbance(experiment: str) -> DisturbanceSpec:
     raise ValueError(f"unknown experiment {experiment!r}")
 
 
+def _method_spec(method: str) -> dict:
+    """``METHODS[method]``; an unknown method is a ``ValueError`` naming it."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return METHODS[method]
+
+
 def build_gain_config(m: float, **overrides) -> GainConfig:
     """Default gain set with the given homogeneity degree, plus overrides.
 
@@ -81,7 +88,7 @@ def method_gain_config(method: str, overrides: dict | None = None) -> GainConfig
     replaces the method's homogeneity degree (used by sweeps)."""
     overrides = dict(overrides or {})
     m = overrides.pop("m", None)
-    return build_gain_config(METHODS[method]["m"] if m is None else m, **overrides)
+    return build_gain_config(_method_spec(method)["m"] if m is None else m, **overrides)
 
 
 def build_sim_config(**overrides) -> SimConfig:
@@ -93,10 +100,8 @@ def build_sim_config(**overrides) -> SimConfig:
 def validate_pairing(experiment: str, method: str) -> None:
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
     need = EXPERIMENTS[experiment]
-    got = METHODS[method]["kind"]
+    got = _method_spec(method)["kind"]
     if need != got:
         raise ValueError(
             f"{experiment} pairs with {need} methods; {method!r} is a {got}"
@@ -154,7 +159,7 @@ def run_configured_cells(scenario_id: str, cells, sim: SimConfig, dist: Disturba
     trajectories are thinned by ``sim.log_stride``, which changes no
     reported number.  This is the one place the stride is applied.
     """
-    kinds = {METHODS[method]["kind"] for method, _ in cells}
+    kinds = {_method_spec(method)["kind"] for method, _ in cells}
     if len(kinds) != 1:
         raise ValueError("a batch holds one or more cells of one kind (controllers or observers)")
     cfgs = [cfg for _, cfg in cells]

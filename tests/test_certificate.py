@@ -397,3 +397,13 @@ class TestConvergenceEstimate:
         assert est.residual_V_level == 0.0
         assert est.settling_time_bound == pytest.approx(
             settling_time_unperturbed(est.c1, est.c2, est.p, 10.0))
+
+    @pytest.mark.parametrize("name", ["v0", "delta", "L0", "L0_dot", "theta1", "theta2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_refused_by_name(self, name, value):
+        # the CLI passes its flags straight through, so this is its only check
+        cfg = reference_gains()
+        cert = build_certificate(cfg)
+        inputs = {"v0": 100.0, "delta": 0.3, "L0": 8.0, "L0_dot": 0.0, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number"):
+            estimate_convergence(cert, cfg, **inputs)

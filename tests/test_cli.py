@@ -1,9 +1,10 @@
+import argparse
 import json
 import warnings
 
 import pytest
 
-from smoothsmc.cli import main
+from smoothsmc.cli import build_parser, main
 
 FAST = ["--horizon", "1.5", "--dt", "0.002"]
 
@@ -72,6 +73,25 @@ class TestRun:
         ])
         assert code == 0
         assert (tmp_path / "custom_amssosmc" / "report.json").exists()
+
+    def test_empty_x1_init_item_is_usage_error(self, tmp_path, capsys):
+        # "1,,2" is not the 2-D state (1, 2)
+        code, out, err = run_cli(capsys, [
+            "run", "--experiment", "custom", "--method", "amssosmc", "--x1-init", "1,,2",
+            "--disturbance", json.dumps({"kind": "none"}), "--out", str(tmp_path), *FAST,
+        ])
+        assert code == 1
+        assert err.startswith("usage error: ") and "'1,,2'" in err
+        assert out == "" and not (tmp_path / "custom_amssosmc").exists()
+
+    def test_custom_run_of_an_unknown_method_is_usage_error(self, tmp_path, capsys):
+        # --method has choices; a config file's method is checked by the library
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiment": "custom", "method": "bogus",
+                                      "x1_init": [1, 2, 3], "disturbance": {"kind": "none"}}))
+        code, out, err = run_cli(capsys, ["run", "--config", str(config), *FAST,
+                                          "--out", str(tmp_path)])
+        assert (code, out, err) == (1, "", "usage error: unknown method 'bogus'\n")
 
     def test_custom_run_requires_scenario(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, [
@@ -170,6 +190,17 @@ class TestCertify:
         assert "--v0" in err and flags[0] in err
         assert out == ""
 
+    @pytest.mark.parametrize("flags", [
+        ["--v0", "50", "--delta", "0.3", "--l0", "-1"], ["--v0", "50"],
+    ], ids=["with-bad-l0", "v0-only"])
+    def test_estimate_flags_at_the_baseline_are_usage_errors(self, capsys, flags):
+        # m = 2 has no certificate, so it has no convergence estimate either
+        code, out, err = run_cli(capsys, ["certify", "--m", "2", *flags])
+        assert code == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert all(flag in err for flag in flags if flag.startswith("--")) and "--m" in err
+        assert out == ""
+
     def test_bound_evaluation_at_settled_gain_level(self, capsys):
         code, out, _ = run_cli(capsys, [
             "certify", "--m", "3", "--v0", "50", "--delta", "0.3",
@@ -260,6 +291,26 @@ class TestSweep:
     def test_empty_grid_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, ["sweep", "--parameter", "m", "--values", ","])
         assert code == 1
+
+    def test_empty_item_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["sweep", "--parameter", "k4", "--values", "28,,30"])
+        assert code == 1
+        assert err.startswith("usage error: ") and "'28,,30'" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("parameter,values,flag,value", [
+        ("k4", "30", "--k4", "25"), ("m", "2.5,3,3.5", "--m", "2.5"),
+    ], ids=["k4", "m"])
+    def test_gain_flag_naming_the_swept_parameter_is_usage_error(self, capsys, parameter,
+                                                                 values, flag, value):
+        code, out, err = run_cli(capsys, [
+            "sweep", "--parameter", parameter, "--values", values, flag, value,
+            "--horizon", "0.1",
+        ])
+        assert code == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert flag in err and f"--parameter {parameter}" in err
+        assert out == ""
 
     def test_writes_table(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, [
@@ -426,3 +477,40 @@ class TestBadInputs:
         assert err.startswith("usage error: ")
         assert "Traceback" not in err
         assert out == ""
+
+
+def numeric_flags():
+    """``(subcommand, flag)`` for every option of every subcommand that
+    parses a number, read from the parser so later flags are covered too."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return [(name, action.option_strings[0])
+            for name, sub in subparsers.choices.items() for action in sub._actions
+            if action.type in (float, int)]
+
+
+NUMERIC_FLAGS = numeric_flags()
+
+# Each subcommand's smallest valid call; the flag under test comes last and
+# so replaces a value given here.
+VALID_CALLS = {
+    "run": ["run", "--experiment", "exp1", "--method", "amssosmc", "--horizon", "0.1"],
+    "certify": ["certify", "--m", "3", "--v0", "50"],
+    "compare": ["compare", "--experiment", "exp1", "--methods", "amssosmc,amstsmc-baseline",
+                "--horizon", "0.1"],
+    "sweep": ["sweep", "--parameter", "k4", "--values", "30", "--horizon", "0.1"],
+    "reproduce": ["reproduce", "--horizon", "0.1"],
+}
+
+
+@pytest.mark.parametrize("command,flag", NUMERIC_FLAGS, ids=[" ".join(f) for f in NUMERIC_FLAGS])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_every_numeric_flag_refuses_a_non_finite_value(tmp_path, capsys, command, flag, value):
+    # "--flag=-inf", because argparse reads a separate "-inf" as an option
+    argv = [*VALID_CALLS[command], f"{flag}={value}"]
+    if command in ("run", "reproduce"):
+        argv += ["--out", str(tmp_path / "out")]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -32,6 +32,7 @@ from smoothsmc.experiments import (
     method_gain_config,
     run_cell,
     run_cells,
+    run_configured_cells,
 )
 from smoothsmc.sim import trajectory_columns
 
@@ -454,3 +455,14 @@ class TestAbortsAreClean:
         assert (info.value.step, info.value.cell) == (0, 0)
         assert info.value.time == pytest.approx(1e-2)
         assert not np.isfinite(info.value.state).all()
+
+
+class TestUnknownMethod:
+    def test_configured_cells_name_an_unknown_method(self):
+        sim = build_sim_config(horizon=0.1)
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            run_configured_cells("custom", [("bogus", reference_gains())], sim, EXP1)
+
+    def test_gain_config_of_an_unknown_method_names_it(self):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            method_gain_config("bogus")
