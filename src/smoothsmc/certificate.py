@@ -138,18 +138,18 @@ class LyapunovCertificate:
     n3: float | None
     n4: float | None
     gain_condition: GainCheck
-    p_pd: bool
-    q_pd: bool
-    omega1_pd: bool
-    omega2_pd: bool
     P_eig: EigenSummary
     Q_eig: EigenSummary
     Omega1_eig: EigenSummary
     Omega2_eig: EigenSummary
 
+    def _spectra(self) -> dict:
+        return {"P": self.P_eig, "Q": self.Q_eig,
+                "Omega1": self.Omega1_eig, "Omega2": self.Omega2_eig}
+
     @property
     def all_pd(self) -> bool:
-        return self.p_pd and self.q_pd and self.omega1_pd and self.omega2_pd
+        return all(map(is_positive_definite, self._spectra().values()))
 
     @property
     def certified(self) -> bool:
@@ -164,13 +164,10 @@ class LyapunovCertificate:
             "n3": self.n3,
             "n4": self.n4,
             "positive_definite": {
-                "P": self.p_pd, "Q": self.q_pd,
-                "Omega1": self.omega1_pd, "Omega2": self.omega2_pd,
-            },
+                name: is_positive_definite(eig) for name, eig in self._spectra().items()},
             "eigenvalues": {
                 name: {"min": eig.lambda_min, "max": eig.lambda_max}
-                for name, eig in (("P", self.P_eig), ("Q", self.Q_eig),
-                                  ("Omega1", self.Omega1_eig), ("Omega2", self.Omega2_eig))
+                for name, eig in self._spectra().items()
             },
             "blocks": {
                 "P": self.P_block.entries.tolist(),
@@ -190,9 +187,8 @@ def build_certificate(cfg: GainConfig) -> LyapunovCertificate:
     omega1, omega2 = build_omega_blocks(cfg)
     eigs = {name: eig_sym(mat) for name, mat in
             (("P", p_block), ("Q", q_block), ("O1", omega1), ("O2", omega2))}
-    pd = {name: is_positive_definite(eig) for name, eig in eigs.items()}
     p1 = (2.0 * cfg.m - 3.0) / (2.0 * cfg.m - 2.0)
-    if all(pd.values()):
+    if all(is_positive_definite(eig) for eig in eigs.values()):
         lam_min_p = eigs["P"].lambda_min
         lam_max_p = eigs["P"].lambda_max
         n1 = eigs["O1"].lambda_min / lam_max_p**p1
@@ -206,7 +202,6 @@ def build_certificate(cfg: GainConfig) -> LyapunovCertificate:
         Omega1_block=omega1, Omega2_block=omega2,
         p1=p1, n1=n1, n2_coeff=n2_coeff, n3=n3, n4=n4,
         gain_condition=check_gain_condition(cfg),
-        p_pd=pd["P"], q_pd=pd["Q"], omega1_pd=pd["O1"], omega2_pd=pd["O2"],
         P_eig=eigs["P"], Q_eig=eigs["Q"],
         Omega1_eig=eigs["O1"], Omega2_eig=eigs["O2"],
     )

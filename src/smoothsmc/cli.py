@@ -23,15 +23,12 @@ from .experiments import (
     build_gain_config,
     build_sim_config,
     certificate_summary,
-    method_gain_config,
-    run_cell,
     run_cells,
-    run_configured_cells,
     write_cell_outputs,
 )
 from .laws import GainConfig
 from .metrics import METRIC_COLUMNS, comparison_csv, metric_cells
-from .sim import DisturbanceSpec, SimConfig, SimulationAborted
+from .sim import SimConfig, SimulationAborted
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,7 +79,7 @@ def build_parser() -> _Parser:
     run.add_argument("--config", type=Path,
                      help="JSON run spec; explicit flags override its values")
     run.add_argument("--out", type=Path, help="output directory")
-    run.add_argument("--x1-init", help="comma-separated initial state (custom runs)")
+    run.add_argument("--x1-init", help="comma-separated initial state (required by custom runs)")
     run.add_argument("--disturbance", help="JSON disturbance spec (custom runs)")
     _add_gain_args(run)
     _add_sim_args(run)
@@ -182,19 +179,12 @@ def cmd_run(args) -> int:
     sim_over = _config_section(file_spec, "sim", SimConfig)
     sim_over.update(_overrides(args, SIM_FLAGS))
 
-    if experiment == "custom":
-        x1_text = args.x1_init or file_spec.get("x1_init")
-        dist_spec = args.disturbance or file_spec.get("disturbance")
-        if x1_text is None or dist_spec is None:
-            raise UsageError("custom runs need --x1-init and --disturbance")
-        sim_over["x1_init"] = _parse_vector(x1_text) if isinstance(x1_text, str) else x1_text
-        sim = build_sim_config(**sim_over)
-        dist_dict = json.loads(dist_spec) if isinstance(dist_spec, str) else dist_spec
-        dist = DisturbanceSpec.from_dict(dist_dict, n=sim.n)
-        cfg = method_gain_config(method, gains)
-        traj, report = run_configured_cells("custom", [(method, cfg)], sim, dist)[0]
-    else:
-        traj, report = run_cell(experiment, method, gain_overrides=gains, sim_overrides=sim_over)
+    x1_init = args.x1_init or file_spec.get("x1_init")
+    if x1_init is not None:
+        sim_over["x1_init"] = _parse_vector(x1_init) if isinstance(x1_init, str) else x1_init
+    dist = args.disturbance or file_spec.get("disturbance")
+    traj, report = run_cells(experiment, [(method, gains)], sim_over,
+                             disturbance=json.loads(dist) if isinstance(dist, str) else dist)[0]
 
     paths = write_cell_outputs(outdir, report.scenario_id, method, traj, report)
     print(json.dumps({"written": paths, "report": report.to_dict()}, indent=2, sort_keys=True))
@@ -271,6 +261,8 @@ def cmd_sweep(args) -> int:
 def cmd_reproduce(args) -> int:
     """Each experiment's smooth method and baseline as one batch, plus the
     certificate of the default gains, written under ``--out``."""
+    sim_over = _overrides(args, SIM_FLAGS)
+    build_sim_config(**sim_over)  # a bad --dt or --horizon writes nothing
     args.out.mkdir(parents=True, exist_ok=True)
     cert = build_certificate(build_gain_config(3.0))
     (args.out / "certificate.json").write_text(
@@ -279,8 +271,7 @@ def cmd_reproduce(args) -> int:
           f"all blocks PD={cert.all_pd}")
     for experiment in EXPERIMENTS:
         pair = PAIRS[EXPERIMENTS[experiment]]
-        results = run_cells(experiment, [(method, None) for method in pair],
-                            sim_overrides=_overrides(args, SIM_FLAGS))
+        results = run_cells(experiment, [(method, None) for method in pair], sim_over)
         for method, (traj, report) in zip(pair, results):
             write_cell_outputs(args.out, experiment, method, traj, report)
             settle = ("not settled" if report.settling_time is None

@@ -9,7 +9,8 @@ from initial state [1, 3, 2]:
 * ``exp3`` - observers reconstructing a larger mixed-sinusoid disturbance.
 
 Each smooth method (m=3) pairs with a super-twisting baseline that uses the
-same gains with m=2.
+same gains with m=2.  A ``custom`` scenario names its own initial state and
+disturbance.
 """
 
 from __future__ import annotations
@@ -97,17 +98,6 @@ def build_sim_config(**overrides) -> SimConfig:
     return SimConfig(**params)
 
 
-def validate_pairing(experiment: str, method: str) -> None:
-    if experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {experiment!r}")
-    need = EXPERIMENTS[experiment]
-    got = _method_spec(method)["kind"]
-    if need != got:
-        raise ValueError(
-            f"{experiment} pairs with {need} methods; {method!r} is a {got}"
-        )
-
-
 def certificate_summary(cfg: GainConfig) -> dict:
     if cfg.m > 2:
         return build_certificate(cfg).to_dict()
@@ -125,44 +115,50 @@ def _resolved_config(experiment: str, method: str, cfg: GainConfig,
     }
 
 
-def run_cells(experiment: str, cells, sim_overrides: dict | None = None,
-              lyapunov: bool = True) -> list[tuple[Trajectory, ExperimentReport]]:
-    """Run several preset cells of one experiment as one batch and compute
-    each cell's report.
+def run_cells(experiment: str, cells, sim_overrides: dict | None = None, lyapunov: bool = True,
+              disturbance: dict | None = None) -> list[tuple[Trajectory, ExperimentReport]]:
+    """Resolve cells of one experiment, run them as one batch and compute
+    each cell's report; every run goes through here.
 
     ``cells`` is a sequence of ``(method, gain_overrides)`` pairs, resolved by
-    :func:`method_gain_config`.  ``lyapunov=False`` leaves out the V column,
-    which no report reads, to save its time and memory.
-    """
-    configured = []
-    for method, overrides in cells:
-        validate_pairing(experiment, method)
-        configured.append((method, method_gain_config(method, overrides)))
-    sim = build_sim_config(**(sim_overrides or {}))
-    dist = experiment_disturbance(experiment)
-    return run_configured_cells(experiment, configured, sim, dist, lyapunov)
-
-
-def run_cell(experiment: str, method: str, gain_overrides: dict | None = None,
-             sim_overrides: dict | None = None) -> tuple[Trajectory, ExperimentReport]:
-    """Run one preset (experiment, method) cell and compute its report."""
-    return run_cells(experiment, [(method, gain_overrides)], sim_overrides)[0]
-
-
-def run_configured_cells(scenario_id: str, cells, sim: SimConfig, dist: DisturbanceSpec,
-                         lyapunov: bool = True) -> list[tuple[Trajectory, ExperimentReport]]:
-    """Run fully specified ``(method, cfg)`` cells, all controllers or all
-    observers, as one batch (also used for custom scenarios); smooth
-    controller cells (m > 2) log V unless ``lyapunov`` is false.
+    :func:`method_gain_config`, all controllers or all observers.  A preset
+    experiment supplies x1(0) and its disturbance as defaults and accepts
+    only its own disturbance; ``custom`` supplies neither, so it needs
+    ``x1_init`` in ``sim_overrides`` and ``disturbance``, the dict of a
+    :class:`DisturbanceSpec`.  Smooth controller cells (m > 2) log V unless
+    ``lyapunov`` is false; no report reads it.
 
     The metrics are computed on the full-rate records; the returned
     trajectories are thinned by ``sim.log_stride``, which changes no
     reported number.  This is the one place the stride is applied.
     """
-    kinds = {_method_spec(method)["kind"] for method, _ in cells}
+    sim_overrides = sim_overrides or {}
+    if experiment == "custom":
+        if sim_overrides.get("x1_init") is None or disturbance is None:
+            raise ValueError("custom runs need --x1-init and --disturbance")
+    elif experiment not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {experiment!r}")
+    kinds = set()
+    configured = []
+    for method, overrides in cells:
+        kind = _method_spec(method)["kind"]
+        if experiment != "custom" and kind != EXPERIMENTS[experiment]:
+            raise ValueError(f"{experiment} pairs with {EXPERIMENTS[experiment]} methods; "
+                             f"{method!r} is a {kind}")
+        kinds.add(kind)
+        configured.append((method, method_gain_config(method, overrides)))
     if len(kinds) != 1:
         raise ValueError("a batch holds one or more cells of one kind (controllers or observers)")
-    cfgs = [cfg for _, cfg in cells]
+    sim = build_sim_config(**sim_overrides)
+    dist = None if disturbance is None else DisturbanceSpec.from_dict(disturbance, n=sim.n)
+    if experiment != "custom":
+        preset = experiment_disturbance(experiment)
+        if dist is not None and dist.to_dict() != preset.to_dict():
+            raise ValueError(f"{experiment} has its own disturbance; "
+                             "run a different one with --experiment custom")
+        dist = preset
+
+    cfgs = [cfg for _, cfg in configured]
     # each cell's norm series (settling time, ultimate bound) and vector series (chattering)
     if kinds == {"controller"}:
         threshold = CONTROLLER_SETTLE_REL * float((sim.x1_init @ sim.x1_init) ** 0.5)
@@ -177,10 +173,10 @@ def run_configured_cells(scenario_id: str, cells, sim: SimConfig, dist: Disturba
         threshold = OBSERVER_SETTLE_ABS
 
     out = []
-    for (method, cfg), traj, (norms, values) in zip(cells, trajs, signals):
+    for (method, cfg), traj, (norms, values) in zip(configured, trajs, signals):
         report = ExperimentReport(
             method_id=method,
-            scenario_id=scenario_id,
+            scenario_id=experiment,
             settling_time=settling_time(traj.times, norms, threshold),
             ultimate_bound=ultimate_bound(traj.times, norms, TAIL_FRACTION),
             chattering_index=chattering_index(traj.times, values, TAIL_FRACTION),
@@ -189,10 +185,16 @@ def run_configured_cells(scenario_id: str, cells, sim: SimConfig, dist: Disturba
             settling_threshold=threshold,
             tail_fraction=TAIL_FRACTION,
             certificate_summary=certificate_summary(cfg),
-            config=_resolved_config(scenario_id, method, cfg, sim, dist),
+            config=_resolved_config(experiment, method, cfg, sim, dist),
         )
         out.append((traj.thinned(sim.log_stride), report))
     return out
+
+
+def run_cell(experiment: str, method: str, gain_overrides: dict | None = None,
+             sim_overrides: dict | None = None) -> tuple[Trajectory, ExperimentReport]:
+    """Run one preset (experiment, method) cell and compute its report."""
+    return run_cells(experiment, [(method, gain_overrides)], sim_overrides)[0]
 
 
 def write_cell_outputs(outdir, experiment: str, method: str,

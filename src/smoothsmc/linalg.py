@@ -45,24 +45,10 @@ class SymMatrix:
         if a.shape[0] < 1:
             raise ValueError("matrix order must be >= 1")
         if not np.array_equal(a, a.T):
-            raise ValueError(
-                "entries are not exactly symmetric; use SymMatrix.from_array "
-                "to symmetrize nearly-symmetric input"
-            )
+            raise ValueError("entries are not exactly symmetric")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
-
-    @classmethod
-    def from_array(cls, arr, rel_tol: float = 1e-8) -> "SymMatrix":
-        """Build from a nearly-symmetric array, rejecting gross asymmetry."""
-        a = np.asarray(arr, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-        if float(np.abs(a - a.T).max(initial=0.0)) > rel_tol * scale:
-            raise ValueError("matrix is not symmetric within tolerance")
-        return cls((a + a.T) / 2.0)
 
     @property
     def order(self) -> int:
@@ -85,8 +71,7 @@ def kron_with_identity(base: SymMatrix, n: int) -> SymMatrix:
     return SymMatrix(np.kron(base.entries, np.eye(int(n))))
 
 
-def jacobi_eigh(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS,
-                conv_factor: float = JACOBI_CONV_FACTOR):
+def jacobi_eigh(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS):
     """Cyclic-Jacobi eigendecomposition of a symmetric matrix.
 
     Returns ``(values, vectors)`` with eigenvalues ascending and eigenvectors
@@ -104,7 +89,7 @@ def jacobi_eigh(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS,
         # a stays exactly symmetric, so both triangles give the same maximum
         off = float(np.abs(a[off_diagonal]).max(initial=0.0))
         diag_scale = float(np.abs(np.diagonal(a)).max())
-        if off <= conv_factor * diag_scale:
+        if off <= JACOBI_CONV_FACTOR * diag_scale:
             converged = True
             break
         for p in range(n - 1):
@@ -135,9 +120,9 @@ def jacobi_eigh(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS,
     return values[order], v[:, order]
 
 
-def eig_sym(mat: SymMatrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenSummary:
+def eig_sym(mat: SymMatrix) -> EigenSummary:
     """Spectrum of a symmetric matrix via the Jacobi solver."""
-    values, _ = jacobi_eigh(mat, max_sweeps=max_sweeps)
+    values, _ = jacobi_eigh(mat)
     spectrum = tuple(float(x) for x in values)
     return EigenSummary(lambda_min=spectrum[0], lambda_max=spectrum[-1], spectrum=spectrum)
 

@@ -12,7 +12,7 @@ which the loop builds as a running sum of RK4 increments.  The loop only
 steps; V is computed from the logged record after it.  Every row is bitwise
 what the scalar laws give on their own.  The simulators return full-rate
 records; ``log_stride`` is applied by their caller
-(``experiments.run_configured_cells``) to what a run returns and writes.
+(``experiments.run_cells``) to what a run returns and writes.
 Everything is deterministic: identical configs give bit-identical logs.
 """
 

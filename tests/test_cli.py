@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from smoothsmc.cli import build_parser, main
+from smoothsmc.experiments import EXPERIMENTS, PAIRS
 
 FAST = ["--horizon", "1.5", "--dt", "0.002"]
 
@@ -146,6 +147,81 @@ class TestRun:
             "allow_uncertified": True,
         }
         assert report["config"]["disturbance"]["kind"] == "constant"
+
+
+# Custom runs at n = 2; with --log-stride 3 the CSV holds every third step.
+CUSTOM_RUNS = {
+    f"custom-{method}-{kind}": ["--experiment", "custom", "--method", method,
+                                "--x1-init", "1,-2", "--disturbance", json.dumps(spec),
+                                "--log-stride", "3"]
+    for method in ("amssosmc", "amsdo")
+    for kind, spec in (
+        ("none", {"kind": "none"}),
+        ("constant", {"kind": "constant", "value": [0.1, -0.2]}),
+        ("sinusoid", {"kind": "sinusoid-mix", "channels": [
+            {"amplitude": 0.3, "frequency": 2.0},
+            {"amplitude": 0.2, "frequency": 3.0, "is_cosine": True}]}),
+    )
+}
+PRESET_RUNS = {f"{experiment}-{method}": ["--experiment", experiment, "--method", method]
+               for experiment, kind in EXPERIMENTS.items() for method in PAIRS[kind]}
+
+
+def cell_bytes(out):
+    """``{file name: bytes}`` of the one cell written under ``out``."""
+    (cell,) = out.iterdir()
+    return {path.name: path.read_bytes() for path in cell.iterdir()}
+
+
+class TestReportConfigReruns:
+    @pytest.mark.parametrize("case", [*PRESET_RUNS, *CUSTOM_RUNS])
+    def test_report_config_reruns_byte_for_byte(self, tmp_path, capsys, case):
+        flags = {**PRESET_RUNS, **CUSTOM_RUNS}[case]
+        code, _, _ = run_cli(capsys, ["run", *flags, "--horizon", "0.3",
+                                      "--out", str(tmp_path / "first")])
+        assert code == 0
+        first = cell_bytes(tmp_path / "first")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(json.loads(first["report.json"])["config"]))
+        code, _, err = run_cli(capsys, ["run", "--config", str(config),
+                                        "--out", str(tmp_path / "again")])
+        assert (code, err) == (0, "")
+        assert cell_bytes(tmp_path / "again") == first
+
+    def test_x1_init_flag_and_keys_are_one_setting(self, tmp_path, capsys):
+        preset = {"experiment": "exp1", "method": "amssosmc"}
+        spellings = {
+            "flag": ({**preset, "sim": {"horizon": 0.3}}, ["--x1-init", "5,5,5"]),
+            "key": ({**preset, "sim": {"horizon": 0.3}, "x1_init": [5, 5, 5]}, []),
+            "sim": ({**preset, "sim": {"horizon": 0.3, "x1_init": [5, 5, 5]}}, []),
+        }
+        written = {}
+        for name, (spec, flags) in spellings.items():
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(spec))
+            code, _, _ = run_cli(capsys, ["run", "--config", str(config), *flags,
+                                          "--out", str(tmp_path / name)])
+            assert code == 0
+            written[name] = cell_bytes(tmp_path / name)
+        assert written["flag"] == written["key"] == written["sim"]
+        report = json.loads(written["flag"]["report.json"])
+        assert report["config"]["sim"]["x1_init"] == [5.0, 5.0, 5.0]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_preset_refuses_another_disturbance(self, tmp_path, capsys, source):
+        other = {"kind": "none", "n": 3}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiment": "exp1", "method": "amssosmc",
+                                      "disturbance": other}))
+        argv = {"flag": ["run", "--experiment", "exp1", "--method", "amssosmc",
+                         "--disturbance", json.dumps(other)],
+                "config": ["run", "--config", str(config)]}[source]
+        code, out, err = run_cli(capsys, [*argv, "--horizon", "0.1",
+                                          "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "--experiment custom" in err
+        assert out == "" and not (tmp_path / "out").exists()
 
 
 class TestCertify:
@@ -508,9 +584,10 @@ VALID_CALLS = {
 def test_every_numeric_flag_refuses_a_non_finite_value(tmp_path, capsys, command, flag, value):
     # "--flag=-inf", because argparse reads a separate "-inf" as an option
     argv = [*VALID_CALLS[command], f"{flag}={value}"]
-    if command in ("run", "reproduce"):
+    if command != "certify":
         argv += ["--out", str(tmp_path / "out")]
-    code, _, err = run_cli(capsys, argv)
+    code, out, err = run_cli(capsys, argv)
     assert code == 1
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert out == "" and not (tmp_path / "out").exists()

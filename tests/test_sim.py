@@ -32,7 +32,6 @@ from smoothsmc.experiments import (
     method_gain_config,
     run_cell,
     run_cells,
-    run_configured_cells,
 )
 from smoothsmc.sim import trajectory_columns
 
@@ -459,9 +458,9 @@ class TestAbortsAreClean:
 
 class TestUnknownMethod:
     def test_configured_cells_name_an_unknown_method(self):
-        sim = build_sim_config(horizon=0.1)
+        sim = {"x1_init": [1.0, 3.0, 2.0], "horizon": 0.1}
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
-            run_configured_cells("custom", [("bogus", reference_gains())], sim, EXP1)
+            run_cells("custom", [("bogus", None)], sim, disturbance=EXP1.to_dict())
 
     def test_gain_config_of_an_unknown_method_names_it(self):
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
