@@ -20,6 +20,7 @@ from .laws import (
     GainCheck,
     GainConfig,
     check_gain_condition,
+    gain_overflow,
     unit_power_direction,
 )
 from .linalg import EigenSummary, SymMatrix, eig_sym, is_positive_definite
@@ -182,9 +183,11 @@ def build_certificate(cfg: GainConfig) -> LyapunovCertificate:
     """Assemble the certificate for an ``m > 2`` configuration."""
     if cfg.m <= 2:
         raise ValueError("the certificate requires m > 2 (the baseline is exempt)")
-    p_block = build_p_block(cfg)
-    q_block = build_q_block(cfg)
-    omega1, omega2 = build_omega_blocks(cfg)
+    with np.errstate(over="ignore"):  # refused below, by name
+        p_block, q_block = build_p_block(cfg), build_q_block(cfg)
+        omega1, omega2 = build_omega_blocks(cfg)
+    if not all(np.isfinite(b.entries).all() for b in (p_block, q_block, omega1, omega2)):
+        raise gain_overflow(cfg, "the certificate blocks")
     eigs = {name: eig_sym(mat) for name, mat in
             (("P", p_block), ("Q", q_block), ("O1", omega1), ("O2", omega2))}
     p1 = (2.0 * cfg.m - 3.0) / (2.0 * cfg.m - 2.0)

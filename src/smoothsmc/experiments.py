@@ -146,7 +146,9 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None, lyapuno
             raise ValueError(f"{experiment} pairs with {EXPERIMENTS[experiment]} methods; "
                              f"{method!r} is a {kind}")
         kinds.add(kind)
-        configured.append((method, method_gain_config(method, overrides)))
+        cfg = method_gain_config(method, overrides)
+        # before any step: gains that overflow the certificate are refused here
+        configured.append((method, cfg, certificate_summary(cfg)))
     if len(kinds) != 1:
         raise ValueError("a batch holds one or more cells of one kind (controllers or observers)")
     sim = build_sim_config(**sim_overrides)
@@ -158,7 +160,7 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None, lyapuno
                              "run a different one with --experiment custom")
         dist = preset
 
-    cfgs = [cfg for _, cfg in configured]
+    cfgs = [cfg for _, cfg, _ in configured]
     # each cell's norm series (settling time, ultimate bound) and vector series (chattering)
     if kinds == {"controller"}:
         threshold = CONTROLLER_SETTLE_REL * float((sim.x1_init @ sim.x1_init) ** 0.5)
@@ -173,7 +175,7 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None, lyapuno
         threshold = OBSERVER_SETTLE_ABS
 
     out = []
-    for (method, cfg), traj, (norms, values) in zip(configured, trajs, signals):
+    for (method, cfg, summary), traj, (norms, values) in zip(configured, trajs, signals):
         report = ExperimentReport(
             method_id=method,
             scenario_id=experiment,
@@ -184,7 +186,7 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None, lyapuno
             dt_used=sim.dt,
             settling_threshold=threshold,
             tail_fraction=TAIL_FRACTION,
-            certificate_summary=certificate_summary(cfg),
+            certificate_summary=summary,
             config=_resolved_config(experiment, method, cfg, sim, dist),
         )
         out.append((traj.thinned(sim.log_stride), report))

@@ -38,12 +38,20 @@ class GainCheck(NamedTuple):
 
 
 def gain_condition_terms(cfg: "GainConfig") -> tuple[Fraction, Fraction]:
-    """Both sides of the feasibility inequality in exact rational arithmetic."""
-    m = Fraction(cfg.m)
-    k1, k2, k3, k4 = (Fraction(cfg.k1), Fraction(cfg.k2), Fraction(cfg.k3), Fraction(cfg.k4))
-    lhs = m * m * k3 * k4
-    rhs = (m**3 * k3 / (m - 1) + (4 * m * m - 4 * m + 1) * k1 * k1) * k2 * k2
+    """Both sides of the feasibility inequality, ``m^2 k3 k4`` and ``(m^3 k3/(m-1)
+    + (2m-1)^2 k1^2) k2^2``, exactly: integers over one denominator per side."""
+    (m, dm), (k1, d1), (k2, d2), (k3, d3), (k4, d4) = (
+        float(v).as_integer_ratio() for v in (cfg.m, cfg.k1, cfg.k2, cfg.k3, cfg.k4))
+    lhs = Fraction(m * m * k3 * k4, dm * dm * d3 * d4)
+    rhs = Fraction((m**3 * k3 * d1 * d1 + (2 * m - dm) ** 2 * k1 * k1 * d3 * (m - dm)) * k2 * k2,
+                   dm * dm * d3 * (m - dm) * d1 * d1 * d2 * d2)
     return lhs, rhs
+
+
+def gain_overflow(cfg: "GainConfig", what: str) -> ValueError:
+    """The error for gains whose ``what`` leaves the float range."""
+    gains = ", ".join(f"{name}={getattr(cfg, name)!r}" for name in ("m", "k1", "k2", "k3", "k4"))
+    return ValueError(f"gains {gains} overflow {what}")
 
 
 def check_gain_condition(cfg: "GainConfig") -> GainCheck:
@@ -53,11 +61,13 @@ def check_gain_condition(cfg: "GainConfig") -> GainCheck:
     theory, not by this inequality, so they report ``baseline-exempt``.
     """
     lhs, rhs = gain_condition_terms(cfg)
-    if cfg.m == 2.0:
-        return GainCheck(False, "baseline-exempt", float(lhs), float(rhs))
+    try:
+        lhs_f, rhs_f = float(lhs), float(rhs)
+    except OverflowError:
+        raise gain_overflow(cfg, "the gain condition") from None
     holds = cfg.m > 2.0 and lhs > rhs
-    reason = "certified" if holds else "condition-violated"
-    return GainCheck(holds, reason, float(lhs), float(rhs))
+    reason = "baseline-exempt" if cfg.m == 2.0 else "certified" if holds else "condition-violated"
+    return GainCheck(holds, reason, lhs_f, rhs_f)
 
 
 @dataclass(frozen=True)

@@ -75,29 +75,27 @@ def jacobi_eigh(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS):
     """Cyclic-Jacobi eigendecomposition of a symmetric matrix.
 
     Returns ``(values, vectors)`` with eigenvalues ascending and eigenvectors
-    as matching columns.  Fails loudly on non-convergence.
+    as matching columns.  Fails loudly on non-convergence.  Rotates Python
+    floats: bitwise numpy's row rotations, without their per-call overhead.
     """
-    a = matrix.entries if isinstance(matrix, SymMatrix) else np.asarray(matrix, dtype=float)
-    a = a.astype(float, copy=True)
-    n = a.shape[0]
-    v = np.eye(n)
-    off_diagonal = v == 0.0
-
-    converged = False
+    a = np.asarray(matrix.entries if isinstance(matrix, SymMatrix) else matrix, dtype=float)
+    a, n = a.tolist(), a.shape[0]
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
     off = 0.0
     for _ in range(max_sweeps):
-        # a stays exactly symmetric, so both triangles give the same maximum
-        off = float(np.abs(a[off_diagonal]).max(initial=0.0))
-        diag_scale = float(np.abs(np.diagonal(a)).max())
-        if off <= JACOBI_CONV_FACTOR * diag_scale:
-            converged = True
+        # both triangles (a raw asymmetric matrix never converges), and a NaN
+        # never converges and is the residual, as with numpy's max
+        offs = [abs(x) for i, row in enumerate(a) for j, x in enumerate(row) if i != j]
+        diag = [abs(row[i]) for i, row in enumerate(a)]
+        off = math.nan if math.isnan(sum(offs)) else max(offs, default=0.0)
+        if off <= JACOBI_CONV_FACTOR * max(diag) and not math.isnan(sum(diag)):
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = float(a[p, q])
+                apq = a[p][q]
                 if apq == 0.0:
                     continue
-                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
                 if abs(theta) > 1e154:
                     # avoid overflow in theta**2 for extreme ratios
                     t = 1.0 / (2.0 * theta)
@@ -107,23 +105,24 @@ def jacobi_eigh(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS):
                     t /= abs(theta) + math.sqrt(theta * theta + 1.0)
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                # each right-hand side is evaluated before either row is assigned
-                a[p], a[q] = c * a[p] - s * a[q], s * a[p] + c * a[q]
-                a[:, p], a[:, q] = c * a[:, p] - s * a[:, q], s * a[:, p] + c * a[:, q]
-                a[p, q] = a[q, p] = 0.0
-                v[:, p], v[:, q] = c * v[:, p] - s * v[:, q], s * v[:, p] + c * v[:, q]
-    if not converged:
+                # rows from the old rows, then columns of a from the new rows, and of v
+                rp, rq = a[p], a[q]
+                a[p] = [c * x - s * y for x, y in zip(rp, rq)]
+                a[q] = [s * x + c * y for x, y in zip(rp, rq)]
+                for row in a + v:
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+                a[p][q] = a[q][p] = 0.0
+    else:
         raise JacobiConvergenceError(max_sweeps, off)
 
-    values = np.diagonal(a).copy()
-    order = np.argsort(values, kind="stable")
-    return values[order], v[:, order]
+    order = sorted(range(n), key=lambda i: a[i][i])  # stable, as numpy's kind="stable"
+    return np.array([a[i][i] for i in order]), np.array(v)[:, order]
 
 
 def eig_sym(mat: SymMatrix) -> EigenSummary:
     """Spectrum of a symmetric matrix via the Jacobi solver."""
     values, _ = jacobi_eigh(mat)
-    spectrum = tuple(float(x) for x in values)
+    spectrum = tuple(values.tolist())
     return EigenSummary(lambda_min=spectrum[0], lambda_max=spectrum[-1], spectrum=spectrum)
 
 
@@ -136,6 +135,6 @@ def is_positive_definite(mat: SymMatrix | EigenSummary, tol: float | None = None
     summary = mat if isinstance(mat, EigenSummary) else eig_sym(mat)
     if tol is None:
         tol = 1e-12 * abs(summary.lambda_max)
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
+    elif not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     return summary.lambda_min > tol

@@ -122,6 +122,12 @@ class TestCertificate:
         else:
             assert cert.n1 is None and cert.n3 is None
 
+    def test_overflowing_blocks_name_the_gains(self):
+        # the exact condition stays finite, k1^2 in the blocks does not;
+        # numpy's overflow warning would fail the suite
+        with pytest.raises(ValueError, match=r"k1=1e\+200, k2=1e-200.*the certificate blocks"):
+            build_certificate(reference_gains(k1=1e200, k2=1e-200))
+
     def test_each_block_is_solved_once(self, monkeypatch):
         calls = []
         solve = linalg.jacobi_eigh

@@ -554,6 +554,24 @@ class TestBadInputs:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--m", "3", "--k1", "1e200"],
+        ["certify", "--m", "3", "--k1", "1e200", "--k2", "1e-200"],
+        ["certify", "--m", "2", "--k1", "1e200"],
+        ["run", "--experiment", "exp1", "--method", "amssosmc", "--k1", "1e200"],
+        ["sweep", "--parameter", "k4", "--values", "30", "--k1", "1e200"],
+    ], ids=["certify", "certify-finite-condition", "certify-baseline", "run", "sweep"])
+    def test_overflowing_gains_are_usage_errors(self, tmp_path, capsys, argv):
+        # k1^2 leaves the float range: the exact condition's floats, or the
+        # certificate blocks when k2 = 1e-200 keeps the condition finite
+        if argv[0] != "certify":
+            argv = [*argv, "--out", str(tmp_path / "out")]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: gains m=") and err.count("\n") == 1
+        assert "k1=1e+200" in err and "overflow" in err
+        assert not (tmp_path / "out").exists()
+
 
 def numeric_flags():
     """``(subcommand, flag)`` for every option of every subcommand that

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from smoothsmc import (
     ControllerState,
+    GainCheck,
     GainConfig,
     ObserverState,
     check_gain_condition,
@@ -45,6 +46,28 @@ class TestGainCondition:
         chk = check_gain_condition(reference_gains(m=2.0))
         assert not chk.holds
         assert chk.reason == "baseline-exempt"
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.one_of(st.just(2), st.just(2.0), st.integers(2, 10), st.floats(2.0, 10.0)),
+           gains=st.lists(st.floats(1e-8, 1e8), min_size=4, max_size=4))
+    def test_integer_ratios_are_the_fraction_arithmetic(self, m, gains):
+        cfg = GainConfig(*gains, m=m, kappa=1.0, allow_uncertified=True)
+        # the oracle: each gain a Fraction, combined by Fraction operations
+        fm = Fraction(cfg.m)
+        k1, k2, k3, k4 = map(Fraction, gains)
+        lhs = fm * fm * k3 * k4
+        rhs = (fm**3 * k3 / (fm - 1) + (4 * fm * fm - 4 * fm + 1) * k1 * k1) * k2 * k2
+        assert gain_condition_terms(cfg) == (lhs, rhs)
+        assert all(type(side) is Fraction for side in gain_condition_terms(cfg))
+        holds = cfg.m > 2 and lhs > rhs
+        reason = ("baseline-exempt" if cfg.m == 2 else
+                  "certified" if holds else "condition-violated")
+        assert check_gain_condition(cfg) == GainCheck(holds, reason, float(lhs), float(rhs))
+
+    @pytest.mark.parametrize("m", [2.0, 3.0])
+    def test_overflowing_terms_name_the_gains(self, m):
+        with pytest.raises(ValueError, match=r"k1=1e\+200.*overflow the gain condition"):
+            check_gain_condition(reference_gains(m=m, k1=1e200))
 
 
 class TestGainConfig:

@@ -99,6 +99,23 @@ def copying_jacobi(entries):
     return values[order], v[:, order]
 
 
+# Inputs that reach each branch of a rotation, keyed by test id.
+CONSTRUCTED = {
+    # a_pp == a_qq with a_pq < 0 makes theta -0.0, which must rotate by +pi/4
+    "theta-negative-zero": [[1.0, -0.5], [-0.5, 1.0]],
+    "theta-negative-zero-3x3": [[2.0, -1.0, 0.5], [-1.0, 2.0, 0.25], [0.5, 0.25, 3.0]],
+    "signed-zeros": [[-0.0, 0.0, -0.0], [0.0, 1.0, 0.5], [-0.0, 0.5, -0.0]],
+    "zero-matrix": [[0.0, 0.0], [0.0, 0.0]],
+    "negative-zero-matrix": [[-0.0, -0.0], [-0.0, -0.0]],
+    "order-1": [[-3.5]],
+    "order-1-negative-zero": [[-0.0]],
+    # a_01 = 1e-200 against a_11 - a_00 = 1: theta = 5e199 > 1e154
+    "theta-above-1e154": [[1.0, 1e-200, 1.0], [1e-200, 2.0, 0.0], [1.0, 0.0, 3.0]],
+    "infinite-diagonal": [[np.inf, 1.0], [1.0, 2.0]],
+    "negative-infinite-diagonal-3x3": [[1.0, 0.5, 0.0], [0.5, -np.inf, 0.25], [0.0, 0.25, 3.0]],
+}
+
+
 class TestEig:
     def test_diagonal(self):
         summary = eig_sym(SymMatrix(np.diag([1.0, 2.0, 3.0])))
@@ -123,17 +140,37 @@ class TestEig:
         assert len(summary.spectrum) == 5
         assert list(summary.spectrum) == sorted(summary.spectrum)
 
-    @pytest.mark.parametrize("mat", [random_symmetric(seed, order) for seed in range(4)
-                                     for order in range(1, 7)]
-                             + [SymMatrix(np.array([[1.0, -0.5], [-0.5, 1.0]]))],
-                             ids=[f"seed{seed}-order{order}" for seed in range(4)
-                                  for order in range(1, 7)] + ["theta-negative-zero"])
-    def test_rotations_are_bitwise_the_copying_loop(self, mat):
-        # a_pp == a_qq with a_pq < 0 makes theta -0.0, which must rotate by +pi/4
+    @staticmethod
+    def assert_bitwise_the_copying_loop(mat):
         values, vectors = jacobi_eigh(mat)
         want_values, want_vectors = copying_jacobi(mat.entries)
-        assert np.array_equal(values, want_values)
-        assert np.array_equal(vectors, want_vectors)
+        assert values.tobytes() == want_values.tobytes()
+        assert vectors.tobytes() == want_vectors.tobytes()
+
+    @pytest.mark.parametrize("mat", [random_symmetric(seed, order) for seed in range(4)
+                                     for order in range(1, 7)]
+                             + [SymMatrix(np.array(entries)) for entries in CONSTRUCTED.values()],
+                             ids=[f"seed{seed}-order{order}" for seed in range(4)
+                                  for order in range(1, 7)] + list(CONSTRUCTED))
+    def test_rotations_are_bitwise_the_copying_loop(self, mat):
+        self.assert_bitwise_the_copying_loop(mat)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mat=sym_matrices)
+    def test_rotations_are_bitwise_the_copying_loop_on_random_matrices(self, mat):
+        self.assert_bitwise_the_copying_loop(mat)
+
+    @pytest.mark.parametrize("entries", [
+        [[1.0, 0.0, 0.0], [0.0, 2.0, np.nan], [0.0, np.nan, 3.0]],
+        [[1.0, 1e-3, 0.0], [1e-3, 2.0, 0.0], [0.0, 0.0, np.nan]],
+        [[np.nan]],
+        # a raw ndarray: the lower triangle's 1e-3 is seen, and no rotation clears it
+        [[1.0, 0.0], [1e-3, 2.0]],
+    ], ids=["nan-off-diagonal", "nan-diagonal", "nan-order-1", "exactly-asymmetric"])
+    def test_input_that_cannot_converge_raises(self, entries):
+        # a NaN that is not the first entry must not be skipped by the maximum
+        with pytest.raises(JacobiConvergenceError):
+            jacobi_eigh(np.array(entries))
 
     def test_nonconvergence_is_loud(self):
         with pytest.raises(JacobiConvergenceError):
@@ -183,6 +220,11 @@ class TestPositiveDefinite:
     def test_rejects_negative_tol(self):
         with pytest.raises(ValueError):
             is_positive_definite(SymMatrix(np.eye(2)), tol=-1.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tol(self, tol):
+        with pytest.raises(ValueError):
+            is_positive_definite(SymMatrix(np.eye(2)), tol=tol)
 
     def test_default_tolerance_absorbs_rounding(self):
         # eigenvalues ~ {0, 2}: exact zero must not count as positive definite
