@@ -115,7 +115,7 @@ def jacobi_eigh(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS):
     else:
         raise JacobiConvergenceError(max_sweeps, off)
 
-    order = sorted(range(n), key=lambda i: a[i][i])  # stable, as numpy's kind="stable"
+    order = sorted(range(n), key=lambda i: a[i][i])  # stable: ties keep their column order
     return np.array([a[i][i] for i in order]), np.array(v)[:, order]
 
 
