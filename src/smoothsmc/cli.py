@@ -248,7 +248,7 @@ def cmd_sweep(args) -> int:
                          f"--parameter {args.parameter} takes its values from --values")
     cells = [(args.method, {**base_gains, args.parameter: value}) for value in values]
     results = run_cells(args.experiment, cells, sim_overrides=_overrides(args, SIM_FLAGS),
-                        lyapunov=False)
+                        record=False)
     rows = [",".join(("parameter", "value", "gain_condition", "reason", *METRIC_COLUMNS))]
     for value, (_, report) in zip(values, results):
         chk = report.certificate_summary["gain_condition"]

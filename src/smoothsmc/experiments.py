@@ -11,6 +11,11 @@ from initial state [1, 3, 2]:
 Each smooth method (m=3) pairs with a super-twisting baseline that uses the
 same gains with m=2.  A ``custom`` scenario names its own initial state and
 disturbance.
+
+:func:`run_cells` folds each block of the step loop into every cell's
+metrics as the loop goes, so the metrics read every step, and keeps only
+every ``log_stride``-th row of the block for the record that a run returns
+and writes; a sweep keeps none.
 """
 
 from __future__ import annotations
@@ -22,10 +27,12 @@ import numpy as np
 
 from .certificate import build_certificate
 from .laws import GainConfig, check_gain_condition
-from .metrics import ExperimentReport, chattering_index, settling_time, ultimate_bound
+from .metrics import ExperimentReport, Settling, TailMax, TailVariation
 from .sim import (
+    Block,
     DisturbanceSpec,
     SimConfig,
+    SimulationAborted,
     Trajectory,
     simulate_closed_loop,
     simulate_observer,
@@ -115,8 +122,42 @@ def _resolved_config(experiment: str, method: str, cfg: GainConfig,
     }
 
 
-def run_cells(experiment: str, cells, sim_overrides: dict | None = None, lyapunov: bool = True,
-              disturbance: dict | None = None) -> list[tuple[Trajectory, ExperimentReport]]:
+class _Metrics:
+    """The batch's metrics, folded block by block from each cell's norms,
+    ``||x1||`` or for observers ``||d_hat - d||``, and the tail steps of u
+    or d_hat.  The first overflow of a norm that a metric reads (earliest
+    step, then lowest cell) is kept as the abort it calls for."""
+
+    def __init__(self, cells: int, threshold: float, last_time: float, observe: bool):
+        self.observe = observe
+        self.settle = Settling(threshold, cells)
+        self.bound = TailMax(0.0, last_time, TAIL_FRACTION)
+        self.chatter = TailVariation(0.0, last_time, TAIL_FRACTION)
+        self.final_L0 = self.overflow = None
+
+    def add(self, block: Block) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # first, so that its temporaries and the signal are never alive together
+            steps = self.chatter.add(block.times, block.y)
+            signal = block.y - block.d_true if self.observe else block.x1
+            norms = np.linalg.norm(signal, axis=2)
+        self.settle.add(block.times, norms)
+        self.bound.add(block.times, norms)
+        self.final_L0 = block.L0[:, -1].tolist()
+        bad = ~np.isfinite(norms)
+        bad[:, norms.shape[1] - steps.shape[1]:] |= ~np.isfinite(steps)  # the last samples'
+        if self.overflow is None and bad.any():
+            k = int(np.flatnonzero(bad.any(axis=0))[0])
+            b = int(np.flatnonzero(bad[:, k])[0])
+            row, name = ((block.y[b, k], "a step of " + ("d_hat" if self.observe else "u"))
+                         if np.isfinite(norms[b, k])
+                         else (signal[b, k], "||d_hat - d||" if self.observe else "||x1||"))
+            self.overflow = SimulationAborted(block.start + k, float(block.times[k]), row, b,
+                                              reason=f"{name} overflowed")
+
+
+def run_cells(experiment: str, cells, sim_overrides: dict | None = None, record: bool = True,
+              disturbance: dict | None = None) -> list[tuple[Trajectory | None, ExperimentReport]]:
     """Resolve cells of one experiment, run them as one batch and compute
     each cell's report; every run goes through here.
 
@@ -125,12 +166,16 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None, lyapuno
     experiment supplies x1(0) and its disturbance as defaults and accepts
     only its own disturbance; ``custom`` supplies neither, so it needs
     ``x1_init`` in ``sim_overrides`` and ``disturbance``, the dict of a
-    :class:`DisturbanceSpec`.  Smooth controller cells (m > 2) log V unless
-    ``lyapunov`` is false; no report reads it.
+    :class:`DisturbanceSpec`.
 
-    The metrics are computed on the full-rate records; the returned
-    trajectories are thinned by ``sim.log_stride``, which changes no
-    reported number.  This is the one place the stride is applied.
+    The metrics are folded from every step, block by block.  With
+    ``record``, each cell's trajectory keeps every ``sim.log_stride``-th
+    step, with V for smooth controllers (m > 2), which changes no reported
+    number; this is the one place the stride is applied.  Without it, each
+    cell's trajectory is None.  A state that turns non-finite aborts the
+    loop at once; a norm that overflows on finite states aborts the run,
+    at its first step, once every step has run, so which abort a run
+    reports does not depend on the blocks.
     """
     sim_overrides = sim_overrides or {}
     if experiment == "custom":
@@ -161,35 +206,47 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None, lyapuno
         dist = preset
 
     cfgs = [cfg for _, cfg, _ in configured]
-    # each cell's norm series (settling time, ultimate bound) and vector series (chattering)
     if kinds == {"controller"}:
         threshold = CONTROLLER_SETTLE_REL * float((sim.x1_init @ sim.x1_init) ** 0.5)
         if not threshold > 0:
             raise ValueError("a controller settles relative to ||x1(0)||, so --x1-init "
                              "must not be the origin")
-        trajs = simulate_closed_loop(cfgs, sim, dist, lyapunov)
-        signals = [(np.linalg.norm(t.x1, axis=1), t.u) for t in trajs]
     else:
-        trajs = simulate_observer(cfgs, sim, dist)
-        signals = [(np.linalg.norm(t.d_hat - t.d_true, axis=1), t.d_hat) for t in trajs]
         threshold = OBSERVER_SETTLE_ABS
+    # the last sample's time, as on the grid np.arange(steps) * dt
+    metrics = _Metrics(len(cfgs), threshold, (sim.steps - 1) * sim.dt, kinds == {"observer"})
+    stride = sim.log_stride
+
+    def keep(block: Block) -> Block | None:
+        metrics.add(block)
+        if metrics.overflow is not None and block.start + block.times.size == sim.steps:
+            raise metrics.overflow  # every step ran finite
+        return block.rows(slice(-block.start % stride, None, stride)) if record else None
+
+    if kinds == {"controller"}:
+        trajs = simulate_closed_loop(cfgs, sim, dist, record, keep=keep)
+    else:
+        trajs = simulate_observer(cfgs, sim, dist, keep=keep)
+    metric_values = zip(metrics.settle.result(), metrics.bound.result(),
+                        metrics.chatter.result(), metrics.final_L0)
 
     out = []
-    for (method, cfg, summary), traj, (norms, values) in zip(configured, trajs, signals):
+    for (method, cfg, summary), traj, (settle, bound, chatter, final_L0) in zip(
+            configured, trajs, metric_values):
         report = ExperimentReport(
             method_id=method,
             scenario_id=experiment,
-            settling_time=settling_time(traj.times, norms, threshold),
-            ultimate_bound=ultimate_bound(traj.times, norms, TAIL_FRACTION),
-            chattering_index=chattering_index(traj.times, values, TAIL_FRACTION),
-            final_L0=float(traj.L0[-1]) if traj.L0 is not None else None,
+            settling_time=settle,
+            ultimate_bound=bound,
+            chattering_index=chatter,
+            final_L0=final_L0,
             dt_used=sim.dt,
             settling_threshold=threshold,
             tail_fraction=TAIL_FRACTION,
             certificate_summary=summary,
             config=_resolved_config(experiment, method, cfg, sim, dist),
         )
-        out.append((traj.thinned(sim.log_stride), report))
+        out.append((traj, report))
     return out
 
 

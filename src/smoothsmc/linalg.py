@@ -71,16 +71,13 @@ def kron_with_identity(base: SymMatrix, n: int) -> SymMatrix:
     return SymMatrix(np.kron(base.entries, np.eye(int(n))))
 
 
-def jacobi_eigh(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Cyclic-Jacobi eigendecomposition of a symmetric matrix.
-
-    Returns ``(values, vectors)`` with eigenvalues ascending and eigenvectors
-    as matching columns.  Fails loudly on non-convergence.  Rotates Python
-    floats: bitwise numpy's row rotations, without their per-call overhead.
-    """
+def _jacobi(matrix, vectors: bool, max_sweeps: int):
+    """The cyclic-Jacobi sweeps of :func:`jacobi_eigh`: returns the rotated
+    matrix, diagonal, as rows of Python floats, and the rotated identity, or
+    ``[]`` without ``vectors`` (the rotations of one never read the other)."""
     a = np.asarray(matrix.entries if isinstance(matrix, SymMatrix) else matrix, dtype=float)
     a, n = a.tolist(), a.shape[0]
-    v = [[float(i == j) for j in range(n)] for i in range(n)]
+    v = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else []
     off = 0.0
     for _ in range(max_sweeps):
         # both triangles (a raw asymmetric matrix never converges), and a NaN
@@ -89,7 +86,7 @@ def jacobi_eigh(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS):
         diag = [abs(row[i]) for i, row in enumerate(a)]
         off = math.nan if math.isnan(sum(offs)) else max(offs, default=0.0)
         if off <= JACOBI_CONV_FACTOR * max(diag) and not math.isnan(sum(diag)):
-            break
+            return a, v
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]
@@ -112,17 +109,26 @@ def jacobi_eigh(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS):
                 for row in a + v:
                     row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
                 a[p][q] = a[q][p] = 0.0
-    else:
-        raise JacobiConvergenceError(max_sweeps, off)
+    raise JacobiConvergenceError(max_sweeps, off)
 
-    order = sorted(range(n), key=lambda i: a[i][i])  # stable: ties keep their column order
+
+def jacobi_eigh(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS):
+    """Cyclic-Jacobi eigendecomposition of a symmetric matrix.
+
+    Returns ``(values, vectors)`` with eigenvalues ascending and eigenvectors
+    as matching columns.  Fails loudly on non-convergence.  Rotates Python
+    floats: bitwise numpy's row rotations, without their per-call overhead.
+    """
+    a, v = _jacobi(matrix, True, max_sweeps)
+    order = sorted(range(len(a)), key=lambda i: a[i][i])  # stable: ties keep their column order
     return np.array([a[i][i] for i in order]), np.array(v)[:, order]
 
 
 def eig_sym(mat: SymMatrix) -> EigenSummary:
-    """Spectrum of a symmetric matrix via the Jacobi solver."""
-    values, _ = jacobi_eigh(mat)
-    spectrum = tuple(values.tolist())
+    """Spectrum of a symmetric matrix via the Jacobi solver, which rotates
+    no eigenvectors here: the values are bitwise :func:`jacobi_eigh`'s."""
+    a, _ = _jacobi(mat, False, JACOBI_MAX_SWEEPS)
+    spectrum = tuple(sorted(row[i] for i, row in enumerate(a)))  # the same stable order
     return EigenSummary(lambda_min=spectrum[0], lambda_max=spectrum[-1], spectrum=spectrum)
 
 

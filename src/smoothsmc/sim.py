@@ -10,9 +10,16 @@ set, each on its own copy of the plant, and :func:`simulate_observer` one
 observer per gain set over the measurement of the plant under zero control,
 which the loop builds as a running sum of RK4 increments.  The loop only
 steps; V is computed from the logged record after it.  Every row is bitwise
-what the scalar laws give on their own.  The simulators return full-rate
-records; ``log_stride`` is applied by their caller
-(``experiments.run_cells``) to what a run returns and writes.
+what the scalar laws give on their own.
+
+The loop runs in blocks of about :data:`BLOCK_CELL_STEPS` cell-steps.  Each
+block builds only its own slice of the time grid, the disturbance and the
+measurement, and logs into buffers that the next block reuses, so the
+loop's memory does not grow with the run or the batch.  The simulators join
+copies of the blocks into full-rate records, or hand each block to a
+``keep`` function that folds it and returns the part to keep:
+``experiments.run_cells`` folds the metrics there and keeps every
+``log_stride``-th row, which is the one place the stride is applied.
 Everything is deterministic: identical configs give bit-identical logs.
 """
 
@@ -31,6 +38,12 @@ from .laws import is_real_number
 # The longest run accepted, in steps (one controller cell at n = 3 needs about
 # 250 bytes a step, 2.5 GB here), checked before any array is allocated.
 MAX_STEPS = 10**7
+
+# Cell-steps per block of the step loop: a batch of B cells steps in blocks of
+# BLOCK_CELL_STEPS // B steps (at least one), so a block's buffers and the
+# metric temporaries stay about this size whatever the batch (384 steps for
+# 12 cells), and a block's few extra numpy calls stay small beside its steps.
+BLOCK_CELL_STEPS = 4608
 
 
 def _real_vector(value, name: str) -> np.ndarray:
@@ -207,16 +220,18 @@ class SimConfig:
 
 
 class SimulationAborted(RuntimeError):
-    """Non-finite state encountered; carries the step diagnostics and the
-    index of the aborting cell (its row in the batch)."""
+    """A run that diverged: a non-finite state, or a metric norm that
+    overflowed; carries the step diagnostics and the index of the aborting
+    cell (its row in the batch)."""
 
-    def __init__(self, step: int, time: float, state: np.ndarray, cell: int = 0):
+    def __init__(self, step: int, time: float, state: np.ndarray, cell: int = 0,
+                 reason: str = "non-finite state"):
         self.step = step
         self.time = time
         self.state = np.array(state)
         self.cell = cell
         super().__init__(
-            f"non-finite state in cell {cell} at step {step} (t={time:.6g}): "
+            f"{reason} in cell {cell} at step {step} (t={time:.6g}): "
             f"{np.array2string(self.state)}"
         )
 
@@ -248,20 +263,16 @@ class Trajectory:
         """``(field name, array)`` of the present fields, in column order."""
         return [(f.name, col) for f in fields(self) if (col := getattr(self, f.name)) is not None]
 
-    def thinned(self, stride: int) -> "Trajectory":
-        """Every ``stride``-th sample, starting with the first."""
-        return replace(self, **{name: col[::stride] for name, col in self.columns()})
 
-
-def _disturbance_series(sim: SimConfig, dist: DisturbanceSpec):
-    """The time grid ``t_k``, ``d`` at ``t_k`` of shape (steps, n), and ``d``
-    at ``t_k``, ``t_k + dt/2`` and ``t_k + dt`` stacked stage first, shape
-    (3, steps, 1, n) (``t_k + dt`` is not ``t_{k+1}`` in floating point).
-    The first is a copy, so a record does not keep the stack alive; a
-    constant disturbance stacks a broadcast view of its value."""
-    if dist.n != sim.n:
-        raise ValueError("disturbance dimension does not match the initial state")
-    times, dt = np.arange(sim.steps) * sim.dt, sim.dt
+def _disturbance_series(sim: SimConfig, dist: DisturbanceSpec, start: int, stop: int):
+    """The time grid ``t_k`` of steps ``start`` to ``stop - 1``, ``d`` at
+    ``t_k`` of shape (stop - start, n), and ``d`` at ``t_k``, ``t_k + dt/2``
+    and ``t_k + dt`` stacked stage first, shape (3, stop - start, 1, n)
+    (``t_k + dt`` is not ``t_{k+1}`` in floating point).  The grid is the
+    slice of ``np.arange(steps) * dt``.  The second is a copy, so a record
+    does not keep the stack alive; a constant disturbance stacks a broadcast
+    view of its value."""
+    times, dt = np.arange(start, stop) * sim.dt, sim.dt
     if dist.kind != "sinusoid-mix":
         value = dist.constant_value if dist.kind == "constant" else np.zeros(dist.n)
         return (times, np.tile(value, (times.size, 1)),
@@ -281,20 +292,46 @@ def _rk4_increment(dt6, stages):
     return dt6 * (stages[0] + F2 + F2 + stages[2])
 
 
+class Block(NamedTuple):
+    """Steps ``start`` onward of a batch run, the step axis after the cell
+    axis: ``x1`` (B, steps, n), or an observer batch's one measurement
+    (steps, n); ``y``, which is u or d_hat (B, steps, n); ``L0`` (B, steps);
+    the integral term before each step (B, steps, n), or None."""
+
+    start: int
+    times: np.ndarray
+    d_true: np.ndarray
+    x1: np.ndarray
+    y: np.ndarray
+    L0: np.ndarray
+    integral: np.ndarray | None
+
+    def rows(self, index: slice = slice(None)) -> "Block":
+        """A copy of the steps ``index`` of the block, all by default."""
+        cells = (slice(None), index)
+        x1 = self.x1[cells if self.x1.ndim == 3 else index]
+        return Block(self.start + index.indices(self.times.size)[0], self.times[index].copy(),
+                     self.d_true[index].copy(), x1.copy(), self.y[cells].copy(),
+                     self.L0[cells].copy(),
+                     None if self.integral is None else self.integral[cells].copy())
+
+
 def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = False,
                log_integral: bool = False):
     """The one step loop: advances B cells at once, one row of a (B, n)
-    array each.  Returns one full-rate record per cell and, if
-    ``log_integral``, the integral term before each step, shape (B, steps, n).
+    array each, and yields each block of ``BLOCK_CELL_STEPS // B`` steps
+    as a :class:`Block` of buffers that the next block overwrites (the
+    integral only if ``log_integral``).
 
     Every row applies the adaptive law ``cfgs[b]`` (``laws.law_step``) and
     keeps one state ``W``, which starts at ``x1(0)``.  Without ``observe``
     the row is a copy of the plant, ``W = x1``, driven by ``u = -Y``.  With
     ``observe`` it is an observer, ``W = z1``, with ``d_hat = Y`` on the
     innovation over one shared measurement: the plant under zero control,
-    whose state is ``x1(0)`` plus a running sum of precomputed RK4
-    increments (sequential, so bitwise the step-by-step integration).  The
-    time grid and the disturbance are shared by the batch.
+    whose state is ``x1(0)`` plus a running sum of RK4 increments, built a
+    block at a time from the block before's last row (sequential, so
+    bitwise the step-by-step integration) and checked before the block's
+    steps.  The time grid and the disturbance are shared by the batch.
 
     Each row is bitwise the scalar reference (``laws.controller_step`` or
     ``laws.observer_step``, RK4 plant): one norm ``sqrt(vecdot)``, which is
@@ -308,105 +345,139 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = Fals
     integral increment ``dt*T[1]``); ``U + d`` with the stacked disturbance
     gives the three RK4 stage sums.  The singular and adaptation tests read
     the norms ``r`` as a list.  A non-finite state makes the next norm
-    non-finite, so the state is checked only then and after the last step.
+    non-finite, so the state is checked only then and after each block.
     """
     if not cfgs:
         raise ValueError("a batch needs at least one gain configuration")
+    if dist.n != sim.n:
+        raise ValueError("disturbance dimension does not match the initial state")
     n, dt, tol, rows = sim.n, sim.dt, sim.singular_tol, len(cfgs)
-    times, d_now, d3 = _disturbance_series(sim, dist)
     dt6 = dt / 6.0
-    if observe:
-        with np.errstate(all="ignore"):
-            x1 = np.cumsum(np.vstack([sim.x1_init, _rk4_increment(dt6, 0.0 + d3)[:, 0]]), axis=0)
-        finite = np.isfinite(x1).all(axis=1)
-        if not finite.all():
-            k = int(np.flatnonzero(~finite)[0]) - 1
-            raise SimulationAborted(k, float(times[k]) + dt, x1[k + 1])
-        x1 = x1[:-1]
-    else:
-        x1_log = np.empty((rows, times.size, n))
-    d3 = d3.swapaxes(0, 1)  # the stages of step k are d3[k]
     W = np.tile(sim.x1_init, (rows, 1))
-    y_log = np.empty((rows, times.size, n))  # u = -Y, or d_hat = Y
+    measured = sim.x1_init  # the measurement at the block's first step
     law = [(c.k1, c.k2, c.k3, c.k4, (c.m - 1.0) / c.m, (2.0 * c.m - 2.0) / c.m) for c in cfgs]
     powers = [1.0 / c.m for c in cfgs] + [2.0 / c.m for c in cfgs]
     adapt = [(c.epsilon, c.kappa * dt) for c in cfgs]
     l0 = [c.L0_init for c in cfgs]
     I = np.zeros((rows, n))
-    l0_log = np.empty((rows, times.size))
-    i_log = np.empty((rows, times.size, n)) if log_integral else None
     stale = True
+    span = max(1, BLOCK_CELL_STEPS // rows)
+    size = min(span, sim.steps)
+    x1_buf = None if observe else np.empty((rows, size, n))
+    y_buf = np.empty((rows, size, n))  # u = -Y, or d_hat = Y
+    l0_buf = np.empty((rows, size))
+    i_buf = np.empty((rows, size, n)) if log_integral else None
 
-    # a diverging cell overflows before it turns non-finite, and the abort reports it
-    with np.errstate(all="ignore"):
-        for k in range(times.size):
-            S = x1[k] - W if observe else W
-            r = np.sqrt(np.vecdot(S, S)).tolist()
-            if not math.isfinite(sum(r)) and not np.isfinite(W).all():
-                k -= 1  # the state step k - 1 made is not finite
-                break
-            if stale:
-                L0 = np.array(l0)
-                gains = [(k1 * v ** e1, k3 * v ** e3, k2 * v, k4 * v ** 2)
-                         for v, (k1, k2, k3, k4, e1, e3) in zip(l0, law)]
-                G, H = np.array(gains).T.reshape(2, 2, rows, 1).repeat(n, axis=3)
-            D = S / np.array([*map(pow, r + r, powers)]).reshape(2, rows, 1)
-            if min(r) < tol:
-                D[:, [v < tol for v in r]] = 0.0
-            T = G * D + H * S
-            Y = T[0] + I
-            if i_log is not None:
-                i_log[:, k] = I
-            l0_log[:, k] = L0
-            I = I + dt * T[1]
-            new = [v + kd if s >= e else v for v, s, (e, kd) in zip(l0, r, adapt)]
-            stale, l0 = new != l0, new
-            # Y is never -0.0 (I starts at +0.0), so dt * Y is bitwise
-            # laws.observer_step's dt * (u + d_hat) at u = 0
-            if observe:
-                y_log[:, k] = Y
-                W = W + dt * Y
-            else:
-                x1_log[:, k] = W
-                U = np.negative(Y, out=y_log[:, k])
-                W = W + _rk4_increment(dt6, U + d3[k])
+    for start in range(0, sim.steps, span):
+        times, d_now, d3 = _disturbance_series(sim, dist, start, min(start + span, sim.steps))
+        if observe:
+            with np.errstate(all="ignore"):
+                x1 = np.cumsum(np.vstack([measured, _rk4_increment(dt6, 0.0 + d3)[:, 0]]),
+                               axis=0)
+            finite = np.isfinite(x1).all(axis=1)
+            if not finite.all():
+                k = int(np.flatnonzero(~finite)[0]) - 1
+                raise SimulationAborted(start + k, float(times[k]) + dt, x1[k + 1])
+            x1, measured = x1[:-1], x1[-1]
+        else:
+            x1_log = x1_buf[:, :times.size]
+        d3 = d3.swapaxes(0, 1)  # the stages of step start + j are d3[j]
+        y_log, l0_log = y_buf[:, :times.size], l0_buf[:, :times.size]
+        i_log = None if i_buf is None else i_buf[:, :times.size]
+
+        # a diverging cell overflows before it turns non-finite, and the abort reports it
+        with np.errstate(all="ignore"):
+            for j in range(times.size):
+                S = x1[j] - W if observe else W
+                r = np.sqrt(np.vecdot(S, S)).tolist()
+                if not math.isfinite(sum(r)) and not np.isfinite(W).all():
+                    j -= 1  # the state step j - 1 made is not finite
+                    break
+                if stale:
+                    L0 = np.array(l0)
+                    gains = [(k1 * v ** e1, k3 * v ** e3, k2 * v, k4 * v ** 2)
+                             for v, (k1, k2, k3, k4, e1, e3) in zip(l0, law)]
+                    G, H = np.array(gains).T.reshape(2, 2, rows, 1).repeat(n, axis=3)
+                D = S / np.array([*map(pow, r + r, powers)]).reshape(2, rows, 1)
+                if min(r) < tol:
+                    D[:, [v < tol for v in r]] = 0.0
+                T = G * D + H * S
+                Y = T[0] + I
+                if i_log is not None:
+                    i_log[:, j] = I
+                l0_log[:, j] = L0
+                I = I + dt * T[1]
+                new = [v + kd if s >= e else v for v, s, (e, kd) in zip(l0, r, adapt)]
+                stale, l0 = new != l0, new
+                # Y is never -0.0 (I starts at +0.0), so dt * Y is bitwise
+                # laws.observer_step's dt * (u + d_hat) at u = 0
+                if observe:
+                    y_log[:, j] = Y
+                    W = W + dt * Y
+                else:
+                    x1_log[:, j] = W
+                    U = np.negative(Y, out=y_log[:, j])
+                    W = W + _rk4_increment(dt6, U + d3[j])
         bad = np.flatnonzero(~np.isfinite(W).all(axis=1))
-        if bad.size:  # the state step k made is not finite
-            raise SimulationAborted(k, float(times[k]) + dt, W[bad[0]], int(bad[0]))
+        if bad.size:  # the state step start + j made is not finite
+            raise SimulationAborted(start + j, float(times[j]) + dt, W[bad[0]], int(bad[0]))
+        yield Block(start, times, d_now, x1 if observe else x1_log, y_log, l0_log, i_log)
 
-    if observe:
-        u = np.zeros_like(d_now)
-        return [Trajectory(times=times, x1=x1, u=u, d_true=d_now, d_hat=y_log[b], L0=l0_log[b])
-                for b in range(rows)], i_log
-    return [Trajectory(times=times, x1=x1_log[b], u=y_log[b], d_true=d_now, L0=l0_log[b])
-            for b in range(rows)], i_log
+
+def _records(blocks, keep, cfgs, sim: SimConfig, lyapunov: bool) -> list:
+    """One record per cell from the parts ``keep`` returns for the blocks
+    (copies of whole blocks without it), with V for smooth cells (m > 2) if
+    ``lyapunov``; all None when no part is kept."""
+    # map holds no block past its call, so the loop's buffers are a block's only copy
+    parts = [part for part in map(keep or Block.rows, blocks) if part is not None]
+    if not parts:
+        return [None] * len(cfgs)
+
+    def joined(name, axis=1):
+        return np.concatenate([getattr(p, name) for p in parts], axis=axis)
+
+    observe = parts[0].x1.ndim == 2  # observers share one measurement
+    times, d_true, x1 = joined("times", 0), joined("d_true", 0), joined("x1", int(not observe))
+    y, L0, u = joined("y"), joined("L0"), np.zeros_like(d_true)
+    records = []
+    for b, cfg in enumerate(cfgs):
+        traj = (Trajectory(times=times, x1=x1, u=u, d_true=d_true, d_hat=y[b], L0=L0[b])
+                if observe else Trajectory(times=times, x1=x1[b], u=y[b], d_true=d_true, L0=L0[b]))
+        if lyapunov and cfg.m > 2:
+            traj = replace(traj, V=lyapunov_series(
+                traj.x1, d_true - np.concatenate([p.integral[b] for p in parts]), traj.L0,
+                cfg.m, build_p_block(cfg), sim.singular_tol))
+        records.append(traj)
+    return records
 
 
 def simulate_closed_loop(cfgs, sim: SimConfig, dist: DisturbanceSpec,
-                         lyapunov: bool = True) -> list[Trajectory]:
+                         lyapunov: bool = True, *, keep=None) -> list[Trajectory]:
     """Run one adaptive controller per gain configuration, each on its own
     copy of the plant, as one batch; one full-rate record per cell.  With
     ``lyapunov``, each smooth cell (m > 2) gets V under its ``build_p_block``
     at the transformed state and the gain level in effect at each sample,
     with the companion coordinate ``x2 = d - integral``, computed from the
-    logged record after the loop.
+    record after the loop.
+
+    ``keep``, if given, is called with each :class:`Block` as it ends and
+    returns a copy of the part to keep (:meth:`Block.rows`) or None; the
+    records are joined from the kept parts.
     """
     cfgs = list(cfgs)
-    logs_v = [lyapunov and cfg.m > 2 for cfg in cfgs]
-    trajs, integral = _step_loop(sim, dist, cfgs, log_integral=any(logs_v))
-    for b, (traj, cfg) in enumerate(zip(trajs, cfgs)):
-        if logs_v[b]:
-            trajs[b] = replace(traj, V=lyapunov_series(
-                traj.x1, traj.d_true - integral[b], traj.L0, cfg.m, build_p_block(cfg),
-                sim.singular_tol))
-    return trajs
+    blocks = _step_loop(sim, dist, cfgs,
+                        log_integral=lyapunov and any(cfg.m > 2 for cfg in cfgs))
+    return _records(blocks, keep, cfgs, sim, lyapunov)
 
 
-def simulate_observer(cfgs, sim: SimConfig, dist: DisturbanceSpec) -> list[Trajectory]:
+def simulate_observer(cfgs, sim: SimConfig, dist: DisturbanceSpec, *,
+                      keep=None) -> list[Trajectory]:
     """Run one disturbance observer per gain configuration over the
     measurement of one uncontrolled plant under ``dist``, as one batch (the
-    observer never acts on the plant); one full-rate record per cell."""
-    return _step_loop(sim, dist, list(cfgs), observe=True)[0]
+    observer never acts on the plant); one full-rate record per cell, or
+    the parts ``keep`` returns, as for :func:`simulate_closed_loop`."""
+    cfgs = list(cfgs)
+    return _records(_step_loop(sim, dist, cfgs, observe=True), keep, cfgs, sim, False)
 
 
 def trajectory_columns(traj: Trajectory) -> list[str]:

@@ -129,14 +129,15 @@ class TestCertificate:
             build_certificate(reference_gains(k1=1e200, k2=1e-200))
 
     def test_each_block_is_solved_once(self, monkeypatch):
+        # eig_sym runs the Jacobi sweeps without eigenvectors, through _jacobi
         calls = []
-        solve = linalg.jacobi_eigh
+        solve = linalg._jacobi
 
         def counted(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "jacobi_eigh", counted)
+        monkeypatch.setattr(linalg, "_jacobi", counted)
         build_certificate(reference_gains())
         assert len(calls) == 4  # P, Q, Omega1, Omega2
 

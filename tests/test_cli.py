@@ -133,6 +133,25 @@ class TestRun:
         assert code == 2
         assert "numerical abort" in err
 
+    # The states stay finite, but a norm that a metric reads overflows to inf:
+    # the run aborts there, with no numpy warning and nothing written.
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--experiment", "exp1", "--method", "amssosmc", "--horizon", "1"],
+         "numerical abort: ||x1|| overflowed in cell 0 at step 2 (t=0.002): "),
+        (["sweep", "--parameter", "k4", "--values", "20,30", "--experiment", "exp3",
+          "--method", "amsdo", "--horizon", "1"],
+         "numerical abort: ||d_hat - d|| overflowed in cell 0 at step 2 (t=0.002): "),
+    ], ids=["run-controller", "sweep-observer"])
+    def test_overflowing_norm_of_finite_states_is_a_numerical_abort(self, tmp_path, capsys,
+                                                                    argv, message):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli(capsys, [*argv, "--k1", "1e100", "--out", str(out)])
+        assert (code, stdout) == (2, "")
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
+
     def test_report_echoes_resolved_config(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, [
             "run", "--experiment", "exp1", "--method", "amssosmc",

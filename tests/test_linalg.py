@@ -146,6 +146,8 @@ class TestEig:
         want_values, want_vectors = copying_jacobi(mat.entries)
         assert values.tobytes() == want_values.tobytes()
         assert vectors.tobytes() == want_vectors.tobytes()
+        # eig_sym rotates no eigenvectors, and its spectrum is the same bits
+        assert np.array(eig_sym(mat).spectrum).tobytes() == want_values.tobytes()
 
     @pytest.mark.parametrize("mat", [random_symmetric(seed, order) for seed in range(4)
                                      for order in range(1, 7)]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smoothsmc.sim as sim_module
 from smoothsmc import (
     DisturbanceSpec,
     SimConfig,
     SimulationAborted,
     Trajectory,
     build_p_block,
+    chattering_index,
     controller_step,
     disturbance_at,
     initial_controller_state,
@@ -21,12 +24,17 @@ from smoothsmc import (
     norm_bound,
     observer_step,
     rate_bound,
+    settling_time,
     simulate_closed_loop,
     simulate_observer,
     transform_state,
+    ultimate_bound,
     write_trajectory_csv,
 )
 from smoothsmc.experiments import (
+    CONTROLLER_SETTLE_REL,
+    OBSERVER_SETTLE_ABS,
+    TAIL_FRACTION,
     build_sim_config,
     experiment_disturbance,
     method_gain_config,
@@ -465,3 +473,118 @@ class TestUnknownMethod:
     def test_gain_config_of_an_unknown_method_names_it(self):
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             method_gain_config("bogus")
+
+
+def defined_metrics(times, norms, values, threshold):
+    """Settling time, ultimate bound and chattering index written as plain
+    array code over a whole record: the oracle of the streamed folds."""
+    above = np.flatnonzero(norms >= threshold)
+    if above.size == 0:
+        settle = float(times[0])
+    else:
+        settle = None if above[-1] == norms.size - 1 else float(times[above[-1] + 1])
+    tail = times >= times[0] + (1.0 - TAIL_FRACTION) * (times[-1] - times[0])
+    t = times[tail]
+    variation = float(np.linalg.norm(np.diff(values[tail], axis=0), axis=1).sum())
+    return settle, float(norms[tail].max()), variation / float(t[-1] - t[0])
+
+
+def assert_streamed_is_full_rate(experiment, cells, sim_overrides, block_steps,
+                                 disturbance=None):
+    """``run_cells`` with blocks of ``block_steps`` steps reports the metrics
+    of the full-rate records and keeps every ``log_stride``-th of their rows;
+    returns the reports."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim_module, "BLOCK_CELL_STEPS", block_steps * len(cells))
+        streamed = run_cells(experiment, cells, sim_overrides, disturbance=disturbance)
+    sim = build_sim_config(**sim_overrides)
+    dist = (experiment_disturbance(experiment) if disturbance is None
+            else DisturbanceSpec.from_dict(disturbance, n=sim.n))
+    cfgs = [method_gain_config(method, gains) for method, gains in cells]
+    observer = cells[0][0] in ("amsdo", "amdo-baseline")
+    if observer:
+        full, threshold = simulate_observer(cfgs, sim, dist), OBSERVER_SETTLE_ABS
+    else:
+        full = simulate_closed_loop(cfgs, sim, dist, lyapunov=True)
+        threshold = CONTROLLER_SETTLE_REL * float(np.linalg.norm(sim.x1_init))
+    for (traj, report), want in zip(streamed, full):
+        norms = np.linalg.norm(want.d_hat - want.d_true if observer else want.x1, axis=1)
+        values = want.d_hat if observer else want.u
+        array = (settling_time(want.times, norms, threshold),
+                 ultimate_bound(want.times, norms, TAIL_FRACTION),
+                 chattering_index(want.times, values, TAIL_FRACTION))
+        got = (report.settling_time, report.ultimate_bound, report.chattering_index)
+        assert got == array == defined_metrics(want.times, norms, values, threshold)
+        assert report.final_L0 == float(want.L0[-1])
+        assert [name for name, _ in traj.columns()] == [name for name, _ in want.columns()]
+        for name, col in want.columns():
+            assert getattr(traj, name).tobytes() == col[::sim.log_stride].tobytes(), name
+    return [report for _, report in streamed]
+
+
+# (experiment, cells, sim overrides, disturbance), each run at 300 steps or fewer
+STREAMED_CASES = {
+    "never-settles": ("exp1", [("amssosmc", None)], {"horizon": 0.25, "log_stride": 3}, None),
+    "settled-at-t0": ("custom", [("amsdo", None), ("amdo-baseline", {"kappa": 4.0})],
+                      {"horizon": 0.2, "x1_init": [1.0, -2.0], "log_stride": 7},
+                      {"kind": "none", "n": 2}),
+    # the tail starts at step 240, inside a block of 7 steps or of 299
+    "tail-inside-a-block": ("exp2", [("amssosmc", None), ("amstsmc-baseline", {"k4": 25.0})],
+                            {"horizon": 0.3}, None),
+    "observers": ("exp3", [("amsdo", {"kappa": 7.0}), ("amdo-baseline", None)],
+                  {"horizon": 0.27, "log_stride": 11}, None),
+}
+
+
+class TestStreamedMetricsAreTheArrayMetrics:
+    @pytest.mark.parametrize("blocks", ["1", "7", "steps-1", "steps", "steps+5"])
+    @pytest.mark.parametrize("case", list(STREAMED_CASES))
+    def test_constructed_runs(self, case, blocks):
+        experiment, cells, sim_overrides, disturbance = STREAMED_CASES[case]
+        steps = build_sim_config(**sim_overrides).steps
+        block_steps = {"1": 1, "7": 7, "steps-1": steps - 1, "steps": steps,
+                       "steps+5": steps + 5}[blocks]
+        reports = assert_streamed_is_full_rate(experiment, cells, sim_overrides, block_steps,
+                                               disturbance)
+        if case == "never-settles":
+            assert reports[0].settling_time is None
+        if case == "settled-at-t0":
+            assert [r.settling_time for r in reports] == [0.0, 0.0]
+
+    @settings(max_examples=20, deadline=None)
+    @given(horizon=st.floats(0.03, 0.3), stride=st.integers(1, 40), observer=st.booleans(),
+           k4=st.lists(st.floats(15.0, 45.0), min_size=1, max_size=3),
+           blocks=st.sampled_from(["1", "7", "steps-1", "steps", "steps+5"]))
+    def test_random_runs(self, horizon, stride, observer, k4, blocks):
+        sim_overrides = {"horizon": horizon, "log_stride": stride}
+        steps = build_sim_config(**sim_overrides).steps
+        block_steps = {"1": 1, "7": 7, "steps-1": max(1, steps - 1), "steps": steps,
+                       "steps+5": steps + 5}[blocks]
+        cells = [("amsdo" if observer else "amssosmc", {"k4": k}) for k in k4]
+        assert_streamed_is_full_rate("exp3" if observer else "exp2", cells, sim_overrides,
+                                     block_steps)
+
+    # ||x1|| overflows from step 896 on finite states; step 899 makes a non-finite state
+    @pytest.mark.parametrize("block_steps", [1, 7, 897, 4608])
+    def test_the_abort_does_not_depend_on_the_blocks(self, monkeypatch, block_steps):
+        monkeypatch.setattr(sim_module, "BLOCK_CELL_STEPS", block_steps)
+        with pytest.raises(SimulationAborted) as info:
+            run_cells("exp1", [("amssosmc", None)], {"dt": 0.01, "horizon": 20})
+        assert (info.value.step, info.value.cell) == (899, 0)
+        assert str(info.value).startswith("non-finite state in cell 0 at step 899 ")
+
+
+class TestSweepMemory:
+    def test_peak_memory_does_not_grow_with_the_horizon(self):
+        cells = [("amssosmc", {"k4": k4}) for k4 in (20.0, 25.0, 30.0, 35.0)]
+        run_cells("exp2", cells, {"horizon": 0.1}, record=False)  # first-call allocations
+
+        def traced_peak(horizon):
+            tracemalloc.start()
+            try:
+                assert run_cells("exp2", cells, {"horizon": horizon}, record=False)[0][0] is None
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(8.0) <= 1.2 * traced_peak(2.0)
