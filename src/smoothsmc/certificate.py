@@ -116,7 +116,12 @@ def lyapunov_series(x1: np.ndarray, x2: np.ndarray, L0: np.ndarray, m: float,
     roots = np.array([r ** (1.0 / m) for r in nrm[regular].tolist()])
     xi1[regular] = x1[regular] / roots[:, None]
     xi1 *= np.array([v ** ((m - 1.0) / m) for v in L0.tolist()])[:, None]
-    return _quadratic_form(P_block, xi1, L0[:, None] * x1, x2)
+    xi2 = L0[:, None] * x1
+    V = _quadratic_form(P_block, xi1, xi2, x2)
+    # terms that overflow to inf of both signs leave nan: those rows again at 2**-600 scale
+    lost, s = np.isnan(V), 2.0 ** -600
+    V[lost] = _quadratic_form(P_block, s * xi1[lost], s * xi2[lost], s * x2[lost]) / s / s
+    return V
 
 
 @dataclass(frozen=True)
@@ -249,21 +254,20 @@ def _split_residual(theta3: float, theta1: float, theta2: float, c3: float,
 
 
 def solve_residual_split(theta1: float, theta2: float, c3: float,
-                         p1: float, p2: float, *, tol: float = 1e-12,
-                         strict: bool = True) -> float:
+                         p1: float, p2: float, *, strict: bool = True) -> float:
     """Find the split fraction theta3 in (0, 1) that makes the two residual-set
     characterizations coincide.
 
     The defining function is strictly increasing with opposite signs at the
     interval ends, so bisection always brackets; a few Newton steps then push
-    the residual below ``tol``.
+    the residual below ``tol = 1e-12``.
 
     When the root is pinned against 1 (tiny ``c3`` or a small ``p1 - p2``
     gap), double precision cannot represent any theta3 with ``|g| < tol``
     because the ulp of theta3 near 1 does not shrink with ``1 - theta3``.
     ``strict=True`` raises loudly in that regime; ``strict=False`` returns the
-    best representable root instead (used for reporting, where the residual
-    levels are insensitive to the last ulps of theta3).
+    best representable root in (0, 1) instead (used for reporting, where the
+    residual levels are insensitive to the last ulps of theta3).
     """
     if not (theta1 > 0 and theta2 > 0 and c3 > 0):
         raise ValueError("theta1, theta2, c3 must be positive")
@@ -271,9 +275,7 @@ def solve_residual_split(theta1: float, theta2: float, c3: float,
         raise ValueError("require 0 < p2 < p1 < 1")
 
     g = lambda th: _split_residual(th, theta1, theta2, c3, p1, p2)
-    lo, hi = 0.0, 1.0
-    if not (g(1e-300) < 0.0):  # pragma: no cover - impossible for valid inputs
-        raise ArithmeticError("split function does not bracket a root")
+    lo, hi, tol = 0.0, 1.0, 1e-12
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -282,7 +284,7 @@ def solve_residual_split(theta1: float, theta2: float, c3: float,
             lo = mid
         else:
             hi = mid
-    theta3 = 0.5 * (lo + hi)
+    theta3 = min(0.5 * (lo + hi), 1.0 - 1e-16)  # the midpoint of 1 and the float below is 1
     # Newton polish: the float evaluation noise of g sits far below 1e-12 for
     # moderately scaled inputs.
     rising_coeff = theta2 ** (p1 - p2) * c3 ** (1.0 - p1)
@@ -314,9 +316,15 @@ def residual_levels(c3: float, theta1: float, theta2: float, theta3: float,
     """The two residual-set V-levels; they coincide at the solved split."""
     if not 0.0 < theta3 < 1.0:
         raise ValueError("theta3 must lie in (0, 1)")
-    level1 = (theta3 * c3 / theta1) ** (1.0 / (p1 - p2))
-    level2 = ((1.0 - theta3) * c3 / theta2) ** (1.0 / (1.0 - p2))
-    return ResidualLevels(from_power_term=level1, from_linear_term=level2)
+    try:
+        levels = ResidualLevels((theta3 * c3 / theta1) ** (1.0 / (p1 - p2)),
+                                ((1.0 - theta3) * c3 / theta2) ** (1.0 / (1.0 - p2)))
+    except OverflowError:
+        levels = ResidualLevels(math.inf, math.inf)
+    if math.inf in levels:
+        raise ValueError(f"c3={c3!r}, theta1={theta1!r}, theta2={theta2!r} overflow "
+                         "the residual-set levels")
+    return levels
 
 
 @dataclass(frozen=True)
@@ -383,6 +391,8 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
     c1 = L0 * cert.n1
     c2 = L0 * cert.n3 - (2.0 * m - 2.0) / m * cert.n4 * L0_dot / L0
     c3 = delta * cert.n2_coeff
+    if c3 == math.inf:
+        raise ValueError(f"delta={delta!r} overflows the perturbation coefficient c3")
     p1, p2 = cert.p1, 0.5
 
     if c1 <= 0 or c2 <= 0:

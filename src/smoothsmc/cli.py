@@ -63,8 +63,6 @@ def _add_gain_args(p: argparse.ArgumentParser):
 def _add_sim_args(p: argparse.ArgumentParser):
     p.add_argument("--dt", type=float, help="integration step (s)")
     p.add_argument("--horizon", type=float, help="simulation horizon (s)")
-    p.add_argument("--log-stride", type=int,
-                   help="write every Nth step to trajectory.csv (metrics use every step)")
 
 
 def build_parser() -> _Parser:
@@ -118,8 +116,11 @@ def build_parser() -> _Parser:
     rep = sub.add_parser("reproduce", help="run every experiment's pair and the certificate")
     rep.set_defaults(handler=cmd_reproduce)
     rep.add_argument("--out", type=Path, default=Path("results"))
-    rep.add_argument("--dt", type=float, help="integration step (s)")
-    rep.add_argument("--horizon", type=float, help="simulation horizon (s)")
+    _add_sim_args(rep)
+
+    for p in (run, cmp_):  # the commands that write a trajectory.csv the stride thins
+        p.add_argument("--log-stride", type=int,
+                       help="write every Nth step to trajectory.csv (metrics use every step)")
 
     return parser
 

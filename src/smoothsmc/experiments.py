@@ -12,10 +12,10 @@ Each smooth method (m=3) pairs with a super-twisting baseline that uses the
 same gains with m=2.  A ``custom`` scenario names its own initial state and
 disturbance.
 
-:func:`run_cells` folds each block of the step loop into every cell's
-metrics as the loop goes, so the metrics read every step, and keeps only
-every ``log_stride``-th row of the block for the record that a run returns
-and writes; a sweep keeps none.
+:func:`run_cells` hands the simulators a read-only fold that updates every
+cell's metrics from each block of the step loop, so the metrics read every
+step; ``record`` alone decides whether a run keeps a record, of every
+``log_stride``-th step, to return and write.  A sweep keeps none.
 """
 
 from __future__ import annotations
@@ -171,11 +171,10 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None, record:
     The metrics are folded from every step, block by block.  With
     ``record``, each cell's trajectory keeps every ``sim.log_stride``-th
     step, with V for smooth controllers (m > 2), which changes no reported
-    number; this is the one place the stride is applied.  Without it, each
-    cell's trajectory is None.  A state that turns non-finite aborts the
-    loop at once; a norm that overflows on finite states aborts the run,
-    at its first step, once every step has run, so which abort a run
-    reports does not depend on the blocks.
+    number.  Without it, each cell's trajectory is None.  A state that
+    turns non-finite aborts the loop at once; a norm that overflows on
+    finite states aborts the run, at its first step, once every step has
+    run, so which abort a run reports does not depend on the blocks.
     """
     sim_overrides = sim_overrides or {}
     if experiment == "custom":
@@ -215,18 +214,10 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None, record:
         threshold = OBSERVER_SETTLE_ABS
     # the last sample's time, as on the grid np.arange(steps) * dt
     metrics = _Metrics(len(cfgs), threshold, (sim.steps - 1) * sim.dt, kinds == {"observer"})
-    stride = sim.log_stride
-
-    def keep(block: Block) -> Block | None:
-        metrics.add(block)
-        if metrics.overflow is not None and block.start + block.times.size == sim.steps:
-            raise metrics.overflow  # every step ran finite
-        return block.rows(slice(-block.start % stride, None, stride)) if record else None
-
-    if kinds == {"controller"}:
-        trajs = simulate_closed_loop(cfgs, sim, dist, record, keep=keep)
-    else:
-        trajs = simulate_observer(cfgs, sim, dist, keep=keep)
+    simulate = simulate_closed_loop if kinds == {"controller"} else simulate_observer
+    trajs = simulate(cfgs, sim, dist, record, fold=metrics.add)
+    if metrics.overflow is not None:
+        raise metrics.overflow  # every step ran finite
     metric_values = zip(metrics.settle.result(), metrics.bound.result(),
                         metrics.chatter.result(), metrics.final_L0)
 

@@ -71,7 +71,7 @@ def kron_with_identity(base: SymMatrix, n: int) -> SymMatrix:
     return SymMatrix(np.kron(base.entries, np.eye(int(n))))
 
 
-def _jacobi(matrix, vectors: bool, max_sweeps: int):
+def _jacobi(matrix, vectors: bool):
     """The cyclic-Jacobi sweeps of :func:`jacobi_eigh`: returns the rotated
     matrix, diagonal, as rows of Python floats, and the rotated identity, or
     ``[]`` without ``vectors`` (the rotations of one never read the other)."""
@@ -79,7 +79,7 @@ def _jacobi(matrix, vectors: bool, max_sweeps: int):
     a, n = a.tolist(), a.shape[0]
     v = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else []
     off = 0.0
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         # both triangles (a raw asymmetric matrix never converges), and a NaN
         # never converges and is the residual, as with numpy's max
         offs = [abs(x) for i, row in enumerate(a) for j, x in enumerate(row) if i != j]
@@ -109,17 +109,17 @@ def _jacobi(matrix, vectors: bool, max_sweeps: int):
                 for row in a + v:
                     row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
                 a[p][q] = a[q][p] = 0.0
-    raise JacobiConvergenceError(max_sweeps, off)
+    raise JacobiConvergenceError(JACOBI_MAX_SWEEPS, off)
 
 
-def jacobi_eigh(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS):
+def jacobi_eigh(matrix):
     """Cyclic-Jacobi eigendecomposition of a symmetric matrix.
 
     Returns ``(values, vectors)`` with eigenvalues ascending and eigenvectors
     as matching columns.  Fails loudly on non-convergence.  Rotates Python
     floats: bitwise numpy's row rotations, without their per-call overhead.
     """
-    a, v = _jacobi(matrix, True, max_sweeps)
+    a, v = _jacobi(matrix, True)
     order = sorted(range(len(a)), key=lambda i: a[i][i])  # stable: ties keep their column order
     return np.array([a[i][i] for i in order]), np.array(v)[:, order]
 
@@ -127,20 +127,14 @@ def jacobi_eigh(matrix, *, max_sweeps: int = JACOBI_MAX_SWEEPS):
 def eig_sym(mat: SymMatrix) -> EigenSummary:
     """Spectrum of a symmetric matrix via the Jacobi solver, which rotates
     no eigenvectors here: the values are bitwise :func:`jacobi_eigh`'s."""
-    a, _ = _jacobi(mat, False, JACOBI_MAX_SWEEPS)
+    a, _ = _jacobi(mat, False)
     spectrum = tuple(sorted(row[i] for i, row in enumerate(a)))  # the same stable order
     return EigenSummary(lambda_min=spectrum[0], lambda_max=spectrum[-1], spectrum=spectrum)
 
 
-def is_positive_definite(mat: SymMatrix | EigenSummary, tol: float | None = None) -> bool:
-    """True iff the smallest eigenvalue exceeds ``tol``; pass the spectrum
-    when it is already known, so the matrix is not solved again.
-
-    ``tol=None`` uses ``1e-12 * |lambda_max|`` to absorb rounding.
-    """
+def is_positive_definite(mat: SymMatrix | EigenSummary) -> bool:
+    """True iff the smallest eigenvalue exceeds ``1e-12 * |lambda_max|``,
+    which absorbs rounding; pass the spectrum when it is already known, so
+    the matrix is not solved again."""
     summary = mat if isinstance(mat, EigenSummary) else eig_sym(mat)
-    if tol is None:
-        tol = 1e-12 * abs(summary.lambda_max)
-    elif not 0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
-    return summary.lambda_min > tol
+    return summary.lambda_min > 1e-12 * abs(summary.lambda_max)

@@ -166,8 +166,8 @@ class ExperimentReport:
             "config": self.config,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 # The metric cells of a report row, shared by the comparison and sweep tables.

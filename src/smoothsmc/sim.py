@@ -9,17 +9,17 @@ each: :func:`simulate_closed_loop` runs one adaptive controller per gain
 set, each on its own copy of the plant, and :func:`simulate_observer` one
 observer per gain set over the measurement of the plant under zero control,
 which the loop builds as a running sum of RK4 increments.  The loop only
-steps; V is computed from the logged record after it.  Every row is bitwise
+steps; V is computed from the kept rows after it.  Every row is bitwise
 what the scalar laws give on their own.
 
 The loop runs in blocks of about :data:`BLOCK_CELL_STEPS` cell-steps.  Each
 block builds only its own slice of the time grid, the disturbance and the
 measurement, and logs into buffers that the next block reuses, so the
-loop's memory does not grow with the run or the batch.  The simulators join
-copies of the blocks into full-rate records, or hand each block to a
-``keep`` function that folds it and returns the part to keep:
-``experiments.run_cells`` folds the metrics there and keeps every
-``log_stride``-th row, which is the one place the stride is applied.
+loop's memory does not grow with the run or the batch.  A simulator hands
+each full-rate block to an optional ``fold``, which reads it (this is how
+``experiments.run_cells`` computes the metrics from every step), and with
+``record`` keeps copies of every ``log_stride``-th row, the one place the
+stride is applied.
 Everything is deterministic: identical configs give bit-identical logs.
 """
 
@@ -306,8 +306,8 @@ class Block(NamedTuple):
     L0: np.ndarray
     integral: np.ndarray | None
 
-    def rows(self, index: slice = slice(None)) -> "Block":
-        """A copy of the steps ``index`` of the block, all by default."""
+    def rows(self, index: slice) -> "Block":
+        """A copy of the steps ``index`` of the block."""
         cells = (slice(None), index)
         x1 = self.x1[cells if self.x1.ndim == 3 else index]
         return Block(self.start + index.indices(self.times.size)[0], self.times[index].copy(),
@@ -424,13 +424,18 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = Fals
         yield Block(start, times, d_now, x1 if observe else x1_log, y_log, l0_log, i_log)
 
 
-def _records(blocks, keep, cfgs, sim: SimConfig, lyapunov: bool) -> list:
-    """One record per cell from the parts ``keep`` returns for the blocks
-    (copies of whole blocks without it), with V for smooth cells (m > 2) if
-    ``lyapunov``; all None when no part is kept."""
-    # map holds no block past its call, so the loop's buffers are a block's only copy
-    parts = [part for part in map(keep or Block.rows, blocks) if part is not None]
-    if not parts:
+def _records(blocks, fold, cfgs, sim: SimConfig, record: bool) -> list:
+    """Hand every block to ``fold``, if given, and with ``record`` join
+    copies of every ``sim.log_stride``-th row into one record per cell, with
+    V for smooth controllers (m > 2); all None without ``record``."""
+    stride, parts = sim.log_stride, []
+    for block in blocks:  # the loop runs here, so fold reads each block before its reuse
+        if fold is not None:
+            fold(block)
+        if record:
+            parts.append(block.rows(slice(-block.start % stride, None, stride)))
+    del block  # its views would keep the loop's buffers alive through the join
+    if not record:
         return [None] * len(cfgs)
 
     def joined(name, axis=1):
@@ -443,41 +448,39 @@ def _records(blocks, keep, cfgs, sim: SimConfig, lyapunov: bool) -> list:
     for b, cfg in enumerate(cfgs):
         traj = (Trajectory(times=times, x1=x1, u=u, d_true=d_true, d_hat=y[b], L0=L0[b])
                 if observe else Trajectory(times=times, x1=x1[b], u=y[b], d_true=d_true, L0=L0[b]))
-        if lyapunov and cfg.m > 2:
-            traj = replace(traj, V=lyapunov_series(
-                traj.x1, d_true - np.concatenate([p.integral[b] for p in parts]), traj.L0,
-                cfg.m, build_p_block(cfg), sim.singular_tol))
+        if not observe and cfg.m > 2:
+            # a run whose norms overflow on finite states still gets its record
+            with np.errstate(over="ignore", invalid="ignore"):
+                traj = replace(traj, V=lyapunov_series(
+                    traj.x1, d_true - np.concatenate([p.integral[b] for p in parts]),
+                    traj.L0, cfg.m, build_p_block(cfg), sim.singular_tol))
         records.append(traj)
     return records
 
 
-def simulate_closed_loop(cfgs, sim: SimConfig, dist: DisturbanceSpec,
-                         lyapunov: bool = True, *, keep=None) -> list[Trajectory]:
+def simulate_closed_loop(cfgs, sim: SimConfig, dist: DisturbanceSpec, record: bool = True,
+                         *, fold=None) -> list[Trajectory | None]:
     """Run one adaptive controller per gain configuration, each on its own
-    copy of the plant, as one batch; one full-rate record per cell.  With
-    ``lyapunov``, each smooth cell (m > 2) gets V under its ``build_p_block``
-    at the transformed state and the gain level in effect at each sample,
-    with the companion coordinate ``x2 = d - integral``, computed from the
-    record after the loop.
-
-    ``keep``, if given, is called with each :class:`Block` as it ends and
-    returns a copy of the part to keep (:meth:`Block.rows`) or None; the
-    records are joined from the kept parts.
+    copy of the plant, as one batch.  ``fold``, if given, is called with
+    each full-rate :class:`Block` as it ends and must only read it.  With
+    ``record``, each cell gets a record of every ``sim.log_stride``-th step,
+    and each smooth cell (m > 2) V under its ``build_p_block`` at the
+    transformed state and the gain level in effect at each sample, with the
+    companion coordinate ``x2 = d - integral``; without it, None.
     """
     cfgs = list(cfgs)
-    blocks = _step_loop(sim, dist, cfgs,
-                        log_integral=lyapunov and any(cfg.m > 2 for cfg in cfgs))
-    return _records(blocks, keep, cfgs, sim, lyapunov)
+    blocks = _step_loop(sim, dist, cfgs, log_integral=record and any(c.m > 2 for c in cfgs))
+    return _records(blocks, fold, cfgs, sim, record)
 
 
-def simulate_observer(cfgs, sim: SimConfig, dist: DisturbanceSpec, *,
-                      keep=None) -> list[Trajectory]:
+def simulate_observer(cfgs, sim: SimConfig, dist: DisturbanceSpec, record: bool = True,
+                      *, fold=None) -> list[Trajectory | None]:
     """Run one disturbance observer per gain configuration over the
     measurement of one uncontrolled plant under ``dist``, as one batch (the
-    observer never acts on the plant); one full-rate record per cell, or
-    the parts ``keep`` returns, as for :func:`simulate_closed_loop`."""
+    observer never acts on the plant); ``record`` and ``fold`` as for
+    :func:`simulate_closed_loop`."""
     cfgs = list(cfgs)
-    return _records(_step_loop(sim, dist, cfgs, observe=True), keep, cfgs, sim, False)
+    return _records(_step_loop(sim, dist, cfgs, observe=True), fold, cfgs, sim, record)
 
 
 def trajectory_columns(traj: Trajectory) -> list[str]:

@@ -56,7 +56,7 @@ def nodist_run():
     cfg = reference_gains()
     sim = SimConfig(x1_init=X1_INIT, dt=1e-3, horizon=10.0)
     dist = DisturbanceSpec.none(3)
-    traj = simulate_closed_loop([cfg], sim, dist, lyapunov=True)[0]
+    traj = simulate_closed_loop([cfg], sim, dist)[0]
     return cfg, sim, traj
 
 

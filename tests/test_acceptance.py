@@ -67,7 +67,7 @@ def timed_run():
     cfg = reference_gains()
     sim = SimConfig(x1_init=(1.0, 3.0, 2.0), dt=1e-3, horizon=10.0)
     start = time.perf_counter()
-    traj = simulate_closed_loop([cfg], sim, DisturbanceSpec.none(3), lyapunov=True)[0]
+    traj = simulate_closed_loop([cfg], sim, DisturbanceSpec.none(3))[0]
     elapsed = time.perf_counter() - start
     return traj, elapsed
 

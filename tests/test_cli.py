@@ -307,6 +307,25 @@ class TestCertify:
         assert conv["residual_V_level"] != "none"
 
 
+    # the split root pinned against 0 or 1, and levels or c3 past the float range
+    @pytest.mark.parametrize("flags, code", [
+        (["--delta", "0.3", "--l0", "1e20"], 0),
+        (["--delta", "1e-300", "--l0", "100"], 0),
+        (["--delta", "0.3", "--l0", "100", "--theta1", "1e-300"], 1),
+        (["--delta", "1e300", "--l0", "100"], 1),
+        (["--delta", "1e308"], 1),
+    ], ids=["root-pinned-at-one", "tiny-delta", "tiny-theta1", "huge-delta", "infinite-c3"])
+    def test_residual_split_edge_cases_end_cleanly(self, capsys, flags, code):
+        got, out, err = run_cli(capsys, ["certify", "--m", "3", "--v0", "50", *flags,
+                                         "--l0-dot", "0"])
+        assert got == code
+        if code == 0:
+            assert 0.0 < json.loads(out)["convergence"]["theta3"] < 1.0
+        else:
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("usage error: ") and "overflow" in err
+
+
 class TestCompare:
     def test_controller_pair_table_and_ordering(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, [
@@ -406,6 +425,14 @@ class TestSweep:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert flag in err and f"--parameter {parameter}" in err
         assert out == ""
+
+    def test_log_stride_is_not_a_sweep_flag(self, capsys):
+        # a sweep keeps no trajectory, so there is nothing for a stride to thin
+        code, out, err = run_cli(capsys, ["sweep", "--parameter", "k4", "--values", "30",
+                                          "--horizon", "0.1", "--log-stride", "2"])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "--log-stride" in err
 
     def test_writes_table(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, [

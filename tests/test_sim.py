@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ class TestDeterminismAndExport:
         traj_a, _ = exp1_m3
         cfg = reference_gains()
         sim = SimConfig(x1_init=[1.0, 3.0, 2.0])
-        traj_b = simulate_closed_loop([cfg], sim, EXP1, lyapunov=True)[0]
+        traj_b = simulate_closed_loop([cfg], sim, EXP1)[0]
         assert np.array_equal(traj_a.x1, traj_b.x1)
         assert np.array_equal(traj_a.u, traj_b.u)
         assert np.array_equal(traj_a.V, traj_b.V)
@@ -352,7 +353,7 @@ class TestBatchedLoopIsTheScalarLaws:
     ], ids=["exp1-m3-with-V", "exp2-m2", "negative-zero-none-m3-with-V", "negative-zero-exp2-m2"])
     def test_controller_at_b1_is_the_reference_loop(self, cfg, dist, sim):
         p_block = build_p_block(cfg) if cfg.m > 2 else None
-        got = simulate_closed_loop([cfg], sim, dist, lyapunov=True)[0]
+        got = simulate_closed_loop([cfg], sim, dist)[0]
         assert_same_record(got, reference_controller_run(cfg, sim, dist, p_block))
 
     @pytest.mark.parametrize("m", [3.0, 2.0])
@@ -362,10 +363,10 @@ class TestBatchedLoopIsTheScalarLaws:
         assert_same_record(got, reference_observer_run(cfg, SHORT, EXP3))
 
     def test_mixed_controller_batch_rows_are_their_own_runs(self):
-        batch = simulate_closed_loop(MIXED_CONTROLLERS, SHORT, EXP2, lyapunov=True)
+        batch = simulate_closed_loop(MIXED_CONTROLLERS, SHORT, EXP2)
         assert [traj.V is None for traj in batch] == [False, True, False]
         for i, cfg in enumerate(MIXED_CONTROLLERS):
-            alone = simulate_closed_loop([cfg], SHORT, EXP2, lyapunov=True)[0]
+            alone = simulate_closed_loop([cfg], SHORT, EXP2)[0]
             assert_same_record(batch[i], alone, i)
 
     def test_mixed_observer_batch_rows_are_their_own_runs(self):
@@ -403,10 +404,32 @@ class TestBatchedLoopIsTheScalarLaws:
             batch = simulate_observer(cfgs, sim, EXP3)
             alone = [simulate_observer([cfg], sim, EXP3)[0] for cfg in cfgs]
         else:
-            batch = simulate_closed_loop(cfgs, sim, EXP2, lyapunov=True)
-            alone = [simulate_closed_loop([cfg], sim, EXP2, lyapunov=True)[0] for cfg in cfgs]
+            batch = simulate_closed_loop(cfgs, sim, EXP2)
+            alone = [simulate_closed_loop([cfg], sim, EXP2)[0] for cfg in cfgs]
         for i, (got, want) in enumerate(zip(batch, alone)):
             assert_same_record(got, want, i)
+
+
+class TestRecordAndFold:
+    @pytest.mark.parametrize("observe", [False, True], ids=["controllers", "observers"])
+    def test_without_record_the_fold_still_sees_every_step(self, monkeypatch, observe):
+        simulate, cfgs, dist = ((simulate_observer, MIXED_OBSERVERS, EXP3) if observe
+                                else (simulate_closed_loop, MIXED_CONTROLLERS, EXP2))
+        monkeypatch.setattr(sim_module, "BLOCK_CELL_STEPS", 7 * len(cfgs))
+        sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=1e-3, horizon=0.1, log_stride=4)
+        seen = []
+        got = simulate(cfgs, sim, dist, False, fold=lambda block: seen.append(
+            block.rows(slice(None))))
+        assert got == [None] * len(cfgs)
+        assert [block.start for block in seen] == list(range(0, sim.steps, 7))
+        assert all(block.integral is None for block in seen)  # no V, so no integral
+        full = simulate(cfgs, replace(sim, log_stride=1), dist)
+        y = np.concatenate([block.y for block in seen], axis=1)
+        L0 = np.concatenate([block.L0 for block in seen], axis=1)
+        assert np.array_equal(np.concatenate([block.times for block in seen]), full[0].times)
+        for b, want in enumerate(full):
+            assert np.array_equal(y[b], want.d_hat if observe else want.u)
+            assert np.array_equal(L0[b], want.L0)
 
 
 class TestAbortsAreClean:
@@ -444,15 +467,17 @@ class TestAbortsAreClean:
 
     def test_finite_states_with_overflowing_norms_do_not_abort(self):
         # the run above, stopped before step 899: its last states are finite,
-        # but their norms overflow to inf
+        # but their norms, and so V, overflow to inf
         sim = build_sim_config(dt=0.01, horizon=8.99)
-        traj = simulate_closed_loop([method_gain_config("amssosmc")], sim, EXP1,
-                                    lyapunov=False)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = simulate_closed_loop([method_gain_config("amssosmc")], sim, EXP1)[0]
         with np.errstate(over="ignore"):
             norms = np.sqrt(np.vecdot(traj.x1, traj.x1))
         assert traj.times.size == 899
         assert np.isfinite(traj.x1).all()
         assert np.isinf(norms[896:899]).all()
+        assert np.isinf(traj.V[896:899]).all()
 
     def test_one_step_run_is_checked_after_the_loop(self):
         sim = SimConfig(x1_init=[1.0, 0.0, 0.0], dt=1e-2, horizon=1.4e-2)
@@ -492,20 +517,21 @@ def defined_metrics(times, norms, values, threshold):
 def assert_streamed_is_full_rate(experiment, cells, sim_overrides, block_steps,
                                  disturbance=None):
     """``run_cells`` with blocks of ``block_steps`` steps reports the metrics
-    of the full-rate records and keeps every ``log_stride``-th of their rows;
-    returns the reports."""
+    of the full-rate records (taken at ``log_stride`` 1) and keeps every
+    ``log_stride``-th of their rows; returns the reports."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim_module, "BLOCK_CELL_STEPS", block_steps * len(cells))
         streamed = run_cells(experiment, cells, sim_overrides, disturbance=disturbance)
     sim = build_sim_config(**sim_overrides)
+    full_rate = replace(sim, log_stride=1)
     dist = (experiment_disturbance(experiment) if disturbance is None
             else DisturbanceSpec.from_dict(disturbance, n=sim.n))
     cfgs = [method_gain_config(method, gains) for method, gains in cells]
     observer = cells[0][0] in ("amsdo", "amdo-baseline")
     if observer:
-        full, threshold = simulate_observer(cfgs, sim, dist), OBSERVER_SETTLE_ABS
+        full, threshold = simulate_observer(cfgs, full_rate, dist), OBSERVER_SETTLE_ABS
     else:
-        full = simulate_closed_loop(cfgs, sim, dist, lyapunov=True)
+        full = simulate_closed_loop(cfgs, full_rate, dist)
         threshold = CONTROLLER_SETTLE_REL * float(np.linalg.norm(sim.x1_init))
     for (traj, report), want in zip(streamed, full):
         norms = np.linalg.norm(want.d_hat - want.d_true if observer else want.x1, axis=1)

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import smoothsmc.cli  # noqa: F401  (the tracer wraps cli.main)
+import smoothsmc.sim
 from smoothsmc import experiments
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -30,3 +31,24 @@ def test_simulation_is_booked_under_run_cell():
     by_id = {s.id: s for s in tracer.spans}
     parents = [by_id[s.parent].name for s in tracer.spans if s.name == "sim.simulate"]
     assert parents == ["experiments.run_cell"]
+
+
+def test_metrics_fold_runs_inside_the_simulation_span(monkeypatch):
+    # a simulator that handed back the blocks lazily would fold them after its
+    # span closed, and the step loop's time would leave sim.simulate
+    tracer = spans.Tracer()
+    open_at_fold = []
+    add = experiments._Metrics.add
+
+    def recording_add(self, block):
+        open_at_fold.append([span.name for span in tracer._open])
+        add(self, block)
+
+    monkeypatch.setattr(experiments._Metrics, "add", recording_add)
+    monkeypatch.setattr(smoothsmc.sim, "BLOCK_CELL_STEPS", 50)
+    tracer.install()
+    try:
+        experiments.run_cell("exp1", "amssosmc", sim_overrides={"horizon": 0.2})
+    finally:
+        tracer.remove()
+    assert open_at_fold == [["root", "experiments.run_cell", "sim.simulate"]] * 4
