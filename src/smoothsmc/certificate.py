@@ -231,7 +231,8 @@ def settling_time_unperturbed(c1: float, c2: float, p: float, v0: float) -> floa
 def settling_time_perturbed(c1: float, c2: float, c3: float, p1: float, p2: float,
                             v0: float, theta1: float, theta2: float) -> float:
     """Settling-time bound into the residual set for
-    ``Vdot <= -c1 V**p1 - c2 V + c3 V**p2``."""
+    ``Vdot <= -c1 V**p1 - c2 V + c3 V**p2``: the unperturbed bound at
+    ``(c1 - theta1, c2 - theta2)``."""
     if not (c1 > 0 and c2 > 0 and c3 > 0):
         raise ValueError("c1, c2, c3 must be positive")
     if not 0.0 < p1 < 1.0 or not 0.0 < p2 < p1:
@@ -240,11 +241,7 @@ def settling_time_perturbed(c1: float, c2: float, c3: float, p1: float, p2: floa
         raise ValueError("theta1 must lie in (0, c1)")
     if not 0.0 < theta2 < c2:
         raise ValueError("theta2 must lie in (0, c2)")
-    if v0 < 0:
-        raise ValueError("V0 must be non-negative")
-    if v0 == 0.0:
-        return 0.0
-    return math.log1p((c2 - theta2) * v0 ** (1.0 - p1) / (c1 - theta1)) / ((c2 - theta2) * (1.0 - p1))
+    return settling_time_unperturbed(c1 - theta1, c2 - theta2, p1, v0)
 
 
 def _split_residual(theta3: float, theta1: float, theta2: float, c3: float,
@@ -276,15 +273,15 @@ def solve_residual_split(theta1: float, theta2: float, c3: float,
 
     g = lambda th: _split_residual(th, theta1, theta2, c3, p1, p2)
     lo, hi, tol = 0.0, 1.0, 1e-12
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
+    # down to adjacent floats, at most about 1,100 halvings even for a subnormal root
+    while (mid := 0.5 * (lo + hi)) != lo and mid != hi:
         if g(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    theta3 = min(0.5 * (lo + hi), 1.0 - 1e-16)  # the midpoint of 1 and the float below is 1
+    # strictly inside (0, 1): the midpoint of 1 and the float below is 1, and a root
+    # below the least positive float gives the midpoint 0
+    theta3 = min(max(mid, math.ulp(0.0)), 1.0 - 1e-16)
     # Newton polish: the float evaluation noise of g sits far below 1e-12 for
     # moderately scaled inputs.
     rising_coeff = theta2 ** (p1 - p2) * c3 ** (1.0 - p1)

@@ -99,7 +99,7 @@ def build_parser() -> _Parser:
     cmp_.set_defaults(handler=cmd_compare)
     cmp_.add_argument("--experiment", choices=list(EXPERIMENTS), required=True)
     cmp_.add_argument("--methods", required=True, help="comma-separated method list (>= 2)")
-    cmp_.add_argument("--out", type=Path)
+    cmp_.add_argument("--out", type=Path, help="output directory (--log-stride needs it)")
     _add_gain_args(cmp_)
     _add_sim_args(cmp_)
 
@@ -221,9 +221,12 @@ def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise UsageError("compare needs at least two methods")
+    if args.log_stride is not None and args.out is None:
+        raise UsageError("--log-stride thins the trajectory.csv files that --out writes; "
+                         "compare writes none without --out")
     gain_over = _overrides(args, GAIN_FLAGS)
     results = run_cells(args.experiment, [(method, gain_over) for method in methods],
-                        sim_overrides=_overrides(args, SIM_FLAGS))
+                        sim_overrides=_overrides(args, SIM_FLAGS), record=args.out is not None)
     reports = [report for _, report in results]
     if args.out is not None:
         for method, (traj, report) in zip(methods, results):

@@ -12,10 +12,11 @@ Each smooth method (m=3) pairs with a super-twisting baseline that uses the
 same gains with m=2.  A ``custom`` scenario names its own initial state and
 disturbance.
 
-:func:`run_cells` hands the simulators a read-only fold that updates every
-cell's metrics from each block of the step loop, so the metrics read every
-step; ``record`` alone decides whether a run keeps a record, of every
-``log_stride``-th step, to return and write.  A sweep keeps none.
+:func:`run_cells` hands the simulators a read-only fold, :class:`_Metrics`,
+that updates every cell's settling step, tail peak and tail step norms from
+each block of the step loop, so the metrics read every step; ``record``
+alone decides whether a run keeps a record, of every ``log_stride``-th step,
+to return and write.  A sweep keeps none.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .certificate import build_certificate
 from .laws import GainConfig, check_gain_condition
-from .metrics import ExperimentReport, Settling, TailMax, TailVariation
+from .metrics import ExperimentReport
 from .sim import (
     Block,
     DisturbanceSpec,
@@ -123,26 +124,49 @@ def _resolved_config(experiment: str, method: str, cfg: GainConfig,
 
 
 class _Metrics:
-    """The batch's metrics, folded block by block from each cell's norms,
-    ``||x1||`` or for observers ``||d_hat - d||``, and the tail steps of u
-    or d_hat.  The first overflow of a norm that a metric reads (earliest
-    step, then lowest cell) is kept as the abort it calls for."""
+    """The batch's metrics, folded block by block on the step grid
+    ``t_k = k * dt`` from each cell's norms, ``||x1||`` or for observers
+    ``||d_hat - d||``, and the tail steps of u or d_hat; bitwise the
+    :mod:`metrics` array functions over the full-rate record.  The first
+    overflow of a norm that a metric reads (earliest step, then lowest cell)
+    is kept as the abort it calls for."""
 
-    def __init__(self, cells: int, threshold: float, last_time: float, observe: bool):
-        self.observe = observe
-        self.settle = Settling(threshold, cells)
-        self.bound = TailMax(0.0, last_time, TAIL_FRACTION)
-        self.chatter = TailVariation(0.0, last_time, TAIL_FRACTION)
+    def __init__(self, cells: int, threshold: float, sim: SimConfig, observe: bool):
+        self.threshold, self.dt, self.observe = threshold, sim.dt, observe
+        self.last = sim.steps - 1
+        self.cutoff = (1.0 - TAIL_FRACTION) * (self.last * sim.dt)
+        self.above = np.full(cells, -1)  # the last step at or above the threshold
+        self.peak = np.full(cells, -np.inf)
+        self.tail = self.previous = None  # the tail's first step, the last sample of y
+        self.steps = []  # each block's step norms of y in the tail, (cells, steps)
         self.final_L0 = self.overflow = None
 
     def add(self, block: Block) -> None:
+        inside = block.times >= self.cutoff
+        tail = int(inside.argmax()) if inside[-1] else inside.size
+        rows = block.y[:, tail:]
+        if self.previous is None and rows.size:  # the tail's first sample closes no step
+            self.tail, self.previous, rows = block.start + tail, rows[:, 0].copy(), rows[:, 1:]
         with np.errstate(over="ignore", invalid="ignore"):
-            # first, so that its temporaries and the signal are never alive together
-            steps = self.chatter.add(block.times, block.y)
+            # first, so that its temporaries and the signal are never alive together;
+            # the step from the carried sample is taken apart, as joining the two
+            # would copy the rows
+            d = np.empty_like(rows)
+            if self.previous is not None:
+                np.subtract(rows[:, :1], self.previous[:, None], out=d[:, :1])
+            np.subtract(rows[:, 1:], rows[:, :-1], out=d[:, 1:])
+            # np.linalg.norm's arithmetic, squaring in place
+            steps = np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=2))
             signal = block.y - block.d_true if self.observe else block.x1
             norms = np.linalg.norm(signal, axis=2)
-        self.settle.add(block.times, norms)
-        self.bound.add(block.times, norms)
+        above = norms >= self.threshold
+        self.above = np.where(above.any(axis=1),
+                              block.start + above.shape[1] - 1 - above[:, ::-1].argmax(axis=1),
+                              self.above)
+        if self.previous is not None:
+            self.peak = np.maximum(self.peak, norms[:, tail:].max(axis=1))
+            self.steps.append(steps)
+            self.previous = block.y[:, -1].copy()
         self.final_L0 = block.L0[:, -1].tolist()
         bad = ~np.isfinite(norms)
         bad[:, norms.shape[1] - steps.shape[1]:] |= ~np.isfinite(steps)  # the last samples'
@@ -154,6 +178,20 @@ class _Metrics:
                          else (signal[b, k], "||d_hat - d||" if self.observe else "||x1||"))
             self.overflow = SimulationAborted(block.start + k, float(block.times[k]), row, b,
                                               reason=f"{name} overflowed")
+
+    def results(self) -> list[tuple[float | None, float, float, float]]:
+        """Per cell: the settling time, None while the last step is above the
+        threshold; the ultimate bound; the chattering index; the final L0.
+        Each cell's tail steps are summed once, so the sum is numpy's
+        pairwise sum over the whole tail, whatever the blocks."""
+        if self.overflow is not None:
+            raise self.overflow  # every step ran finite
+        if self.tail == self.last:  # the tail has one sample
+            raise ValueError("need at least two tail samples for a variation rate")
+        span = self.last * self.dt - self.tail * self.dt
+        return [(None if k == self.last else (k + 1) * self.dt, peak, float(s.sum()) / span, L0)
+                for k, peak, s, L0 in zip(self.above.tolist(), self.peak.tolist(),
+                                          np.concatenate(self.steps, axis=1), self.final_L0)]
 
 
 def run_cells(experiment: str, cells, sim_overrides: dict | None = None, record: bool = True,
@@ -212,18 +250,13 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None, record:
                              "must not be the origin")
     else:
         threshold = OBSERVER_SETTLE_ABS
-    # the last sample's time, as on the grid np.arange(steps) * dt
-    metrics = _Metrics(len(cfgs), threshold, (sim.steps - 1) * sim.dt, kinds == {"observer"})
+    metrics = _Metrics(len(cfgs), threshold, sim, kinds == {"observer"})
     simulate = simulate_closed_loop if kinds == {"controller"} else simulate_observer
     trajs = simulate(cfgs, sim, dist, record, fold=metrics.add)
-    if metrics.overflow is not None:
-        raise metrics.overflow  # every step ran finite
-    metric_values = zip(metrics.settle.result(), metrics.bound.result(),
-                        metrics.chatter.result(), metrics.final_L0)
 
     out = []
     for (method, cfg, summary), traj, (settle, bound, chatter, final_L0) in zip(
-            configured, trajs, metric_values):
+            configured, trajs, metrics.results()):
         report = ExperimentReport(
             method_id=method,
             scenario_id=experiment,

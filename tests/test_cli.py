@@ -4,8 +4,9 @@ import warnings
 
 import pytest
 
+from smoothsmc import cli
 from smoothsmc.cli import build_parser, main
-from smoothsmc.experiments import EXPERIMENTS, PAIRS
+from smoothsmc.experiments import EXPERIMENTS, PAIRS, run_cells
 
 FAST = ["--horizon", "1.5", "--dt", "0.002"]
 
@@ -311,7 +312,7 @@ class TestCertify:
     @pytest.mark.parametrize("flags, code", [
         (["--delta", "0.3", "--l0", "1e20"], 0),
         (["--delta", "1e-300", "--l0", "100"], 0),
-        (["--delta", "0.3", "--l0", "100", "--theta1", "1e-300"], 1),
+        (["--delta", "0.3", "--l0", "100", "--theta1", "1e-300"], 0),
         (["--delta", "1e300", "--l0", "100"], 1),
         (["--delta", "1e308"], 1),
     ], ids=["root-pinned-at-one", "tiny-delta", "tiny-theta1", "huge-delta", "infinite-c3"])
@@ -320,7 +321,11 @@ class TestCertify:
                                          "--l0-dot", "0"])
         assert got == code
         if code == 0:
-            assert 0.0 < json.loads(out)["convergence"]["theta3"] < 1.0
+            conv = json.loads(out)["convergence"]
+            assert 0.0 < conv["theta3"] < 1.0
+            if "--theta1" in flags:  # the bisection reaches a root far below 2**-200
+                assert (conv["theta3"], conv["residual_V_level"]) == (
+                    5.117945326995371e-301, 0.16201103370164044)
         else:
             assert out == "" and err.count("\n") == 1
             assert err.startswith("usage error: ") and "overflow" in err
@@ -352,6 +357,30 @@ class TestCompare:
         ])
         assert code == 3
         assert "ordering violated" in err
+
+    def test_keeps_no_record_without_out(self, monkeypatch, tmp_path, capsys):
+        records = []
+
+        def recording_run_cells(*args, record=True, **kwargs):
+            records.append(record)
+            return run_cells(*args, record=record, **kwargs)
+
+        monkeypatch.setattr(cli, "run_cells", recording_run_cells)
+        argv = ["compare", "--experiment", "exp1", "--methods", "amssosmc,amstsmc-baseline",
+                *FAST]
+        code, table, _ = run_cli(capsys, argv)
+        assert (code, records) == (0, [False])
+        code, out, _ = run_cli(capsys, [*argv, "--out", str(tmp_path)])
+        assert (code, records, out) == (0, [False, True], table)
+
+    def test_log_stride_needs_out(self, capsys):
+        code, out, err = run_cli(capsys, [
+            "compare", "--experiment", "exp1", "--methods", "amssosmc,amstsmc-baseline",
+            "--horizon", "0.1", "--log-stride", "2",
+        ])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "--log-stride" in err and "--out" in err
 
     def test_needs_two_methods(self, capsys):
         code, _, _ = run_cli(capsys, [

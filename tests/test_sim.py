@@ -36,13 +36,14 @@ from smoothsmc.experiments import (
     CONTROLLER_SETTLE_REL,
     OBSERVER_SETTLE_ABS,
     TAIL_FRACTION,
+    _Metrics,
     build_sim_config,
     experiment_disturbance,
     method_gain_config,
     run_cell,
     run_cells,
 )
-from smoothsmc.sim import trajectory_columns
+from smoothsmc.sim import Block, trajectory_columns
 
 from conftest import reference_gains
 
@@ -598,6 +599,42 @@ class TestStreamedMetricsAreTheArrayMetrics:
             run_cells("exp1", [("amssosmc", None)], {"dt": 0.01, "horizon": 20})
         assert (info.value.step, info.value.cell) == (899, 0)
         assert str(info.value).startswith("non-finite state in cell 0 at step 899 ")
+
+
+class TestMetricsFold:
+    """``_Metrics`` on synthetic blocks: the step-index settling time and the
+    carried tail step against the array functions, whatever the blocks."""
+
+    # per cell, the last step whose ||x1|| reaches the threshold: one that ends
+    # a block of 2 or 3 steps, one that starts one, the very last step, none
+    LAST_ABOVE = (5, 6, 19, None)
+
+    @pytest.mark.parametrize("block_steps", [1, 2, 3, 20])
+    def test_synthetic_blocks(self, block_steps):
+        sim = build_sim_config(dt=0.1, horizon=2.0)  # 20 steps, the tail is steps 16-19
+        steps, threshold = sim.steps, 0.5
+        times = np.arange(steps) * sim.dt
+        rng = np.random.default_rng(3)
+        x1 = rng.uniform(-0.2, 0.2, (len(self.LAST_ABOVE), steps, 3))
+        for row, last in zip(x1, self.LAST_ABOVE):
+            if last is not None:
+                row[:last + 1, 0] = 1.0
+        y = rng.uniform(-1.0, 1.0, x1.shape)
+        L0 = rng.uniform(1.0, 2.0, x1.shape[:2])
+        d_true = np.zeros((steps, 3))
+        metrics = _Metrics(len(x1), threshold, sim, observe=False)
+        for start in range(0, steps, block_steps):
+            rows = slice(start, start + block_steps)
+            metrics.add(Block(start, times[rows], d_true[rows], x1[:, rows], y[:, rows],
+                              L0[:, rows], None))
+        got = metrics.results()
+        assert [settle for settle, *_ in got] == [6 * sim.dt, 7 * sim.dt, None, 0.0]
+        for (settle, bound, chatter, final_L0), x, u, l0 in zip(got, x1, y, L0):
+            norms = np.linalg.norm(x, axis=1)
+            assert settle == settling_time(times, norms, threshold)
+            assert bound == ultimate_bound(times, norms, TAIL_FRACTION)
+            assert chatter == chattering_index(times, u, TAIL_FRACTION)
+            assert final_L0 == l0[-1]
 
 
 class TestSweepMemory:
