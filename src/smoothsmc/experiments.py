@@ -148,15 +148,8 @@ class _Metrics:
         if self.previous is None and rows.size:  # the tail's first sample closes no step
             self.tail, self.previous, rows = block.start + tail, rows[:, 0].copy(), rows[:, 1:]
         with np.errstate(over="ignore", invalid="ignore"):
-            # first, so that its temporaries and the signal are never alive together;
-            # the step from the carried sample is taken apart, as joining the two
-            # would copy the rows
-            d = np.empty_like(rows)
-            if self.previous is not None:
-                np.subtract(rows[:, :1], self.previous[:, None], out=d[:, :1])
-            np.subtract(rows[:, 1:], rows[:, :-1], out=d[:, 1:])
-            # np.linalg.norm's arithmetic, squaring in place
-            steps = np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=2))
+            # first, so that its temporaries and the signal are never alive together
+            steps = self._step_norms(rows)
             signal = block.y - block.d_true if self.observe else block.x1
             norms = np.linalg.norm(signal, axis=2)
         above = norms >= self.threshold
@@ -179,19 +172,32 @@ class _Metrics:
             self.overflow = SimulationAborted(block.start + k, float(block.times[k]), row, b,
                                               reason=f"{name} overflowed")
 
+    def _step_norms(self, rows: np.ndarray) -> np.ndarray:
+        """The norms of the steps of y that end at ``rows``, the first from the
+        carried sample: ``np.linalg.norm``'s arithmetic, squaring in place.
+        The carried step is taken apart, as joining the sample to the rows
+        would copy them."""
+        if self.previous is None:  # before the tail, which has no rows
+            return np.empty(rows.shape[:2])
+        norms = lambda d: np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=2))
+        return np.concatenate([norms(rows[:, :1] - self.previous[:, None]),
+                               norms(np.diff(rows, axis=1))], axis=1)
+
     def results(self) -> list[tuple[float | None, float, float, float]]:
         """Per cell: the settling time, None while the last step is above the
         threshold; the ultimate bound; the chattering index; the final L0.
-        Each cell's tail steps are summed once, so the sum is numpy's
-        pairwise sum over the whole tail, whatever the blocks."""
+        Each cell's tail steps are joined and summed once, a cell at a time
+        so that the steps are not held twice, and the sum is numpy's pairwise
+        sum over the whole tail, whatever the blocks."""
         if self.overflow is not None:
             raise self.overflow  # every step ran finite
         if self.tail == self.last:  # the tail has one sample
             raise ValueError("need at least two tail samples for a variation rate")
         span = self.last * self.dt - self.tail * self.dt
-        return [(None if k == self.last else (k + 1) * self.dt, peak, float(s.sum()) / span, L0)
-                for k, peak, s, L0 in zip(self.above.tolist(), self.peak.tolist(),
-                                          np.concatenate(self.steps, axis=1), self.final_L0)]
+        return [(None if k == self.last else (k + 1) * self.dt, peak,
+                 float(np.concatenate([s[b] for s in self.steps]).sum()) / span, L0)
+                for b, (k, peak, L0) in enumerate(zip(self.above.tolist(), self.peak.tolist(),
+                                                      self.final_L0))]
 
 
 def run_cells(experiment: str, cells, sim_overrides: dict | None = None, record: bool = True,
