@@ -251,54 +251,31 @@ def _split_residual(theta3: float, theta1: float, theta2: float, c3: float,
 
 
 def solve_residual_split(theta1: float, theta2: float, c3: float,
-                         p1: float, p2: float, *, strict: bool = True) -> float:
+                         p1: float, p2: float) -> float:
     """Find the split fraction theta3 in (0, 1) that makes the two residual-set
     characterizations coincide.
 
     The defining function is strictly increasing with opposite signs at the
-    interval ends, so bisection always brackets; a few Newton steps then push
-    the residual below ``tol = 1e-12``.
-
-    When the root is pinned against 1 (tiny ``c3`` or a small ``p1 - p2``
-    gap), double precision cannot represent any theta3 with ``|g| < tol``
-    because the ulp of theta3 near 1 does not shrink with ``1 - theta3``.
-    ``strict=True`` raises loudly in that regime; ``strict=False`` returns the
-    best representable root in (0, 1) instead (used for reporting, where the
-    residual levels are insensitive to the last ulps of theta3).
+    interval ends, so bisection always brackets; it halves down to adjacent
+    floats.  Near 0 the float theta3 is coarse (subnormal, or pinned at the
+    least positive float) and near 1 so is ``1 - theta3``: the V-level is read
+    off the term that the float theta3 leaves exact (:func:`residual_levels`).
     """
     if not (theta1 > 0 and theta2 > 0 and c3 > 0):
         raise ValueError("theta1, theta2, c3 must be positive")
     if not 0.0 < p1 < 1.0 or not 0.0 < p2 < p1:
         raise ValueError("require 0 < p2 < p1 < 1")
 
-    g = lambda th: _split_residual(th, theta1, theta2, c3, p1, p2)
-    lo, hi, tol = 0.0, 1.0, 1e-12
+    lo, hi = 0.0, 1.0
     # down to adjacent floats, at most about 1,100 halvings even for a subnormal root
     while (mid := 0.5 * (lo + hi)) != lo and mid != hi:
-        if g(mid) < 0.0:
+        if _split_residual(mid, theta1, theta2, c3, p1, p2) < 0.0:
             lo = mid
         else:
             hi = mid
     # strictly inside (0, 1): the midpoint of 1 and the float below is 1, and a root
     # below the least positive float gives the midpoint 0
-    theta3 = min(max(mid, math.ulp(0.0)), 1.0 - 1e-16)
-    # Newton polish: the float evaluation noise of g sits far below 1e-12 for
-    # moderately scaled inputs.
-    rising_coeff = theta2 ** (p1 - p2) * c3 ** (1.0 - p1)
-    for _ in range(20):
-        r = g(theta3)
-        if abs(r) <= tol:
-            return theta3
-        slope = ((1.0 - p2) * theta3 ** (-p2) * rising_coeff
-                 + (p1 - p2) * theta1 ** (1.0 - p2) * (1.0 - theta3) ** (p1 - p2 - 1.0))
-        step = r / slope
-        theta3 = min(max(theta3 - step, 1e-300), 1.0 - 1e-16)
-    if strict and abs(g(theta3)) > tol:
-        raise ArithmeticError(
-            f"split solve stalled at residual {g(theta3):.3e} (tol {tol:.1e}); "
-            "the root sits at the edge of double-precision representability"
-        )
-    return theta3
+    return min(max(mid, math.ulp(0.0)), 1.0 - 1e-16)
 
 
 class ResidualLevels(NamedTuple):
@@ -310,18 +287,21 @@ class ResidualLevels(NamedTuple):
 
 def residual_levels(c3: float, theta1: float, theta2: float, theta3: float,
                     p1: float, p2: float) -> ResidualLevels:
-    """The two residual-set V-levels; they coincide at the solved split."""
+    """The two residual-set V-levels, ``inf`` past the float range; they
+    coincide at the solved split.  Below 1/2 the float theta3 leaves
+    ``1 - theta3`` exact to an ulp, so ``from_linear_term`` is the level to
+    read there and ``from_power_term`` above."""
     if not 0.0 < theta3 < 1.0:
         raise ValueError("theta3 must lie in (0, 1)")
-    try:
-        levels = ResidualLevels((theta3 * c3 / theta1) ** (1.0 / (p1 - p2)),
-                                ((1.0 - theta3) * c3 / theta2) ** (1.0 / (1.0 - p2)))
-    except OverflowError:
-        levels = ResidualLevels(math.inf, math.inf)
-    if math.inf in levels:
-        raise ValueError(f"c3={c3!r}, theta1={theta1!r}, theta2={theta2!r} overflow "
-                         "the residual-set levels")
-    return levels
+
+    def level(base: float, exponent: float) -> float:
+        try:
+            return base ** exponent
+        except OverflowError:
+            return math.inf
+
+    return ResidualLevels(level(theta3 * c3 / theta1, 1.0 / (p1 - p2)),
+                          level((1.0 - theta3) * c3 / theta2, 1.0 / (1.0 - p2)))
 
 
 @dataclass(frozen=True)
@@ -405,10 +385,12 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
     th1 = c1 / 2.0 if theta1 is None else theta1
     th2 = c2 / 2.0 if theta2 is None else theta2
     bound = settling_time_perturbed(c1, c2, c3, p1, p2, v0, th1, th2)
-    # best-effort split: tiny disturbance bounds push theta3 against 1, where
-    # the reported level is insensitive to the unrepresentable last digits
-    th3 = solve_residual_split(th1, th2, c3, p1, p2, strict=False)
-    level = residual_levels(c3, th1, th2, th3, p1, p2).from_power_term
+    th3 = solve_residual_split(th1, th2, c3, p1, p2)
+    levels = residual_levels(c3, th1, th2, th3, p1, p2)
+    level = levels.from_linear_term if th3 < 0.5 else levels.from_power_term
+    if level == math.inf:
+        raise ValueError(f"c3={c3!r}, theta1={th1!r}, theta2={th2!r} overflow "
+                         "the residual-set level")
     return ConvergenceEstimate(c1=c1, c2=c2, c3=c3, p=p1, p2=p2, V0=v0,
                                settling_time_bound=bound, residual_V_level=level,
                                theta1=th1, theta2=th2, theta3=th3)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -353,13 +354,10 @@ class TestResidualSplit:
         levels = residual_levels(c3, theta1, theta2, theta3, p1, p2)
         assert levels.from_power_term == pytest.approx(levels.from_linear_term, rel=1e-9)
 
-    def test_root_pinned_against_one_is_loud_unless_best_effort(self):
+    def test_root_pinned_against_one_stays_below_one(self):
         # a tiny p1-p2 gap with a large theta1 pushes the root to within a few
         # ulps of 1, where |g| < 1e-12 is unrepresentable in float64
-        params = (3.2, 1.39, 0.25, 0.163, 0.094)
-        with pytest.raises(ArithmeticError):
-            solve_residual_split(*params)
-        theta3 = solve_residual_split(*params, strict=False)
+        theta3 = solve_residual_split(3.2, 1.39, 0.25, 0.163, 0.094)
         assert 0.999 < theta3 < 1.0
 
 
@@ -404,6 +402,36 @@ class TestConvergenceEstimate:
         assert est.residual_V_level == 0.0
         assert est.settling_time_bound == pytest.approx(
             settling_time_unperturbed(est.c1, est.c2, est.p, 10.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.floats(2.2, 4.0, exclude_min=True, exclude_max=True),
+           log_delta=st.floats(-6.0, 6.0),
+           log_u1=st.floats(-323.5, -0.3), log_u2=st.floats(-323.5, -0.3))
+    def test_reported_level_solves_the_residual_equation(self, m, log_delta, log_u1, log_u2):
+        # theta1 and theta2 down to the least positive float put theta3 (or the
+        # power term's base) in subnormal arithmetic: the level must still solve
+        # theta1 V**(p1-p2) + theta2 V**(1-p2) = c3, and only a V past the float
+        # range may be refused
+        cfg = reference_gains(m)
+        cert = build_certificate(cfg)
+        delta = 10.0 ** log_delta
+        theta1 = max(100.0 * cert.n1 * 10.0 ** log_u1, math.ulp(0.0))
+        theta2 = max(100.0 * cert.n3 * 10.0 ** log_u2, math.ulp(0.0))
+        c3 = delta * cert.n2_coeff
+
+        def excess(v):
+            return theta1 * v ** (cert.p1 - 0.5) + theta2 * v ** 0.5 - c3
+
+        try:
+            est = estimate_convergence(cert, cfg, v0=50.0, delta=delta, L0=100.0,
+                                       L0_dot=0.0, theta1=theta1, theta2=theta2)
+        except ValueError as err:
+            assert "overflow the residual-set level" in str(err)
+            assert excess(sys.float_info.max) <= 1e-12 * c3
+            return
+        assert est.c3 == c3
+        if est.residual_V_level >= sys.float_info.min:
+            assert abs(excess(est.residual_V_level)) <= 1e-12 * c3
 
     @pytest.mark.parametrize("name", ["v0", "delta", "L0", "L0_dot", "theta1", "theta2"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

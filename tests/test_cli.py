@@ -313,9 +313,12 @@ class TestCertify:
         (["--delta", "0.3", "--l0", "1e20"], 0),
         (["--delta", "1e-300", "--l0", "100"], 0),
         (["--delta", "0.3", "--l0", "100", "--theta1", "1e-300"], 0),
+        (["--delta", "0.3", "--l0", "100", "--theta1", "5e-324"], 0),
+        (["--delta", "0.3", "--l0", "100", "--theta2", "1e-300"], 0),
         (["--delta", "1e300", "--l0", "100"], 1),
         (["--delta", "1e308"], 1),
-    ], ids=["root-pinned-at-one", "tiny-delta", "tiny-theta1", "huge-delta", "infinite-c3"])
+    ], ids=["root-pinned-at-one", "tiny-delta", "tiny-theta1", "least-theta1", "tiny-theta2",
+            "huge-delta", "infinite-c3"])
     def test_residual_split_edge_cases_end_cleanly(self, capsys, flags, code):
         got, out, err = run_cli(capsys, ["certify", "--m", "3", "--v0", "50", *flags,
                                          "--l0-dot", "0"])
@@ -323,9 +326,13 @@ class TestCertify:
         if code == 0:
             conv = json.loads(out)["convergence"]
             assert 0.0 < conv["theta3"] < 1.0
-            if "--theta1" in flags:  # the bisection reaches a root far below 2**-200
-                assert (conv["theta3"], conv["residual_V_level"]) == (
-                    5.117945326995371e-301, 0.16201103370164044)
+            if "--theta1" in flags:  # a root far below 2**-200, or below the least float
+                assert conv["theta3"] == {"1e-300": 5.117945326995371e-301,
+                                          "5e-324": 5e-324}[flags[-1]]
+                assert conv["residual_V_level"] == 0.16201103370164063
+            if "--theta2" in flags:  # the level is the power term's alone
+                level = (conv["c3"] / conv["theta1"]) ** (1.0 / (conv["p1"] - conv["p2"]))
+                assert conv["residual_V_level"] == pytest.approx(level, rel=1e-12)
         else:
             assert out == "" and err.count("\n") == 1
             assert err.startswith("usage error: ") and "overflow" in err
