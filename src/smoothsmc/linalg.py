@@ -9,6 +9,7 @@ so that this identity can be tested.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,8 @@ JACOBI_MAX_SWEEPS = 100
 
 
 class JacobiConvergenceError(RuntimeError):
-    """Raised when the rotation sweeps exhaust their budget before converging."""
+    """Raised when the rotation sweeps exhaust their budget before converging,
+    or with ``sweeps == 0`` for input that never converges (see ``_jacobi``)."""
 
     def __init__(self, sweeps: int, off_residual: float):
         self.sweeps = sweeps
@@ -44,6 +46,8 @@ class SymMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("matrix order must be >= 1")
+        if np.isnan(a).any():
+            raise ValueError("entries contain a NaN")
         if not np.array_equal(a, a.T):
             raise ValueError("entries are not exactly symmetric")
         a = a.copy()
@@ -66,49 +70,70 @@ class EigenSummary:
 
 def kron_with_identity(base: SymMatrix, n: int) -> SymMatrix:
     """Return ``base (x) I_n``, order ``base.order * n``."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"identity factor must be a positive integer, got {n!r}")
     return SymMatrix(np.kron(base.entries, np.eye(int(n))))
+
+
+@functools.lru_cache(maxsize=8)
+def _cyclic_order(n: int) -> tuple:
+    """The ``(p, q, other indices)`` of each rotation of a sweep of order ``n``."""
+    return tuple((p, q, tuple(r for r in range(n) if r != p and r != q))
+                 for p in range(n - 1) for q in range(p + 1, n))
 
 
 def _jacobi(matrix, vectors: bool):
     """The cyclic-Jacobi sweeps of :func:`jacobi_eigh`: returns the rotated
     matrix, diagonal, as rows of Python floats, and the rotated identity, or
-    ``[]`` without ``vectors`` (the rotations of one never read the other)."""
-    a = np.asarray(matrix.entries if isinstance(matrix, SymMatrix) else matrix, dtype=float)
-    a, n = a.tolist(), a.shape[0]
+    ``[]`` without ``vectors`` (the rotations of one never read the other).
+
+    A rotation computes each entry of the upper triangle once and mirrors it
+    into the lower, as ``J'AJ`` keeps an exactly symmetric matrix exactly
+    symmetric.  Input that is not exactly symmetric, or holds a NaN, can never
+    converge and is refused before the first sweep (``sweeps == 0``)."""
+    m = np.asarray(matrix.entries if isinstance(matrix, SymMatrix) else matrix, dtype=float)
+    a, n = m.tolist(), m.shape[0]
+    # the lists hold distinct float objects, so a NaN equals nothing here
+    if a != m.T.tolist():
+        raise JacobiConvergenceError(0, float(np.abs(m[~np.eye(n, dtype=bool)]).max(initial=0.0)))
+    order = _cyclic_order(n)
     v = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else []
     off = 0.0
     for _ in range(JACOBI_MAX_SWEEPS):
-        # both triangles (a raw asymmetric matrix never converges), and a NaN
-        # never converges and is the residual, as with numpy's max
-        offs = [abs(x) for i, row in enumerate(a) for j, x in enumerate(row) if i != j]
+        # a NaN, which an infinite entry can still produce, never converges and
+        # is the residual, as with numpy's max
+        offs = [abs(a[p][q]) for p, q, _others in order]
         diag = [abs(row[i]) for i, row in enumerate(a)]
         off = math.nan if math.isnan(sum(offs)) else max(offs, default=0.0)
         if off <= JACOBI_CONV_FACTOR * max(diag) and not math.isnan(sum(diag)):
             return a, v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                if abs(theta) > 1e154:
-                    # avoid overflow in theta**2 for extreme ratios
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    # theta may be -0.0, whose copysign is -1: keep t = 1 there
-                    t = math.copysign(1.0, theta) if theta != 0.0 else 1.0
-                    t /= abs(theta) + math.sqrt(theta * theta + 1.0)
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # rows from the old rows, then columns of a from the new rows, and of v
-                rp, rq = a[p], a[q]
-                a[p] = [c * x - s * y for x, y in zip(rp, rq)]
-                a[q] = [s * x + c * y for x, y in zip(rp, rq)]
-                for row in a + v:
-                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
-                a[p][q] = a[q][p] = 0.0
+        for p, q, others in order:
+            rp, rq = a[p], a[q]
+            apq = rp[q]
+            if apq == 0.0:
+                continue
+            app, aqq = rp[p], rq[q]
+            theta = (aqq - app) / (2.0 * apq)
+            if abs(theta) > 1e154:
+                # avoid overflow in theta**2 for extreme ratios
+                t = 1.0 / (2.0 * theta)
+            else:
+                # theta may be -0.0, whose copysign is -1: keep t = 1 there
+                t = math.copysign(1.0, theta) if theta != 0.0 else 1.0
+                t /= abs(theta) + math.sqrt(theta * theta + 1.0)
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            # the 2x2 core by rows from the old rows, then by columns
+            pp, pq = c * app - s * apq, c * apq - s * aqq
+            qp, qq = s * app + c * apq, s * apq + c * aqq
+            rp[p], rq[q] = c * pp - s * pq, s * qp + c * qq
+            rp[q] = rq[p] = 0.0
+            for r in others:
+                x, y = rp[r], rq[r]
+                rp[r] = a[r][p] = c * x - s * y
+                rq[r] = a[r][q] = s * x + c * y
+            for row in v:
+                row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
     raise JacobiConvergenceError(JACOBI_MAX_SWEEPS, off)
 
 

@@ -6,11 +6,15 @@ from hypothesis import strategies as st
 from smoothsmc import (
     JacobiConvergenceError,
     SymMatrix,
+    build_omega_blocks,
+    build_p_block,
+    build_q_block,
     eig_sym,
     is_positive_definite,
     jacobi_eigh,
     kron_with_identity,
 )
+from smoothsmc.experiments import DEFAULT_GAINS, build_gain_config
 
 
 def random_symmetric(seed, order):
@@ -34,6 +38,11 @@ class TestSymMatrix:
     def test_rejects_exact_asymmetry(self):
         with pytest.raises(ValueError):
             SymMatrix(np.array([[1.0, 2.0], [2.0 + 1e-14, 1.0]]))
+
+    @pytest.mark.parametrize("entries", [[[np.nan]], [[1.0, np.nan], [np.nan, 2.0]]])
+    def test_rejects_nan_by_name(self, entries):
+        with pytest.raises(ValueError, match="NaN"):
+            SymMatrix(np.array(entries))
 
     def test_entries_frozen(self):
         m = SymMatrix(np.eye(2))
@@ -63,6 +72,10 @@ class TestKron:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             kron_with_identity(SymMatrix(np.eye(2)), 0)
+
+    def test_rejects_bool_n(self):
+        with pytest.raises(ValueError):
+            kron_with_identity(SymMatrix(np.eye(2)), True)
 
 
 def copying_jacobi(entries):
@@ -113,7 +126,21 @@ CONSTRUCTED = {
     "theta-above-1e154": [[1.0, 1e-200, 1.0], [1e-200, 2.0, 0.0], [1.0, 0.0, 3.0]],
     "infinite-diagonal": [[np.inf, 1.0], [1.0, 2.0]],
     "negative-infinite-diagonal-3x3": [[1.0, 0.5, 0.0], [0.5, -np.inf, 0.25], [0.0, 0.25, 3.0]],
+    # equal but not bitwise symmetric: the solver mirrors the upper +0.0 entries
+    "lower-negative-zeros": [[2.0, 1.0, 0.0, 0.0], [1.0, 3.0, 0.0, 0.5],
+                             [-0.0, -0.0, 1.0, 0.25], [-0.0, 0.5, 0.25, 4.0]],
 }
+
+
+def certificate_blocks(count=50):
+    """P, Q, Omega1 and Omega2 of seeded gain sets: m in [2.2, 4] and each
+    default gain scaled by a factor in [0.5, 1.5]."""
+    rng = np.random.default_rng(17)
+    for _ in range(count):
+        m = rng.uniform(2.2, 4.0)
+        cfg = build_gain_config(m, **{k: DEFAULT_GAINS[k] * rng.uniform(0.5, 1.5)
+                                      for k in ("k1", "k2", "k3", "k4")})
+        yield (build_p_block(cfg), build_q_block(cfg)) + build_omega_blocks(cfg)
 
 
 class TestEig:
@@ -162,6 +189,16 @@ class TestEig:
     def test_rotations_are_bitwise_the_copying_loop_on_random_matrices(self, mat):
         self.assert_bitwise_the_copying_loop(mat)
 
+    def test_certificate_blocks_are_bitwise_the_copying_loop(self):
+        # zero patterns the dense random matrices never have: Q is diagonal,
+        # Omega1 has a zero at (0, 1) and Omega2 at (0, 1) and (0, 2)
+        for p_block, q_block, omega1, omega2 in certificate_blocks():
+            q, o1, o2 = q_block.entries, omega1.entries, omega2.entries
+            assert np.array_equal(q, np.diag(np.diagonal(q)))
+            assert o1[0, 1] == 0.0 and o2[0, 1] == 0.0 and o2[0, 2] == 0.0
+            for block in (p_block, q_block, omega1, omega2):
+                self.assert_bitwise_the_copying_loop(block)
+
     @pytest.mark.parametrize("entries", [
         [[1.0, 0.0, 0.0], [0.0, 2.0, np.nan], [0.0, np.nan, 3.0]],
         [[1.0, 1e-3, 0.0], [1e-3, 2.0, 0.0], [0.0, 0.0, np.nan]],
@@ -173,6 +210,17 @@ class TestEig:
         # a NaN that is not the first entry must not be skipped by the maximum
         with pytest.raises(JacobiConvergenceError):
             jacobi_eigh(np.array(entries))
+
+    @pytest.mark.parametrize("entries", [
+        [[1.0, 0.0, 0.0], [0.0, 2.0, np.nan], [0.0, np.nan, 3.0]],
+        [[1.0, 1e-3, 0.0], [1e-3, 2.0, 0.0], [0.0, 0.0, np.nan]],
+        [[np.nan]],
+        [[1.0, 0.0], [1e-3, 2.0]],
+    ], ids=["nan-off-diagonal", "nan-diagonal", "nan-order-1", "exactly-asymmetric"])
+    def test_input_that_cannot_converge_is_refused_before_the_first_sweep(self, entries):
+        with pytest.raises(JacobiConvergenceError) as caught:
+            jacobi_eigh(np.array(entries))
+        assert caught.value.sweeps == 0
 
     @settings(max_examples=60, deadline=None)
     @given(mat=sym_matrices)
