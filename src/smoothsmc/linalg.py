@@ -95,7 +95,7 @@ def _jacobi(matrix, vectors: bool):
     a, n = m.tolist(), m.shape[0]
     # the lists hold distinct float objects, so a NaN equals nothing here
     if a != m.T.tolist():
-        raise JacobiConvergenceError(0, float(np.abs(m[~np.eye(n, dtype=bool)]).max(initial=0.0)))
+        raise JacobiConvergenceError(0, float(np.abs(m[~np.eye(*m.shape, dtype=bool)]).max(initial=0.0)))
     order = _cyclic_order(n)
     v = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else []
     off = 0.0
@@ -141,8 +141,10 @@ def jacobi_eigh(matrix):
     """Cyclic-Jacobi eigendecomposition of a symmetric matrix.
 
     Returns ``(values, vectors)`` with eigenvalues ascending and eigenvectors
-    as matching columns.  Fails loudly on non-convergence.  Rotates Python
-    floats: bitwise numpy's row rotations, without their per-call overhead.
+    as matching columns.  Fails loudly on non-convergence, and before the
+    first sweep on input that is not exactly symmetric or holds a NaN.
+    Rotates one triangle of Python floats and mirrors it: bitwise numpy's
+    row-then-column rotations, without their per-call overhead.
     """
     a, v = _jacobi(matrix, True)
     order = sorted(range(len(a)), key=lambda i: a[i][i])  # stable: ties keep their column order

@@ -132,17 +132,6 @@ CONSTRUCTED = {
 }
 
 
-def certificate_blocks(count=50):
-    """P, Q, Omega1 and Omega2 of seeded gain sets: m in [2.2, 4] and each
-    default gain scaled by a factor in [0.5, 1.5]."""
-    rng = np.random.default_rng(17)
-    for _ in range(count):
-        m = rng.uniform(2.2, 4.0)
-        cfg = build_gain_config(m, **{k: DEFAULT_GAINS[k] * rng.uniform(0.5, 1.5)
-                                      for k in ("k1", "k2", "k3", "k4")})
-        yield (build_p_block(cfg), build_q_block(cfg)) + build_omega_blocks(cfg)
-
-
 class TestEig:
     def test_diagonal(self):
         summary = eig_sym(SymMatrix(np.diag([1.0, 2.0, 3.0])))
@@ -192,7 +181,12 @@ class TestEig:
     def test_certificate_blocks_are_bitwise_the_copying_loop(self):
         # zero patterns the dense random matrices never have: Q is diagonal,
         # Omega1 has a zero at (0, 1) and Omega2 at (0, 1) and (0, 2)
-        for p_block, q_block, omega1, omega2 in certificate_blocks():
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            cfg = build_gain_config(rng.uniform(2.2, 4.0), **{
+                k: DEFAULT_GAINS[k] * rng.uniform(0.5, 1.5) for k in ("k1", "k2", "k3", "k4")})
+            p_block, q_block = build_p_block(cfg), build_q_block(cfg)
+            omega1, omega2 = build_omega_blocks(cfg)
             q, o1, o2 = q_block.entries, omega1.entries, omega2.entries
             assert np.array_equal(q, np.diag(np.diagonal(q)))
             assert o1[0, 1] == 0.0 and o2[0, 1] == 0.0 and o2[0, 2] == 0.0
@@ -216,7 +210,8 @@ class TestEig:
         [[1.0, 1e-3, 0.0], [1e-3, 2.0, 0.0], [0.0, 0.0, np.nan]],
         [[np.nan]],
         [[1.0, 0.0], [1e-3, 2.0]],
-    ], ids=["nan-off-diagonal", "nan-diagonal", "nan-order-1", "exactly-asymmetric"])
+        [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]],
+    ], ids=["nan-off-diagonal", "nan-diagonal", "nan-order-1", "exactly-asymmetric", "not-square"])
     def test_input_that_cannot_converge_is_refused_before_the_first_sweep(self, entries):
         with pytest.raises(JacobiConvergenceError) as caught:
             jacobi_eigh(np.array(entries))
