@@ -26,15 +26,22 @@ from .laws import (
 from .linalg import EigenSummary, SymMatrix, eig_sym, is_positive_definite
 
 
+def _symmetric(cfg: GainConfig, *blocks: list) -> tuple[SymMatrix, ...]:
+    """The blocks, rows of Python floats, refused by name if an entry is not
+    finite: float ``*`` and ``/`` overflow to inf, and ``0 * inf`` is NaN, silently."""
+    if not all(math.isfinite(x) for rows in blocks for row in rows for x in row):
+        raise gain_overflow(cfg, "the certificate blocks")
+    return tuple(map(SymMatrix, blocks))
+
+
 def build_p_block(cfg: GainConfig) -> SymMatrix:
     """3x3 factor of the Lyapunov weight matrix P."""
     k1, k2, k3, k4, m = cfg.k1, cfg.k2, cfg.k3, cfg.k4, cfg.m
-    block = 0.5 * np.array([
+    return _symmetric(cfg, [[0.5 * x for x in row] for row in (
         [2.0 * m / (m - 1.0) * k3 + k1 * k1, k1 * k2, -k1],
         [k1 * k2, 2.0 * k4 + k2 * k2, -k2],
         [-k1, -k2, 2.0],
-    ])
-    return SymMatrix(block)
+    )])[0]
 
 
 def build_q_block(cfg: GainConfig) -> SymMatrix:
@@ -43,7 +50,7 @@ def build_q_block(cfg: GainConfig) -> SymMatrix:
     q1 = 2.0 * m / (m - 1.0) * k3 + k1 * k1 + (2.0 * m - 1.0) * k1 * k2 / (2.0 * (m - 1.0)) + k1 / 2.0
     q2 = m / (2.0 * (m - 1.0)) * (4.0 * k4 + 2.0 * k2 * k2 + k2) + (2.0 * m - 1.0) * k1 * k2 / (2.0 * (m - 1.0))
     q3 = k1 / 2.0 + m * k2 / (2.0 * (m - 1.0))
-    return SymMatrix(np.diag([q1, q2, q3]))
+    return _symmetric(cfg, [[q1, 0.0, 0.0], [0.0, q2, 0.0], [0.0, 0.0, q3]])[0]
 
 
 def build_omega_blocks(cfg: GainConfig) -> tuple[SymMatrix, SymMatrix]:
@@ -54,17 +61,17 @@ def build_omega_blocks(cfg: GainConfig) -> tuple[SymMatrix, SymMatrix]:
     sufficient condition for that.
     """
     k1, k2, k3, k4, m = cfg.k1, cfg.k2, cfg.k3, cfg.k4, cfg.m
-    omega1 = (k1 / m) * np.array([
+    omega1 = [[(k1 / m) * x for x in row] for row in (
         [k3 * m + k1 * k1 * (m - 1.0), 0.0, -k1 * (m - 1.0)],
         [0.0, k4 * m + k2 * k2 * (3.0 * m - 1.0), -k2 * (2.0 * m - 1.0)],
         [-k1 * (m - 1.0), -k2 * (2.0 * m - 1.0), m - 1.0],
-    ])
-    omega2 = k2 * np.array([
+    )]
+    omega2 = [[k2 * x for x in row] for row in (
         [k3 + k1 * k1 * (3.0 * m - 2.0) / m, 0.0, 0.0],
         [0.0, k4 + k2 * k2, -k2],
         [0.0, -k2, 1.0],
-    ])
-    return SymMatrix(omega1), SymMatrix(omega2)
+    )]
+    return _symmetric(cfg, omega1, omega2)
 
 
 @dataclass(frozen=True)
@@ -185,14 +192,12 @@ class LyapunovCertificate:
 
 
 def build_certificate(cfg: GainConfig) -> LyapunovCertificate:
-    """Assemble the certificate for an ``m > 2`` configuration."""
+    """Assemble the certificate for an ``m > 2`` configuration; gains whose
+    blocks leave the float range are refused by name (:func:`gain_overflow`)."""
     if cfg.m <= 2:
         raise ValueError("the certificate requires m > 2 (the baseline is exempt)")
-    with np.errstate(over="ignore"):  # refused below, by name
-        p_block, q_block = build_p_block(cfg), build_q_block(cfg)
-        omega1, omega2 = build_omega_blocks(cfg)
-    if not all(np.isfinite(b.entries).all() for b in (p_block, q_block, omega1, omega2)):
-        raise gain_overflow(cfg, "the certificate blocks")
+    p_block, q_block = build_p_block(cfg), build_q_block(cfg)
+    omega1, omega2 = build_omega_blocks(cfg)
     eigs = {name: eig_sym(mat) for name, mat in
             (("P", p_block), ("Q", q_block), ("O1", omega1), ("O2", omega2))}
     p1 = (2.0 * cfg.m - 3.0) / (2.0 * cfg.m - 2.0)

@@ -25,7 +25,7 @@ DEFAULT_SINGULAR_TOL = 1e-12
 
 def is_real_number(value) -> bool:
     """True for a real number other than a bool (JSON ``true`` is no gain)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class GainCheck(NamedTuple):

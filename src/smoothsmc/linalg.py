@@ -36,21 +36,22 @@ class JacobiConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """A real symmetric matrix; symmetry is exact after construction."""
+    """A read-only float copy of a real, exactly symmetric matrix without NaN
+    (a -0.0/+0.0 mirror pair is symmetric; infinite entries are accepted)."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
+        a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("matrix order must be >= 1")
-        if np.isnan(a).any():
-            raise ValueError("entries contain a NaN")
-        if not np.array_equal(a, a.T):
+        # the lists hold distinct float objects, so a NaN equals nothing here
+        if (rows := a.tolist()) != a.T.tolist():
+            if any(x != x for row in rows for x in row):
+                raise ValueError("entries contain a NaN")
             raise ValueError("entries are not exactly symmetric")
-        a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -89,13 +90,16 @@ def _jacobi(matrix, vectors: bool):
 
     A rotation computes each entry of the upper triangle once and mirrors it
     into the lower, as ``J'AJ`` keeps an exactly symmetric matrix exactly
-    symmetric.  Input that is not exactly symmetric, or holds a NaN, can never
-    converge and is refused before the first sweep (``sweeps == 0``)."""
-    m = np.asarray(matrix.entries if isinstance(matrix, SymMatrix) else matrix, dtype=float)
-    a, n = m.tolist(), m.shape[0]
-    # the lists hold distinct float objects, so a NaN equals nothing here
-    if a != m.T.tolist():
-        raise JacobiConvergenceError(0, float(np.abs(m[~np.eye(*m.shape, dtype=bool)]).max(initial=0.0)))
+    symmetric.  A raw 2-D array that is not exactly symmetric, or holds a NaN,
+    can never converge and is refused before the first sweep (``sweeps == 0``),
+    and other raw input as :class:`SymMatrix` refuses it."""
+    if not isinstance(matrix, SymMatrix):
+        m = np.asarray(matrix, dtype=float)
+        # the lists hold distinct float objects, so a NaN equals nothing here
+        if m.ndim == 2 and m.tolist() != m.T.tolist():
+            raise JacobiConvergenceError(0, float(np.abs(m[~np.eye(*m.shape, dtype=bool)]).max(initial=0.0)))
+        matrix = SymMatrix(m)
+    a, n = matrix.entries.tolist(), matrix.order
     order = _cyclic_order(n)
     v = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else []
     off = 0.0

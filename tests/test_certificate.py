@@ -90,6 +90,58 @@ class TestOmegaBlocks:
                 assert constant is not None and constant > 0
 
 
+def oracle_blocks(cfg):
+    """The four blocks as numpy expressions, with numpy's overflow to inf."""
+    k1, k2, k3, k4, m = cfg.k1, cfg.k2, cfg.k3, cfg.k4, cfg.m
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = 0.5 * np.array([
+            [2.0 * m / (m - 1.0) * k3 + k1 * k1, k1 * k2, -k1],
+            [k1 * k2, 2.0 * k4 + k2 * k2, -k2],
+            [-k1, -k2, 2.0],
+        ])
+        q1 = 2.0 * m / (m - 1.0) * k3 + k1 * k1 + (2.0 * m - 1.0) * k1 * k2 / (2.0 * (m - 1.0)) + k1 / 2.0
+        q2 = m / (2.0 * (m - 1.0)) * (4.0 * k4 + 2.0 * k2 * k2 + k2) + (2.0 * m - 1.0) * k1 * k2 / (2.0 * (m - 1.0))
+        q3 = k1 / 2.0 + m * k2 / (2.0 * (m - 1.0))
+        omega1 = (k1 / m) * np.array([
+            [k3 * m + k1 * k1 * (m - 1.0), 0.0, -k1 * (m - 1.0)],
+            [0.0, k4 * m + k2 * k2 * (3.0 * m - 1.0), -k2 * (2.0 * m - 1.0)],
+            [-k1 * (m - 1.0), -k2 * (2.0 * m - 1.0), m - 1.0],
+        ])
+        omega2 = k2 * np.array([
+            [k3 + k1 * k1 * (3.0 * m - 2.0) / m, 0.0, 0.0],
+            [0.0, k4 + k2 * k2, -k2],
+            [0.0, -k2, 1.0],
+        ])
+    return p, np.diag([q1, q2, q3]), omega1, omega2
+
+
+log_uniform_gains = st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e)
+
+
+class TestBlocksAgainstTheNumpyOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.floats(2.0, 1e3, exclude_min=True), k1=log_uniform_gains, k2=log_uniform_gains,
+           k3=log_uniform_gains, k4=log_uniform_gains)
+    def test_bitwise_or_refused_by_name(self, m, k1, k2, k3, k4):
+        cfg = reference_gains(m=m, k1=k1, k2=k2, k3=k3, k4=k4)
+        p, q, omega1, omega2 = oracle_blocks(cfg)
+        for build, want in ((build_p_block, (p,)), (build_q_block, (q,)),
+                            (build_omega_blocks, (omega1, omega2))):
+            if all(np.isfinite(w).all() for w in want):
+                got = build(cfg)
+                got = got if isinstance(got, tuple) else (got,)
+                assert [g.entries.tobytes() for g in got] == [w.tobytes() for w in want]
+            else:
+                with pytest.raises(ValueError, match=r"^gains m=.*, k4=.* overflow the certificate blocks$"):
+                    build(cfg)
+
+    def test_the_draws_reach_the_overflow_region(self):
+        # Omega1 holds (k1/m) * k1^2 (m - 1), past the float range at k1 = 1e150
+        assert not np.isfinite(oracle_blocks(reference_gains(m=1e3, k1=1e150))[2]).all()
+        with pytest.raises(ValueError, match="overflow the certificate blocks"):
+            build_omega_blocks(reference_gains(m=1e3, k1=1e150))
+
+
 class TestCertificate:
     def test_reference_certificate(self):
         cert = build_certificate(reference_gains())

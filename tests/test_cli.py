@@ -654,6 +654,14 @@ class TestBadInputs:
         assert "k1=1e+200" in err and "overflow" in err
         assert not (tmp_path / "out").exists()
 
+    def test_a_nan_block_entry_names_the_gains(self, capsys):
+        # k1/m underflows to 0.0 and meets k3*m = inf: 0 * inf is a NaN entry
+        # of Omega1, refused as an overflow of the blocks, not as a NaN matrix
+        code, out, err = run_cli(capsys, ["certify", "--m", "1e308", "--k1", "1e-20"])
+        assert (code, out) == (1, "")
+        assert err == ("usage error: gains m=1e+308, k1=1e-20, k2=2.5, k3=4.0, k4=30.0 "
+                       "overflow the certificate blocks\n")
+
 
 def numeric_flags():
     """``(subcommand, flag)`` for every option of every subcommand that

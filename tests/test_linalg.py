@@ -49,6 +49,37 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
 
+    def test_copies_its_input(self):
+        source = np.array([[1.0, 2.0], [2.0, 3.0]])
+        m = SymMatrix(source)
+        source[0, 1] = source[1, 0] = 7.0
+        assert m.entries.tolist() == [[1.0, 2.0], [2.0, 3.0]]
+        assert not m.entries.flags.writeable
+
+    def test_accepts_nested_lists_of_ints(self):
+        m = SymMatrix([[1, 2], [2, 3]])
+        assert m.entries.dtype == np.float64
+        assert m.entries.tolist() == [[1.0, 2.0], [2.0, 3.0]]
+
+    def test_accepts_a_signed_zero_mirror_pair_and_infinite_entries(self):
+        m = SymMatrix([[1.0, -0.0, np.inf], [0.0, -np.inf, 2.0], [np.inf, 2.0, 3.0]])
+        assert np.signbit(m.entries[0, 1]) and not np.signbit(m.entries[1, 0])
+        assert m.entries[0, 2] == m.entries[2, 0] == np.inf and m.entries[1, 1] == -np.inf
+
+    @pytest.mark.parametrize("entries", [
+        [[np.nan]],
+        [[1.0, np.nan], [np.nan, 2.0]],
+        # asymmetric as well: the NaN is named first
+        [[1.0, np.nan], [2.0, 3.0]],
+    ], ids=["order-1", "mirrored", "asymmetric"])
+    def test_refuses_nan_with_its_own_message(self, entries):
+        with pytest.raises(ValueError, match="^entries contain a NaN$"):
+            SymMatrix(entries)
+
+    def test_refuses_asymmetry_with_its_own_message(self):
+        with pytest.raises(ValueError, match="^entries are not exactly symmetric$"):
+            SymMatrix([[1.0, 2.0], [3.0, 1.0]])
+
 
 class TestKron:
     def test_scalar_times_identity(self):
@@ -216,6 +247,15 @@ class TestEig:
         with pytest.raises(JacobiConvergenceError) as caught:
             jacobi_eigh(np.array(entries))
         assert caught.value.sweeps == 0
+
+    @pytest.mark.parametrize("entries, message", [
+        (np.zeros((0, 0)), "^matrix order must be >= 1$"),
+        (np.zeros(3), r"^expected a square matrix, got shape \(3,\)$"),
+        (np.array(5.0), r"^expected a square matrix, got shape \(\)$"),
+    ], ids=["order-0", "vector", "scalar"])
+    def test_input_that_is_no_square_matrix_is_refused_by_name(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            jacobi_eigh(entries)
 
     @settings(max_examples=60, deadline=None)
     @given(mat=sym_matrices)
