@@ -135,8 +135,9 @@ class TestBlocksAgainstTheNumpyOracle:
                 with pytest.raises(ValueError, match=r"^gains m=.*, k4=.* overflow the certificate blocks$"):
                     build(cfg)
 
-    def test_the_draws_reach_the_overflow_region(self):
-        # Omega1 holds (k1/m) * k1^2 (m - 1), past the float range at k1 = 1e150
+    def test_the_top_of_the_gain_range_overflows_omega1(self):
+        # Omega1 holds (k1/m) * k1^2 (m - 1): past the float range at k1 = 1e150,
+        # so the property reaches the refusal
         assert not np.isfinite(oracle_blocks(reference_gains(m=1e3, k1=1e150))[2]).all()
         with pytest.raises(ValueError, match="overflow the certificate blocks"):
             build_omega_blocks(reference_gains(m=1e3, k1=1e150))
