@@ -28,6 +28,22 @@ def is_real_number(value) -> bool:
     return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def real_setting(value):
+    """``value`` as a config stores it, or None if it is not a real number
+    that a float can hold.  A Python float or int is kept as given, so an
+    integer keeps its JSON form; any other real, such as a numpy scalar,
+    becomes ``float(value)``, so that all arithmetic on it is float64."""
+    if type(value) is float:
+        return value
+    if not is_real_number(value):
+        return None
+    try:
+        as_float = float(value)
+    except OverflowError:  # an int too large for a float
+        return None
+    return value if type(value) is int else as_float
+
+
 class GainCheck(NamedTuple):
     """Outcome of the gain feasibility inequality."""
 
@@ -91,10 +107,14 @@ class GainConfig:
 
     def __post_init__(self):
         for name in ("k1", "k2", "k3", "k4", "kappa", "epsilon", "L0_init"):
-            if not (is_real_number(value := getattr(self, name)) and 0 < value < math.inf):
+            value = real_setting(getattr(self, name))
+            if not (value is not None and 0 < value < math.inf):
                 raise ValueError(f"{name} must be a positive, finite number")
-        if not (is_real_number(self.m) and 2 <= self.m < math.inf):
+            object.__setattr__(self, name, value)
+        m = real_setting(self.m)
+        if not (m is not None and 2 <= m < math.inf):
             raise ValueError("m must be a finite number >= 2 (m == 2 is the baseline)")
+        object.__setattr__(self, "m", m)
         if not isinstance(self.allow_uncertified, bool):
             raise ValueError("allow_uncertified must be true or false")
         if self.m > 2 and not self.allow_uncertified:

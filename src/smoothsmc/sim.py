@@ -4,22 +4,24 @@ feedback law, disturbance signal generators, and trajectory logging.
 The plant is ``x1dot = u + d(t)``.  The control is held constant over each
 major step (zero-order hold) while the plant integrates with classical
 four-stage Runge-Kutta, the disturbance evaluated at the substage times.
-One step loop advances a batch of cells at once, one row of a (B, n) array
-each: :func:`simulate_closed_loop` runs one adaptive controller per gain
-set, each on its own copy of the plant, and :func:`simulate_observer` one
-observer per gain set over the measurement of the plant under zero control,
-which the loop builds as a running sum of RK4 increments.  The loop only
-steps; V is computed from the kept rows after it.  Every row is bitwise
-what the scalar laws give on their own.
+One step loop advances a batch of cells at once: :func:`simulate_closed_loop`
+runs one adaptive controller per gain set, each on its own copy of the
+plant, and :func:`simulate_observer` one observer per gain set over the
+measurement of the plant under zero control, which the loop builds as a
+running sum of RK4 increments.  The loop steps a single cell on Python
+floats and a batch of two or more as the rows of (B, n) arrays: a numpy
+call costs about as much on one row as on many, so only a batch repays it.
+The loop only steps; V is computed from the kept rows after it.  Every
+cell is bitwise what the scalar laws give on their own, in either kernel.
 
 The loop runs in blocks of about :data:`BLOCK_CELL_STEPS` cell-steps.  Each
 block builds only its own slice of the time grid, the disturbance and the
-measurement, and logs into buffers that the next block reuses, so the
-loop's memory does not grow with the run or the batch.  A simulator hands
-each full-rate block to an optional ``fold``, which reads it (this is how
-``experiments.run_cells`` computes the metrics from every step), and with
-``record`` keeps copies of every ``log_stride``-th row, the one place the
-stride is applied.
+measurement, and logs into buffers that the next block reuses or replaces,
+so the loop's memory does not grow with the run or the batch.  A simulator
+hands each full-rate block to an optional ``fold``, which reads it (this is
+how ``experiments.run_cells`` computes the metrics from every step), and
+with ``record`` keeps copies of every ``log_stride``-th row, the one place
+the stride is applied.
 Everything is deterministic: identical configs give bit-identical logs.
 """
 
@@ -27,13 +29,14 @@ from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .certificate import build_p_block, lyapunov_series
-from .laws import is_real_number
+from .laws import is_real_number, real_setting
 
 # The longest run accepted, in steps (one controller cell at n = 3 needs about
 # 250 bytes a step, 2.5 GB here), checked before any array is allocated.
@@ -51,7 +54,7 @@ def _real_vector(value, name: str) -> np.ndarray:
     numbers; JSON booleans and numeric strings are refused, not converted."""
     items = value.tolist() if isinstance(value, np.ndarray) and value.ndim == 1 else value
     if not (isinstance(items, (list, tuple)) and items
-            and all(is_real_number(v) and math.isfinite(v) for v in items)):
+            and all(real_setting(v) is not None and math.isfinite(v) for v in items)):
         raise ValueError(f"{name} must be a non-empty vector of finite numbers")
     vec = np.array(items, dtype=float)
     vec.setflags(write=False)
@@ -89,7 +92,8 @@ class DisturbanceSpec:
             if self.channels is None or len(self.channels) != self.n:
                 raise ValueError("sinusoid-mix needs one channel per component")
             channels = tuple(SineChannel(*c) for c in self.channels)
-            if not all(is_real_number(v) and math.isfinite(v) for c in channels for v in c[:2]):
+            if not all(real_setting(v) is not None and math.isfinite(v)
+                       for c in channels for v in c[:2]):
                 raise ValueError("channel amplitudes and frequencies must be finite numbers")
             if not all(isinstance(c.is_cosine, bool) for c in channels):
                 raise ValueError("a channel's is_cosine must be true or false")
@@ -194,14 +198,17 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "x1_init", _real_vector(self.x1_init, "x1_init"))
-        if not (is_real_number(self.dt) and self.dt > 0):
+        dt, horizon, tol = map(real_setting, (self.dt, self.horizon, self.singular_tol))
+        if not (dt is not None and dt > 0):
             raise ValueError("dt must be a positive number")
-        if not (is_real_number(self.horizon) and self.dt < self.horizon < math.inf):
+        if not (horizon is not None and dt < horizon < math.inf):
             raise ValueError("horizon must be a finite number above dt")
-        if self.horizon / self.dt > MAX_STEPS:
+        if horizon / dt > MAX_STEPS:
             raise ValueError(f"horizon / dt exceeds the limit of {MAX_STEPS} steps")
-        if not (is_real_number(self.singular_tol) and 0 < self.singular_tol < math.inf):
+        if not (tol is not None and 0 < tol < math.inf):
             raise ValueError("singular_tol must be a positive, finite number")
+        for name, value in (("dt", dt), ("horizon", horizon), ("singular_tol", tol)):
+            object.__setattr__(self, name, value)
         stride = self.log_stride
         if not (is_real_number(stride) and isinstance(stride, numbers.Integral) and stride >= 1):
             raise ValueError("log_stride must be an integer >= 1")
@@ -318,14 +325,13 @@ class Block(NamedTuple):
 
 def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = False,
                log_integral: bool = False):
-    """The one step loop: advances B cells at once, one row of a (B, n)
-    array each, and yields each block of ``BLOCK_CELL_STEPS // B`` steps
-    as a :class:`Block` of buffers that the next block overwrites (the
-    integral only if ``log_integral``).
+    """The one step loop: advances B cells at once and yields each block of
+    ``BLOCK_CELL_STEPS // B`` steps as a :class:`Block` of logs that the
+    next block replaces (the integral only if ``log_integral``).
 
-    Every row applies the adaptive law ``cfgs[b]`` (``laws.law_step``) and
+    Every cell applies the adaptive law ``cfgs[b]`` (``laws.law_step``) and
     keeps one state ``W``, which starts at ``x1(0)``.  Without ``observe``
-    the row is a copy of the plant, ``W = x1``, driven by ``u = -Y``.  With
+    the cell is a copy of the plant, ``W = x1``, driven by ``u = -Y``.  With
     ``observe`` it is an observer, ``W = z1``, with ``d_hat = Y`` on the
     innovation over one shared measurement: the plant under zero control,
     whose state is ``x1(0)`` plus a running sum of RK4 increments, built a
@@ -333,95 +339,195 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = Fals
     bitwise the step-by-step integration) and checked before the block's
     steps.  The time grid and the disturbance are shared by the batch.
 
-    Each row is bitwise the scalar reference (``laws.controller_step`` or
-    ``laws.observer_step``, RK4 plant): one norm ``sqrt(vecdot)``, which is
-    ``np.linalg.norm`` bit for bit, and every power of the spec as Python's
-    float ``**`` per cell, because numpy's vectorised power is not libm
-    ``pow``.  A step makes few numpy calls, most on arrays of one shape:
-    ``G = [L1; L3]`` and ``H = [L2; L4]`` are the gains repeated to shape
-    (2, B, n), rebuilt from Python floats only after a row adapted;
-    ``D = S / [r**(1/m); r**(2/m)]`` holds both direction terms and
-    ``T = G*D + H*S`` both sums of the law (``Y = T[0] + I`` and the
-    integral increment ``dt*T[1]``); ``U + d`` with the stacked disturbance
-    gives the three RK4 stage sums.  The singular and adaptation tests read
-    the norms ``r`` as a list.  A non-finite state makes the next norm
-    non-finite, so the state is checked only then and after each block.
+    The steps themselves run in one of two kernels, chosen by the batch
+    size alone: :func:`_float_kernel` steps a single cell on Python floats,
+    :func:`_array_kernel` a batch of two or more on (B, n) arrays.  A numpy
+    call costs about the same on one row as on twelve, so a lone cell is
+    fastest without them, a batch with them.  Both compute each cell's
+    every float with the same IEEE operation on the same operands, so a
+    cell's log is bitwise the same whichever kernel steps it, and bitwise
+    the scalar reference (``laws.controller_step`` or
+    ``laws.observer_step``, RK4 plant).  A non-finite state makes the next
+    norm non-finite, so a kernel checks the state only then; the loop
+    checks it again after each block and reports the step that made it.
     """
     if not cfgs:
         raise ValueError("a batch needs at least one gain configuration")
     if dist.n != sim.n:
         raise ValueError("disturbance dimension does not match the initial state")
-    n, dt, tol, rows = sim.n, sim.dt, sim.singular_tol, len(cfgs)
-    dt6 = dt / 6.0
-    W = np.tile(sim.x1_init, (rows, 1))
-    measured = sim.x1_init  # the measurement at the block's first step
-    law = [(c.k1, c.k2, c.k3, c.k4, (c.m - 1.0) / c.m, (2.0 * c.m - 2.0) / c.m) for c in cfgs]
-    powers = [1.0 / c.m for c in cfgs] + [2.0 / c.m for c in cfgs]
-    adapt = [(c.epsilon, c.kappa * dt) for c in cfgs]
-    l0 = [c.L0_init for c in cfgs]
-    I = np.zeros((rows, n))
-    stale = True
+    dt, rows = sim.dt, len(cfgs)
     span = max(1, BLOCK_CELL_STEPS // rows)
-    size = min(span, sim.steps)
-    x1_buf = None if observe else np.empty((rows, size, n))
-    y_buf = np.empty((rows, size, n))  # u = -Y, or d_hat = Y
-    l0_buf = np.empty((rows, size))
-    i_buf = np.empty((rows, size, n)) if log_integral else None
+    kernel = (_float_kernel if rows == 1 else _array_kernel)(sim, cfgs, observe, log_integral)
+    measured = sim.x1_init  # the measurement at the block's first step
 
     for start in range(0, sim.steps, span):
         times, d_now, d3 = _disturbance_series(sim, dist, start, min(start + span, sim.steps))
+        x1 = None
         if observe:
             with np.errstate(all="ignore"):
-                x1 = np.cumsum(np.vstack([measured, _rk4_increment(dt6, 0.0 + d3)[:, 0]]),
+                x1 = np.cumsum(np.vstack([measured, _rk4_increment(dt / 6.0, 0.0 + d3)[:, 0]]),
                                axis=0)
             finite = np.isfinite(x1).all(axis=1)
             if not finite.all():
                 k = int(np.flatnonzero(~finite)[0]) - 1
                 raise SimulationAborted(start + k, float(times[k]) + dt, x1[k + 1])
             x1, measured = x1[:-1], x1[-1]
-        else:
-            x1_log = x1_buf[:, :times.size]
-        d3 = d3.swapaxes(0, 1)  # the stages of step start + j are d3[j]
-        y_log, l0_log = y_buf[:, :times.size], l0_buf[:, :times.size]
-        i_log = None if i_buf is None else i_buf[:, :times.size]
-
         # a diverging cell overflows before it turns non-finite, and the abort reports it
         with np.errstate(all="ignore"):
-            for j in range(times.size):
-                S = x1[j] - W if observe else W
-                r = np.sqrt(np.vecdot(S, S)).tolist()
-                if not math.isfinite(sum(r)) and not np.isfinite(W).all():
-                    j -= 1  # the state step j - 1 made is not finite
-                    break
-                if stale:
-                    L0 = np.array(l0)
-                    gains = [(k1 * v ** e1, k3 * v ** e3, k2 * v, k4 * v ** 2)
-                             for v, (k1, k2, k3, k4, e1, e3) in zip(l0, law)]
-                    G, H = np.array(gains).T.reshape(2, 2, rows, 1).repeat(n, axis=3)
-                D = S / np.array([*map(pow, r + r, powers)]).reshape(2, rows, 1)
-                if min(r) < tol:
-                    D[:, [v < tol for v in r]] = 0.0
-                T = G * D + H * S
-                Y = T[0] + I
-                if i_log is not None:
-                    i_log[:, j] = I
-                l0_log[:, j] = L0
-                I = I + dt * T[1]
-                new = [v + kd if s >= e else v for v, s, (e, kd) in zip(l0, r, adapt)]
-                stale, l0 = new != l0, new
-                # Y is never -0.0 (I starts at +0.0), so dt * Y is bitwise
-                # laws.observer_step's dt * (u + d_hat) at u = 0
-                if observe:
-                    y_log[:, j] = Y
-                    W = W + dt * Y
-                else:
-                    x1_log[:, j] = W
-                    U = np.negative(Y, out=y_log[:, j])
-                    W = W + _rk4_increment(dt6, U + d3[j])
+            j, W, (x1_log, y_log, l0_log, i_log) = kernel(x1, d3.swapaxes(0, 1))
         bad = np.flatnonzero(~np.isfinite(W).all(axis=1))
         if bad.size:  # the state step start + j made is not finite
             raise SimulationAborted(start + j, float(times[j]) + dt, W[bad[0]], int(bad[0]))
         yield Block(start, times, d_now, x1 if observe else x1_log, y_log, l0_log, i_log)
+
+
+def _gains(v, cfg) -> tuple:
+    """``(L1, L3, L2, L4)`` at ``L0 = v``: ``laws.gains_from_L0``'s
+    expressions, without its check and its dataclass."""
+    m = cfg.m
+    return (cfg.k1 * v ** ((m - 1.0) / m), cfg.k3 * v ** ((2.0 * m - 2.0) / m), cfg.k2 * v,
+            cfg.k4 * v ** 2)
+
+
+def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
+    """The steps of a batch on (B, n) arrays, one row per cell: returns a
+    function that runs the steps of a block, from its measurement (observers,
+    else None) and its disturbance stages ``d3`` (steps, 3, 1, n), and
+    returns the index of the last step run, the state ``W`` (B, n) and the
+    logs ``(x1, y, L0, integral)``, views of buffers that every block
+    reuses, sized by the first and longest block.
+
+    One norm per row, ``sqrt(vecdot)``, which is ``np.linalg.norm`` bit for
+    bit, and every power of the spec as Python's float ``**`` per cell,
+    because numpy's vectorised power is not libm ``pow``.  A step makes few
+    numpy calls, most on arrays of one shape: ``G = [L1; L3]`` and
+    ``H = [L2; L4]`` are the gains repeated to shape (2, B, n), rebuilt from
+    Python floats only after a row adapted; ``D = S / [r**(1/m); r**(2/m)]``
+    holds both direction terms and ``T = G*D + H*S`` both sums of the law
+    (``Y = T[0] + I`` and the integral increment ``dt*T[1]``); ``U + d``
+    with the stacked disturbance gives the three RK4 stage sums.  The
+    singular and adaptation tests read the norms ``r`` as a list.
+    """
+    n, dt, tol, rows = sim.n, sim.dt, sim.singular_tol, len(cfgs)
+    dt6 = dt / 6.0
+    W = np.tile(sim.x1_init, (rows, 1))
+    powers = [1.0 / c.m for c in cfgs] + [2.0 / c.m for c in cfgs]
+    adapt = [(c.epsilon, c.kappa * dt) for c in cfgs]
+    l0 = [c.L0_init for c in cfgs]
+    I = np.zeros((rows, n))
+    stale, L0, G, H, buffers = True, None, None, None, None
+
+    def steps(x1, d3):
+        nonlocal W, I, l0, stale, L0, G, H, buffers
+        count = len(d3)  # the stages of step start + j are d3[j]
+        if buffers is None:  # x1, y (u = -Y, or d_hat = Y), L0, integral
+            buffers = (None if observe else np.empty((rows, count, n)),
+                       np.empty((rows, count, n)), np.empty((rows, count)),
+                       np.empty((rows, count, n)) if log_integral else None)
+        x1_log, y_log, l0_log, i_log = (None if b is None else b[:, :count] for b in buffers)
+        for j in range(count):
+            S = x1[j] - W if observe else W
+            r = np.sqrt(np.vecdot(S, S)).tolist()
+            if not math.isfinite(sum(r)) and not np.isfinite(W).all():
+                j -= 1  # the state step j - 1 made is not finite
+                break
+            if stale:
+                L0 = np.array(l0)
+                G, H = np.array([*map(_gains, l0, cfgs)]).T.reshape(
+                    2, 2, rows, 1).repeat(n, axis=3)
+            D = S / np.array([*map(pow, r + r, powers)]).reshape(2, rows, 1)
+            if min(r) < tol:
+                D[:, [v < tol for v in r]] = 0.0
+            T = G * D + H * S
+            Y = T[0] + I
+            if i_log is not None:
+                i_log[:, j] = I
+            l0_log[:, j] = L0
+            I = I + dt * T[1]
+            new = [v + kd if s >= e else v for v, s, (e, kd) in zip(l0, r, adapt)]
+            stale, l0 = new != l0, new
+            # Y is never -0.0 (I starts at +0.0), so dt * Y is bitwise
+            # laws.observer_step's dt * (u + d_hat) at u = 0
+            if observe:
+                y_log[:, j] = Y
+                W = W + dt * Y
+            else:
+                x1_log[:, j] = W
+                U = np.negative(Y, out=y_log[:, j])
+                W = W + _rk4_increment(dt6, U + d3[j])
+        return j, W, (x1_log, y_log, l0_log, i_log)
+
+    return steps
+
+
+def _float_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
+    """The steps of a single cell on Python floats, one component at a time;
+    called and returning as :func:`_array_kernel`.  Each block logs into
+    fresh ``array('d')`` buffers, which its :class:`Block` views through
+    ``np.frombuffer``.
+
+    Every float is the operation the array kernel applies to the cell's
+    row, in the same order: the direction terms ``s / r**(1/m)`` and
+    ``s / r**(2/m)``, or +0.0 below the singular tolerance; the output
+    ``(L1*d + L2*s) + i``; the integral ``i + dt*(L3*d + L4*s)``; the RK4
+    step ``w + dt/6*((((u+d0) + 2(u+d1)) + 2(u+d1)) + (u+d2))``.  The norm
+    stays one ``np.vecdot``, on a reused 1-D buffer: BLAS ``ddot`` rounds
+    its sum its own way (with FMA on most kernels), which no float
+    expression reproduces.
+    """
+    (cfg,) = cfgs
+    n, dt, tol = sim.n, sim.dt, sim.singular_tol
+    dt6 = dt / 6.0
+    p1, p2, eps, kd = 1.0 / cfg.m, 2.0 / cfg.m, cfg.epsilon, cfg.kappa * dt
+    W, I, l0 = sim.x1_init.tolist(), [0.0] * n, cfg.L0_init
+    zero, buf = [0.0] * n, np.empty(n)
+    vecdot, sqrt, isfinite = np.vecdot, math.sqrt, math.isfinite
+
+    def steps(x1, d3):
+        nonlocal W, I, l0
+        count = len(d3)
+        d3 = d3[:, :, 0]  # (steps, 3, n)
+        x1_log = None if observe else array("d")
+        y_log, l0_log = array("d"), array("d")
+        i_log = array("d") if log_integral else None
+        L1, L3, L2, L4 = _gains(l0, cfg)
+        for j in range(count):
+            S = [x - w for x, w in zip(x1[j].tolist(), W)] if observe else W
+            buf[:] = S
+            r = sqrt(vecdot(buf, buf))
+            if not isfinite(r) and not all(map(isfinite, W)):
+                j -= 1  # the state step j - 1 made is not finite
+                break
+            if r < tol:
+                D1 = D2 = zero
+            else:
+                q1, q2 = r ** p1, r ** p2
+                D1, D2 = [s / q1 for s in S], [s / q2 for s in S]
+            Y = [L1 * d + L2 * s + i for d, s, i in zip(D1, S, I)]
+            if i_log is not None:
+                i_log.extend(I)
+            l0_log.append(l0)
+            I = [i + dt * (L3 * d + L4 * s) for i, d, s in zip(I, D2, S)]
+            if r >= eps:
+                l0 += kd
+                L1, L3, L2, L4 = _gains(l0, cfg)
+            if observe:
+                y_log.extend(Y)
+                W = [w + dt * y for w, y in zip(W, Y)]
+            else:
+                x1_log.extend(W)
+                U = [-y for y in Y]
+                y_log.extend(U)
+                d0, d1, d2 = d3[j].tolist()
+                W = [w + dt6 * (u + a + 2.0 * (u + b) + 2.0 * (u + b) + (u + c))
+                     for w, u, a, b, c in zip(W, U, d0, d1, d2)]
+
+        def view(log, *shape):
+            return None if log is None else np.frombuffer(log).reshape(1, -1, *shape)
+
+        return j, np.array([W]), (view(x1_log, n), view(y_log, n), view(l0_log), view(i_log, n))
+
+    return steps
 
 
 def _records(blocks, fold, cfgs, sim: SimConfig, record: bool) -> list:

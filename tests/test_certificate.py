@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,20 @@ class TestCertificate:
         assert d["gain_condition"]["holds"] is True
         assert d["positive_definite"] == {"P": True, "Q": True, "Omega1": True, "Omega2": True}
         assert len(d["blocks"]["P"]) == 3
+
+
+class TestNumpyScalarGains:
+    def test_overflow_is_named_without_a_numpy_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"k1=1e\+200, k2=1e-200.*the certificate blocks"):
+                build_certificate(reference_gains(k1=np.float64(1e200), k2=1e-200))
+
+    def test_float32_gains_certify_as_their_floats(self):
+        gains = {"k1": np.float32(2.1), "k2": np.float32(2.7), "k4": np.float32(35.0)}
+        got = build_certificate(reference_gains(**gains)).to_dict()
+        assert got == build_certificate(reference_gains(
+            **{name: float(value) for name, value in gains.items()})).to_dict()
 
 
 class TestLyapunovValue:

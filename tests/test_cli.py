@@ -662,6 +662,26 @@ class TestBadInputs:
         assert err == ("usage error: gains m=1e+308, k1=1e-20, k2=2.5, k3=4.0, k4=30.0 "
                        "overflow the certificate blocks\n")
 
+    def test_a_config_gain_too_large_for_a_float_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiment": "exp1", "method": "amssosmc",
+                                      "gains": {"k1": 10**400}, "sim": {"horizon": 0.1}}))
+        code, out, err = run_cli(capsys, ["run", "--config", str(config),
+                                          "--out", str(tmp_path / "out")])
+        assert (code, out) == (1, "")
+        assert err == "usage error: k1 must be a positive, finite number\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_gains_keep_their_json_form(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiment": "exp1", "method": "amssosmc",
+                                      "gains": {"k4": 30, "kappa": 10},
+                                      "sim": {"horizon": 0.1, "dt": 0.002}}))
+        code, _, _ = run_cli(capsys, ["run", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 0
+        text = (tmp_path / "exp1_amssosmc" / "report.json").read_text()
+        assert '"k4": 30,' in text and '"kappa": 10,' in text
+
 
 def numeric_flags():
     """``(subcommand, flag)`` for every option of every subcommand that

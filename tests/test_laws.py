@@ -90,6 +90,31 @@ class TestGainConfig:
         GainConfig(k1=2, k2=2.5, k3=4, k4=30, m=2, kappa=10)
 
 
+class TestGainConfigStoresFloats:
+    FIELDS = ("k1", "k2", "k3", "k4", "m", "kappa", "epsilon", "L0_init")
+
+    def test_numpy_scalars_are_stored_as_floats(self):
+        cfg = GainConfig(k1=np.float32(2.1), k2=np.float64(2.5), k3=np.int64(4),
+                         k4=np.float16(30.0), m=np.float64(3.0), kappa=np.int32(10),
+                         epsilon=np.float32(1e-3), L0_init=np.float64(1.0))
+        assert all(type(getattr(cfg, name)) is float for name in self.FIELDS)
+        assert (cfg.k1, cfg.k3, cfg.epsilon) == (float(np.float32(2.1)), 4.0,
+                                                 float(np.float32(1e-3)))
+
+    def test_python_ints_and_floats_are_kept_as_given(self):
+        cfg = GainConfig(k1=2, k2=2.5, k3=4, k4=30, m=3, kappa=10, L0_init=1)
+        assert [type(getattr(cfg, name)) for name in self.FIELDS] == [
+            int, float, int, int, int, int, float, int]
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_an_int_too_large_for_a_float_is_refused_by_name(self, name):
+        params = dict(k1=2.0, k2=2.5, k3=4.0, k4=30.0, m=3.0, kappa=10.0,
+                      allow_uncertified=True)
+        params[name] = 10**400
+        with pytest.raises(ValueError, match=f"^{name} must be a"):
+            GainConfig(**params)
+
+
 class TestUnitPowerDirection:
     def test_origin_regularization(self):
         out = unit_power_direction(np.zeros(3), 0.5)

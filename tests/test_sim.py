@@ -92,6 +92,25 @@ class TestDisturbanceSpecs:
             assert again.to_dict() == spec.to_dict()
 
 
+class TestSimConfigSettings:
+    def test_numpy_scalars_are_stored_as_floats(self):
+        sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=np.float32(1e-3), horizon=np.int64(2),
+                        singular_tol=np.float64(1e-12))
+        assert [type(v) for v in (sim.dt, sim.horizon, sim.singular_tol)] == [float] * 3
+        assert (sim.dt, sim.horizon) == (float(np.float32(1e-3)), 2.0)
+        assert type(SimConfig(x1_init=[1.0], horizon=2).horizon) is int
+
+    @pytest.mark.parametrize("name", ["dt", "horizon", "singular_tol", "x1_init"])
+    def test_an_int_too_large_for_a_float_is_refused_by_name(self, name):
+        value = [10**400, 0, 0] if name == "x1_init" else 10**400
+        with pytest.raises(ValueError, match=f"^{name} must be a"):
+            SimConfig(**{"x1_init": [1.0, 3.0, 2.0], name: value})
+
+    def test_a_channel_too_large_for_a_float_is_refused(self):
+        with pytest.raises(ValueError, match="must be finite numbers"):
+            DisturbanceSpec.sinusoid_mix([(10**400, 1.0, False)])
+
+
 class TestClosedLoopBasics:
     def test_zero_law_zero_disturbance_is_equilibrium(self):
         sim = SimConfig(x1_init=[0.3, -0.7, 2.0], dt=1e-2, horizon=1.0)
@@ -409,6 +428,75 @@ class TestBatchedLoopIsTheScalarLaws:
             alone = [simulate_closed_loop([cfg], sim, EXP2)[0] for cfg in cfgs]
         for i, (got, want) in enumerate(zip(batch, alone)):
             assert_same_record(got, want, i)
+
+
+def assert_alone_is_row_zero_of_a_pair(cfg, partner, sim, dist, observe=False):
+    """A cell run alone (the float kernel) is bitwise its row in a batch of
+    two (the array kernel).  The cell takes row 0: BLAS kernels that round a
+    ``ddot`` by the row's alignment round an even row as a fresh vector."""
+    simulate = simulate_observer if observe else simulate_closed_loop
+    assert_same_record(simulate([cfg, partner], sim, dist)[0], simulate([cfg], sim, dist)[0])
+
+
+class TestTheTwoKernelsAgree:
+    """One cell steps on Python floats, a batch of two or more on arrays;
+    the cell's record does not tell which."""
+
+    PARTNER = reference_gains(m=2.0, k4=25.0, kappa=7.0, epsilon=2e-3)
+
+    @pytest.mark.parametrize("m", [3.0, 2.0])
+    def test_a_start_below_the_singular_tolerance(self, m):
+        sim = SimConfig(x1_init=[4e-13, -3e-13, 0.0], dt=1e-3, horizon=0.3)
+        alone = simulate_closed_loop([reference_gains(m=m)], sim, EXP1)[0]
+        # the first step's direction terms are +0.0: u = -((L1*0.0 + L2*x1) + 0.0)
+        assert alone.u[0].tobytes() == (-(0.0 + 2.5 * sim.x1_init)).tobytes()
+        assert_alone_is_row_zero_of_a_pair(reference_gains(m=m), self.PARTNER, sim, EXP1)
+
+    @pytest.mark.parametrize("observe", [False, True], ids=["controller", "observer"])
+    def test_negative_zero_components(self, observe):
+        sim = SimConfig(x1_init=[-0.0, 3.0, -0.0], dt=1e-3, horizon=0.3)
+        dist = (EXP3 if observe else DisturbanceSpec.none(3))
+        assert_alone_is_row_zero_of_a_pair(reference_gains(), self.PARTNER, sim, dist, observe)
+
+    @pytest.mark.parametrize("observe", [False, True], ids=["controller", "observer"])
+    def test_numpy_scalar_gains_and_a_float32_dt(self, observe):
+        cfg = reference_gains(k1=np.float64(2.1), k2=np.float32(2.6), k4=np.int64(31),
+                              kappa=np.float32(9.5), m=np.float64(3.0))
+        assert all(type(getattr(cfg, name)) is float for name in ("k1", "k2", "k4", "kappa", "m"))
+        sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=np.float32(1e-3), horizon=0.3)
+        assert type(sim.dt) is float and sim.dt == float(np.float32(1e-3))
+        assert_alone_is_row_zero_of_a_pair(cfg, self.PARTNER, sim, EXP3 if observe else EXP2,
+                                           observe)
+
+    def test_the_dt_001_abort(self):
+        sim = {"dt": 0.01, "horizon": 20}
+        with pytest.raises(SimulationAborted) as alone:
+            run_cells("exp1", [("amssosmc", None)], sim)
+        with pytest.raises(SimulationAborted) as pair:  # k4 = 20 outlasts step 899
+            run_cells("exp1", [("amssosmc", None), ("amssosmc", {"k4": 20.0})], sim)
+        got, want = pair.value, alone.value
+        assert (got.step, got.time, got.cell) == (want.step, want.time, want.cell) == (
+            899, want.time, 0)
+        assert got.state.tobytes() == want.state.tobytes()
+        assert str(got) == str(want)
+
+    @pytest.mark.parametrize("observe", [False, True], ids=["controller", "observer"])
+    def test_a_lone_cell_makes_one_vecdot_a_step(self, monkeypatch, observe):
+        # the float kernel's only numpy call per step is its norm, on one
+        # reused vector; any other numpy call per step would cost as much
+        calls = []
+        vecdot = np.vecdot
+
+        def counted(a, b, *args, **kwargs):
+            calls.append((id(a), id(b), a.shape))
+            return vecdot(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "vecdot", counted)
+        sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=1e-3, horizon=0.5)
+        simulate = simulate_observer if observe else simulate_closed_loop
+        assert simulate([reference_gains()], sim, EXP3, False) == [None]
+        assert len(calls) == sim.steps
+        assert len(set(calls)) == 1 and calls[0][0] == calls[0][1] and calls[0][2] == (3,)
 
 
 class TestRecordAndFold:
