@@ -482,8 +482,8 @@ class TestTheTwoKernelsAgree:
 
     @pytest.mark.parametrize("observe", [False, True], ids=["controller", "observer"])
     def test_a_lone_cell_makes_one_vecdot_a_step(self, monkeypatch, observe):
-        # the float kernel's only numpy call per step is its norm, on one
-        # reused vector; any other numpy call per step would cost as much
+        # the float kernel leaves only its norm to numpy, on one reused
+        # vector: each further numpy call would cost about as much again
         calls = []
         vecdot = np.vecdot
 
