@@ -21,6 +21,7 @@ from .laws import (
     GainConfig,
     check_gain_condition,
     gain_overflow,
+    real_setting,
     unit_power_direction,
 )
 from .linalg import EigenSummary, SymMatrix, eig_sym, is_positive_definite
@@ -359,8 +360,10 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
         raise ValueError("certificate has no valid constants (a matrix failed the PD check)")
     for name, value in (("v0", v0), ("delta", delta), ("L0", L0), ("L0_dot", L0_dot),
                         ("theta1", theta1), ("theta2", theta2)):
-        if value is not None and not math.isfinite(value):
+        if value is not None and not (real_setting(value) is not None and math.isfinite(value)):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
+    v0, delta, L0, L0_dot, theta1, theta2 = (  # a numpy scalar as its float: float64 below
+        v if v is None else real_setting(v) for v in (v0, delta, L0, L0_dot, theta1, theta2))
     if delta < 0:
         raise ValueError("delta must be non-negative")
     if v0 < 0:

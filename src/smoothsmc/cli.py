@@ -24,6 +24,7 @@ from .experiments import (
     build_sim_config,
     certificate_summary,
     run_cells,
+    tail_cutoff,
     write_cell_outputs,
 )
 from .laws import GainConfig
@@ -266,7 +267,7 @@ def cmd_reproduce(args) -> int:
     """Each experiment's smooth method and baseline as one batch, plus the
     certificate of the default gains, written under ``--out``."""
     sim_over = _overrides(args, SIM_FLAGS)
-    build_sim_config(**sim_over)  # a bad --dt or --horizon writes nothing
+    tail_cutoff(build_sim_config(**sim_over))  # a bad or short --dt or --horizon writes nothing
     args.out.mkdir(parents=True, exist_ok=True)
     cert = build_certificate(build_gain_config(3.0))
     (args.out / "certificate.json").write_text(

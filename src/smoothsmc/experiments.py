@@ -106,6 +106,15 @@ def build_sim_config(**overrides) -> SimConfig:
     return SimConfig(**params)
 
 
+def tail_cutoff(sim: SimConfig) -> float:
+    """The time from which a step ``t_k = k * dt`` is in the metric tail; a
+    tail of one step, which has no variation rate, is refused before any step."""
+    cutoff = (1.0 - TAIL_FRACTION) * ((sim.steps - 1) * sim.dt)
+    if not (sim.steps - 2) * sim.dt >= cutoff:
+        raise ValueError("the horizon leaves fewer than two tail samples for a variation rate")
+    return cutoff
+
+
 def certificate_summary(cfg: GainConfig) -> dict:
     if cfg.m > 2:
         return build_certificate(cfg).to_dict()
@@ -133,8 +142,7 @@ class _Metrics:
 
     def __init__(self, cells: int, threshold: float, sim: SimConfig, observe: bool):
         self.threshold, self.dt, self.observe = threshold, sim.dt, observe
-        self.last = sim.steps - 1
-        self.cutoff = (1.0 - TAIL_FRACTION) * (self.last * sim.dt)
+        self.last, self.cutoff = sim.steps - 1, tail_cutoff(sim)
         self.above = np.full(cells, -1)  # the last step at or above the threshold
         self.peak = np.full(cells, -np.inf)
         self.tail = self.previous = None  # the tail's first step, the last sample of y
@@ -191,8 +199,6 @@ class _Metrics:
         sum over the whole tail, whatever the blocks."""
         if self.overflow is not None:
             raise self.overflow  # every step ran finite
-        if self.tail == self.last:  # the tail has one sample
-            raise ValueError("need at least two tail samples for a variation rate")
         span = self.last * self.dt - self.tail * self.dt
         return [(None if k == self.last else (k + 1) * self.dt, peak,
                  float(np.concatenate([s[b] for s in self.steps]).sum()) / span, L0)

@@ -62,7 +62,7 @@ def _real_vector(value, name: str) -> np.ndarray:
 
 
 class SineChannel(NamedTuple):
-    """One sinusoidal disturbance component: ``a*sin(w t)`` or ``a*cos(w t)``."""
+    """One disturbance component: ``a*sin(w t)`` or ``a*cos(w t)``."""
 
     amplitude: float
     frequency: float
@@ -71,33 +71,40 @@ class SineChannel(NamedTuple):
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
-    """Closed-form disturbance signal with computable norm bounds."""
+    """A disturbance of one :class:`SineChannel` per component, with
+    closed-form norm bounds.  Every kind is stored as channels: a constant
+    ``c`` is ``(c_i, 0.0, True)`` per component, since ``c_i * cos(0.0 * t)``
+    is ``c_i`` bit for bit (-0.0 too), and ``none`` has amplitude 0.0;
+    ``kind`` and ``constant_value`` serve validation and the JSON form.
+    Channels and ``n`` hold Python numbers (``laws.real_setting``)."""
 
     kind: str  # "none" | "constant" | "sinusoid-mix"
     n: int
     constant_value: np.ndarray | None = None
-    channels: tuple[SineChannel, ...] | None = None
+    channels: tuple[SineChannel, ...] | None = None  # given for sinusoid-mix only
 
     def __post_init__(self):
         if self.kind not in ("none", "constant", "sinusoid-mix"):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if not (is_real_number(self.n) and isinstance(self.n, numbers.Integral) and self.n >= 1):
             raise ValueError("a disturbance dimension n must be an integer >= 1")
+        object.__setattr__(self, "n", int(self.n))
+        channels = self.channels if self.kind == "sinusoid-mix" else [(0.0, 0.0, True)] * self.n
         if self.kind == "constant":
             vec = _real_vector(self.constant_value, "constant_value")
             if vec.shape != (self.n,):
                 raise ValueError("constant_value dimension mismatch")
             object.__setattr__(self, "constant_value", vec)
-        if self.kind == "sinusoid-mix":
-            if self.channels is None or len(self.channels) != self.n:
-                raise ValueError("sinusoid-mix needs one channel per component")
-            channels = tuple(SineChannel(*c) for c in self.channels)
-            if not all(real_setting(v) is not None and math.isfinite(v)
-                       for c in channels for v in c[:2]):
-                raise ValueError("channel amplitudes and frequencies must be finite numbers")
-            if not all(isinstance(c.is_cosine, bool) for c in channels):
-                raise ValueError("a channel's is_cosine must be true or false")
-            object.__setattr__(self, "channels", channels)
+            channels = [(c, 0.0, True) for c in vec.tolist()]
+        if channels is None or len(channels) != self.n:
+            raise ValueError("sinusoid-mix needs one channel per component")
+        channels = tuple(SineChannel(real_setting(a), real_setting(w), cos)
+                         for a, w, cos in channels)
+        if not all(v is not None and math.isfinite(v) for c in channels for v in c[:2]):
+            raise ValueError("channel amplitudes and frequencies must be finite numbers")
+        if not all(isinstance(c.is_cosine, bool) for c in channels):
+            raise ValueError("a channel's is_cosine must be true or false")
+        object.__setattr__(self, "channels", channels)
 
     @classmethod
     def none(cls, n: int) -> "DisturbanceSpec":
@@ -110,7 +117,7 @@ class DisturbanceSpec:
 
     @classmethod
     def sinusoid_mix(cls, channels) -> "DisturbanceSpec":
-        channels = tuple(SineChannel(*c) for c in channels)
+        channels = tuple(channels)
         return cls(kind="sinusoid-mix", n=len(channels), channels=channels)
 
     def to_dict(self) -> dict:
@@ -118,10 +125,7 @@ class DisturbanceSpec:
         if self.kind == "constant":
             out["constant_value"] = self.constant_value.tolist()
         if self.kind == "sinusoid-mix":
-            out["channels"] = [
-                {"amplitude": c.amplitude, "frequency": c.frequency, "is_cosine": c.is_cosine}
-                for c in self.channels
-            ]
+            out["channels"] = [c._asdict() for c in self.channels]
         return out
 
     @classmethod
@@ -156,34 +160,21 @@ class DisturbanceSpec:
 
 
 def disturbance_at(spec: DisturbanceSpec, t: float) -> np.ndarray:
-    """Evaluate the disturbance at time ``t >= 0``."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if spec.kind == "none":
-        return np.zeros(spec.n)
-    if spec.kind == "constant":
-        return spec.constant_value.copy()
-    out = np.empty(spec.n)
-    for i, ch in enumerate(spec.channels):
-        phase = ch.frequency * t
-        out[i] = ch.amplitude * (math.cos(phase) if ch.is_cosine else math.sin(phase))
-    return out
+    """Evaluate the disturbance at a finite time ``t >= 0``."""
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and non-negative")
+    return np.array([c.amplitude * (math.cos if c.is_cosine else math.sin)(c.frequency * t)
+                     for c in spec.channels])
 
 
 def norm_bound(spec: DisturbanceSpec) -> float:
-    """Closed-form bound on ``||d(t)||`` over all t."""
-    if spec.kind == "none":
-        return 0.0
-    if spec.kind == "constant":
-        return float(np.linalg.norm(spec.constant_value))
-    return math.sqrt(sum(c.amplitude**2 for c in spec.channels))
+    """Closed-form bound on ``||d(t)||`` over all t: the norm of the amplitudes."""
+    return math.hypot(*(c.amplitude for c in spec.channels))
 
 
 def rate_bound(spec: DisturbanceSpec) -> float:
     """Closed-form bound on ``||ddot(t)||`` over all t."""
-    if spec.kind in ("none", "constant"):
-        return 0.0
-    return math.sqrt(sum((c.amplitude * c.frequency) ** 2 for c in spec.channels))
+    return math.hypot(*(c.amplitude * c.frequency for c in spec.channels))
 
 
 @dataclass(frozen=True)
@@ -212,6 +203,7 @@ class SimConfig:
         stride = self.log_stride
         if not (is_real_number(stride) and isinstance(stride, numbers.Integral) and stride >= 1):
             raise ValueError("log_stride must be an integer >= 1")
+        object.__setattr__(self, "log_stride", int(stride))
 
     @property
     def n(self) -> int:
@@ -275,15 +267,11 @@ def _disturbance_series(sim: SimConfig, dist: DisturbanceSpec, start: int, stop:
     """The time grid ``t_k`` of steps ``start`` to ``stop - 1``, ``d`` at
     ``t_k`` of shape (stop - start, n), and ``d`` at ``t_k``, ``t_k + dt/2``
     and ``t_k + dt`` stacked stage first, shape (3, stop - start, 1, n)
-    (``t_k + dt`` is not ``t_{k+1}`` in floating point).  The grid is the
-    slice of ``np.arange(steps) * dt``.  The second is a copy, so a record
-    does not keep the stack alive; a constant disturbance stacks a broadcast
-    view of its value."""
+    (``t_k + dt`` is not ``t_{k+1}`` in floating point), each channel
+    ``a * cos(w t)`` or ``a * sin(w t)``.  The grid is the slice of
+    ``np.arange(steps) * dt``.  The second is a copy, so a record does not
+    keep the stack alive."""
     times, dt = np.arange(start, stop) * sim.dt, sim.dt
-    if dist.kind != "sinusoid-mix":
-        value = dist.constant_value if dist.kind == "constant" else np.zeros(dist.n)
-        return (times, np.tile(value, (times.size, 1)),
-                np.broadcast_to(value, (3, times.size, 1, dist.n)))
     d3 = np.empty((3, times.size, 1, dist.n))
     for stage, t in zip(d3[:, :, 0], (times, times + 0.5 * dt, times + dt)):
         for i, ch in enumerate(dist.channels):

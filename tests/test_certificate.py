@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import sys
 import warnings
@@ -510,3 +512,16 @@ class TestConvergenceEstimate:
         inputs = {"v0": 100.0, "delta": 0.3, "L0": 8.0, "L0_dot": 0.0, name: value}
         with pytest.raises(ValueError, match=rf"^{name} must be a finite number"):
             estimate_convergence(cert, cfg, **inputs)
+
+    @pytest.mark.parametrize("name", ["v0", "delta", "L0", "L0_dot", "theta1", "theta2"])
+    def test_a_numpy_scalar_input_is_its_float(self, name):
+        # a float32 input must not turn the estimate's arithmetic into float32
+        cfg = reference_gains()
+        cert = build_certificate(cfg)
+        inputs = {"v0": 50.0, "delta": 0.3, "L0": 150.0, "L0_dot": 10.0, "theta1": 0.25,
+                  "theta2": 1.5}
+        given = estimate_convergence(cert, cfg, **inputs | {name: np.float32(inputs[name])})
+        want = estimate_convergence(cert, cfg, **inputs | {name: float(np.float32(inputs[name]))})
+        assert json.dumps(given.to_dict()) == json.dumps(want.to_dict())
+        assert given == want
+        assert all(type(v) in (float, type(None)) for v in dataclasses.astuple(given))

@@ -1,6 +1,8 @@
 import argparse
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -515,6 +517,14 @@ class TestReproduce:
             table = capsys.readouterr().out
             assert (tmp_path / f"comparison_{experiment}.csv").read_text() == table
 
+    def test_a_horizon_too_short_for_the_metric_tail_leaves_out_absent(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        code, stdout, err = run_cli(capsys, ["reproduce", "--out", str(out),
+                                             "--horizon", "0.002"])
+        assert (code, stdout) == (1, "")
+        assert "two tail samples" in err
+        assert not out.exists()
+
 
 # ``run --config`` files with a malformed shape or value; flags name the cell.
 CONFIGS = {
@@ -636,6 +646,39 @@ class TestBadInputs:
         assert "Traceback" not in err
         assert out == ""
 
+    # At dt = 1 ms, 2 steps leave one sample in the metric tail, which has no
+    # variation rate: every command refuses that before it writes or prints.
+    @pytest.mark.parametrize("case", [
+        "unknown-disturbance-kind", "channel-not-a-triple", "run-without-a-cell",
+        "config-out-not-a-path", "run-one-tail-sample", "compare-one-tail-sample",
+        "sweep-one-tail-sample", "reproduce-one-tail-sample",
+    ])
+    def test_usage_error_that_writes_nothing(self, tmp_path, capsys, case):
+        out_dir = tmp_path / "out"
+        custom = ["run", "--experiment", "custom", "--method", "amssosmc", "--horizon", "0.1",
+                  "--x1-init", "1,2,3", "--out", str(out_dir)]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiment": "exp1", "method": "amssosmc", "out": 5}))
+        short = ["--horizon", "0.002", "--out", str(out_dir)]
+        argv = {
+            "unknown-disturbance-kind": custom + ["--disturbance", '{"kind": "bogus"}'],
+            "channel-not-a-triple": custom + [
+                "--disturbance", json.dumps({"kind": "sinusoid-mix",
+                                             "channels": [[1.0, 2.0]] * 3})],
+            "run-without-a-cell": ["run", "--out", str(out_dir)],
+            "config-out-not-a-path": ["run", "--config", str(config), "--horizon", "0.1"],
+            "run-one-tail-sample": ["run", "--experiment", "exp1", "--method", "amssosmc",
+                                    *short],
+            "compare-one-tail-sample": ["compare", "--experiment", "exp3",
+                                        "--methods", "amsdo,amdo-baseline", *short],
+            "sweep-one-tail-sample": ["sweep", "--parameter", "k4", "--values", "25,30", *short],
+            "reproduce-one-tail-sample": ["reproduce", *short],
+        }[case]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("argv", [
         ["certify", "--m", "3", "--k1", "1e200"],
         ["certify", "--m", "3", "--k1", "1e200", "--k2", "1e-200"],
@@ -719,3 +762,17 @@ def test_every_numeric_flag_refuses_a_non_finite_value(tmp_path, capsys, command
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert out == "" and not (tmp_path / "out").exists()
+
+
+def test_every_readme_command_parses():
+    # a renamed or removed flag breaks this test, not only the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in readme.split("```")[1::2] for line in block.splitlines()
+             if line.startswith("smoothsmc ")]
+    assert len(lines) >= 7
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except cli.UsageError as exc:
+            pytest.fail(f"{line}: {exc}")

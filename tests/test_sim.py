@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -42,6 +43,7 @@ from smoothsmc.experiments import (
     method_gain_config,
     run_cell,
     run_cells,
+    tail_cutoff,
 )
 from smoothsmc.sim import Block, trajectory_columns
 
@@ -90,6 +92,42 @@ class TestDisturbanceSpecs:
         for spec in (DisturbanceSpec.none(3), EXP1, EXP3):
             again = DisturbanceSpec.from_dict(spec.to_dict())
             assert again.to_dict() == spec.to_dict()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DisturbanceSpec(kind="bogus", n=3), "unknown disturbance kind 'bogus'"),
+        (lambda: DisturbanceSpec(kind="constant", n=2, constant_value=[0.1, 0.2, 0.2]),
+         "constant_value dimension mismatch"),
+        (lambda: DisturbanceSpec(kind="sinusoid-mix", n=2, channels=[(1.0, 1.0, True)]),
+         "one channel per component"),
+        (lambda: DisturbanceSpec(kind="sinusoid-mix", n=1), "one channel per component"),
+        (lambda: DisturbanceSpec.from_dict({"kind": "none"}), "needs a dimension"),
+    ], ids=["unknown-kind", "constant-dimension", "channel-count", "no-channels",
+            "none-without-dimension"])
+    def test_refusals(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        spec = DisturbanceSpec.sinusoid_mix([(np.float32(0.1), np.float64(1.0), False),
+                                             (0.2, np.int64(4), True), (2, 2.0, True)])
+        assert spec.channels == ((float(np.float32(0.1)), 1.0, False), (0.2, 4.0, True),
+                                 (2, 2.0, True))
+        assert [type(v) for c in spec.channels for v in c[:2]] == [float] * 4 + [int, float]
+        none = DisturbanceSpec.none(np.int64(3))
+        assert type(none.n) is int
+        assert json.dumps(none.to_dict()) == '{"kind": "none", "n": 3}'
+        assert json.dumps(spec.to_dict()).startswith('{"kind": "sinusoid-mix", "n": 3, ')
+
+    @pytest.mark.parametrize("spec", [DisturbanceSpec.constant([-0.0, 0.2, -1e-300]),
+                                      DisturbanceSpec.none(2)], ids=["constant", "none"])
+    def test_a_constant_series_is_its_value_bit_for_bit(self, spec):
+        # a constant is the cosine channels at frequency 0, none at amplitude 0
+        value = np.zeros(spec.n) if spec.constant_value is None else spec.constant_value
+        sim = SimConfig(x1_init=[1.0] * spec.n, dt=1e-3, horizon=5.0)
+        times, d_now, d3 = sim_module._disturbance_series(sim, spec, 4000, 5000)
+        assert d_now.tobytes() == np.tile(value, (1000, 1)).tobytes()
+        assert d3.tobytes() == np.tile(value, (3, 1000, 1, 1)).tobytes()
+        assert disturbance_at(spec, times[-1]).tobytes() == value.tobytes()
 
 
 class TestSimConfigSettings:
@@ -587,6 +625,65 @@ class TestUnknownMethod:
     def test_gain_config_of_an_unknown_method_names_it(self):
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             method_gain_config("bogus")
+
+
+class TestRunCellsRefusals:
+    def test_an_unknown_experiment(self):
+        with pytest.raises(ValueError, match="unknown experiment 'exp9'"):
+            run_cells("exp9", [("amssosmc", None)])
+
+    def test_a_custom_batch_of_a_controller_and_an_observer(self):
+        with pytest.raises(ValueError, match="one kind"):
+            run_cells("custom", [("amssosmc", None), ("amsdo", None)],
+                      {"x1_init": [1.0, 3.0, 2.0], "horizon": 0.1}, disturbance=EXP1.to_dict())
+
+    @pytest.mark.parametrize("experiment, method", [("exp1", "amssosmc"), ("exp3", "amsdo")])
+    def test_a_tail_of_one_sample_is_refused_before_any_step(self, monkeypatch, experiment,
+                                                             method):
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the plant was stepped")
+
+        for name in ("simulate_closed_loop", "simulate_observer"):
+            monkeypatch.setattr(f"smoothsmc.experiments.{name}", no_stepping)
+        # at dt = 1 ms the tail of 5 steps is one sample; that of 6 is two
+        with pytest.raises(ValueError, match="two tail samples"):
+            run_cells(experiment, [(method, None)], {"horizon": 0.005})
+        with pytest.raises(AssertionError, match="stepped"):
+            run_cells(experiment, [(method, None)], {"horizon": 0.006})
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.1, 0.3, 1.0 / 3.0])
+    def test_the_refusal_is_that_of_the_array_metrics(self, dt):
+        # chattering_index refuses the same full-rate records, no more, no fewer
+        def refuses(check, *args):
+            try:
+                check(*args)
+            except ValueError as err:
+                assert "two tail samples" in str(err)
+                return True
+            return False
+
+        for steps in range(2, 40):
+            times = np.arange(steps) * dt
+            sim = build_sim_config(dt=dt, horizon=times[-1] + dt)
+            assert sim.steps == steps
+            assert refuses(tail_cutoff, sim) == refuses(
+                chattering_index, times, np.zeros((steps, 1)), TAIL_FRACTION), steps
+
+    @pytest.mark.parametrize("case", ["float32-amplitude", "int64-dimension",
+                                      "int64-log-stride"])
+    def test_a_numpy_scalar_setting_reaches_the_json_report(self, case):
+        sim, disturbance = {"x1_init": [1.0, 3.0, 2.0], "horizon": 0.05}, EXP2.to_dict()
+        if case == "float32-amplitude":
+            disturbance["channels"][0]["amplitude"] = np.float32(0.1)
+        if case == "int64-dimension":
+            disturbance = {"kind": "none", "n": np.int64(3)}
+        if case == "int64-log-stride":
+            sim["log_stride"] = np.int64(2)
+        traj, report = run_cells("custom", [("amssosmc", None)], sim, disturbance=disturbance)[0]
+        config = json.loads(report.to_json())["config"]
+        assert traj.times.size == 50 // config["sim"]["log_stride"]
+        assert config["disturbance"] == DisturbanceSpec.from_dict(disturbance, n=3).to_dict()
+        assert config["disturbance"]["n"] == 3
 
 
 def defined_metrics(times, norms, values, threshold):
