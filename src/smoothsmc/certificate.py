@@ -115,9 +115,11 @@ def lyapunov_value(xi: TransformedState, P_block: SymMatrix) -> float:
 def lyapunov_series(x1: np.ndarray, x2: np.ndarray, L0: np.ndarray, m: float,
                     P_block: SymMatrix, singular_tol: float = DEFAULT_SINGULAR_TOL) -> np.ndarray:
     """:func:`lyapunov_value` of :func:`transform_state` at every row of a
-    record, bit for bit: the norm is ``sqrt(vecdot)`` and every power is
-    Python's float ``**`` per row (numpy's vectorised power is not libm
-    ``pow``)."""
+    record, bit for bit wherever BLAS ``ddot`` rounds a row of an (N, n)
+    array as it rounds a fresh vector (OpenBLAS's default Haswell kernel
+    does, Prescott does not: ROADMAP item 11): the norm is ``sqrt(vecdot)``
+    and every power is Python's float ``**`` per row (numpy's vectorised
+    power is not libm ``pow``)."""
     nrm = np.sqrt(np.vecdot(x1, x1))
     regular = nrm >= singular_tol
     xi1 = np.zeros_like(x1)

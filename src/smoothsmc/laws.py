@@ -5,9 +5,12 @@ term, a linear term, and an integral term, all scaled by four gains that are
 power laws of a single non-decreasing scalar ``L0``.  ``m > 2`` gives the
 smooth variant; ``m = 2`` recovers the classical super-twisting baseline.
 
-Both laws are the one discrete block :func:`law_step`: gains, integral and
-``L0`` advance by explicit Euler once per major step, matching a sampled
-digital implementation.
+Both laws are the one discrete block ``law_step(s, r, integral, gains, m,
+dt, singular_tol) -> (y, new_integral)`` on Python float lists, then
+:func:`update_L0`: integral and ``L0`` advance by explicit Euler once per
+major step, as a sampled digital implementation does.
+:func:`controller_step`, :func:`observer_step` and the simulator's
+single-cell kernel call it; ``sim._array_kernel`` is its one vectorised copy.
 """
 
 from __future__ import annotations
@@ -126,9 +129,10 @@ class GainConfig:
                 )
 
 
-@dataclass(frozen=True)
-class AdaptiveGains:
-    """The four feedback gains at a given value of L0."""
+class AdaptiveGains(NamedTuple):
+    """The four feedback gains at a given value of L0 (a named tuple: both
+    step kernels build it at every step that moves L0, and a frozen
+    dataclass costs about twice as much to build)."""
 
     L1: float
     L2: float
@@ -142,13 +146,8 @@ def gains_from_L0(cfg: GainConfig, L0: float) -> AdaptiveGains:
     if not L0 > 0:
         raise ValueError("L0 must be positive")
     m = cfg.m
-    return AdaptiveGains(
-        L1=cfg.k1 * L0 ** ((m - 1.0) / m),
-        L2=cfg.k2 * L0,
-        L3=cfg.k3 * L0 ** ((2.0 * m - 2.0) / m),
-        L4=cfg.k4 * L0 ** 2,
-        L0=L0,
-    )
+    return AdaptiveGains(cfg.k1 * L0 ** ((m - 1.0) / m), cfg.k2 * L0,
+                         cfg.k3 * L0 ** ((2.0 * m - 2.0) / m), cfg.k4 * L0 ** 2, L0)
 
 
 def update_L0(L0: float, x1_norm: float, cfg: GainConfig, dt: float) -> float:
@@ -198,22 +197,23 @@ def initial_controller_state(cfg: GainConfig, n: int) -> ControllerState:
     return ControllerState(integral_term=np.zeros(n), L0=cfg.L0_init)
 
 
-def law_step(s: np.ndarray, integral: np.ndarray, L0: float, cfg: GainConfig, dt: float,
-             singular_tol: float = DEFAULT_SINGULAR_TOL):
-    """One sampled step of the adaptive law on the signal ``s``: returns
-    ``(y, new_integral, new_L0)`` with ``y = L1*s/||s||**(1/m) + L2*s + integral``.
-
-    The output, the integral increment ``dt*(L3*s/||s||**(2/m) + L4*s)`` and
-    the adaptation all see the gains at the pre-update ``L0``; ``L0``
-    advances last.  The controller feeds back ``-y`` on ``x1``, the observer
-    ``y`` on its innovation.
-    """
-    g = gains_from_L0(cfg, L0)
-    y = g.L1 * unit_power_direction(s, 1.0 / cfg.m, singular_tol) + g.L2 * s + integral
-    new_integral = integral + dt * (
-        g.L3 * unit_power_direction(s, 2.0 / cfg.m, singular_tol) + g.L4 * s
-    )
-    return y, new_integral, update_L0(L0, float(np.linalg.norm(s)), cfg, dt)
+def law_step(s: list, r: float, integral: list, gains: AdaptiveGains, m: float, dt: float,
+             singular_tol: float = DEFAULT_SINGULAR_TOL) -> tuple[list, list]:
+    """One sampled step of the adaptive law on the signal ``s`` (a float
+    list) of norm ``r``, at the pre-update ``gains``: returns the lists
+    ``y = (L1*s/r**(1/m) + L2*s) + integral`` and ``integral +
+    dt*(L3*s/r**(2/m) + L4*s)``, each direction term +0.0 below
+    ``singular_tol``.  The caller then advances L0 (:func:`update_L0`).
+    The controller feeds back ``-y`` on ``x1``, the observer ``y`` on its
+    innovation."""
+    if r < singular_tol:
+        D1 = D2 = [0.0] * len(s)
+    else:
+        q1, q2 = r ** (1.0 / m), r ** (2.0 / m)
+        D1, D2 = [v / q1 for v in s], [v / q2 for v in s]
+    L1, L2, L3, L4, _ = gains
+    y = [L1 * d + L2 * v + i for d, v, i in zip(D1, s, integral)]
+    return y, [i + dt * (L3 * d + L4 * v) for i, d, v in zip(integral, D2, s)]
 
 
 def controller_step(x1: np.ndarray, state: ControllerState, cfg: GainConfig,
@@ -222,11 +222,13 @@ def controller_step(x1: np.ndarray, state: ControllerState, cfg: GainConfig,
     ``u = -(L1*x1/||x1||**(1/m) + L2*x1 + integral)``, the law on ``x1``."""
     x1 = np.asarray(x1, dtype=float)
     if x1.shape != state.integral_term.shape:
-        raise ValueError(
-            f"dimension mismatch: x1 {x1.shape} vs integral {state.integral_term.shape}"
-        )
-    y, new_integral, new_L0 = law_step(x1, state.integral_term, state.L0, cfg, dt, singular_tol)
-    return -y, ControllerState(integral_term=new_integral, L0=new_L0)
+        raise ValueError(f"dimension mismatch: x1 {x1.shape} vs integral "
+                         f"{state.integral_term.shape}")
+    r = float(np.linalg.norm(x1))
+    y, new_integral = law_step(x1.tolist(), r, state.integral_term.tolist(),
+                               gains_from_L0(cfg, state.L0), cfg.m, dt, singular_tol)
+    return -np.array(y), ControllerState(integral_term=new_integral,
+                                         L0=update_L0(state.L0, r, cfg, dt))
 
 
 @dataclass(frozen=True)
@@ -267,7 +269,10 @@ def observer_step(x1_measured: np.ndarray, u: np.ndarray, state: ObserverState,
     u = np.asarray(u, dtype=float)
     if x1_measured.shape != state.z1.shape or u.shape != state.z1.shape:
         raise ValueError("dimension mismatch between measurement, control and observer state")
-    d_hat, new_integral, new_L0 = law_step(x1_measured - state.z1, state.integral_term,
-                                           state.L0, cfg, dt, singular_tol)
+    e = x1_measured - state.z1
+    r = float(np.linalg.norm(e))
+    y, new_integral = law_step(e.tolist(), r, state.integral_term.tolist(),
+                               gains_from_L0(cfg, state.L0), cfg.m, dt, singular_tol)
+    d_hat = np.array(y)
     return d_hat, ObserverState(z1=state.z1 + dt * (u + d_hat), d_hat=d_hat,
-                                integral_term=new_integral, L0=new_L0)
+                                integral_term=new_integral, L0=update_L0(state.L0, r, cfg, dt))

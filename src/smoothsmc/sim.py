@@ -9,10 +9,14 @@ runs one adaptive controller per gain set, each on its own copy of the
 plant, and :func:`simulate_observer` one observer per gain set over the
 measurement of the plant under zero control, which the loop builds as a
 running sum of RK4 increments.  The loop steps a single cell on Python
-floats and a batch of two or more as the rows of (B, n) arrays: a numpy
-call costs about as much on one row as on many, so only a batch repays it.
-The loop only steps; V is computed from the kept rows after it.  Every
-cell is bitwise what the scalar laws give on their own, in either kernel.
+floats through ``laws.law_step`` and a batch of two or more as the rows of
+(B, n) arrays: a numpy call costs about as much on one row as on many, so
+only a batch repays it.  Both kernels apply the same IEEE operations, so
+every cell is bitwise what the scalar laws give on their own, in either
+kernel, wherever BLAS ``ddot`` rounds a row of an (N, n) array as it
+rounds a fresh vector: OpenBLAS's default Haswell kernel does, its Prescott
+kernel does not (ROADMAP item 11).  The loop only steps; V is computed from
+the kept rows after it.
 
 The loop runs in blocks of about :data:`BLOCK_CELL_STEPS` cell-steps.  Each
 block builds only its own slice of the time grid, the disturbance and the
@@ -36,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .certificate import build_p_block, lyapunov_series
-from .laws import is_real_number, real_setting
+from .laws import gains_from_L0, is_real_number, law_step, real_setting, update_L0
 
 # The longest run accepted, in steps (one controller cell at n = 3 needs about
 # 250 bytes a step, 2.5 GB here), checked before any array is allocated.
@@ -128,6 +132,9 @@ class DisturbanceSpec:
             out["channels"] = [c._asdict() for c in self.channels]
         return out
 
+    def __eq__(self, other):  # the generated one compares arrays, which raises
+        return self.to_dict() == other.to_dict() if type(other) is type(self) else NotImplemented
+
     @classmethod
     def from_dict(cls, d: dict, n: int | None = None) -> "DisturbanceSpec":
         if not isinstance(d, dict):
@@ -216,6 +223,8 @@ class SimConfig:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)} | {
             "x1_init": self.x1_init.tolist()}
+
+    __eq__ = DisturbanceSpec.__eq__
 
 
 class SimulationAborted(RuntimeError):
@@ -327,16 +336,10 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = Fals
     bitwise the step-by-step integration) and checked before the block's
     steps.  The time grid and the disturbance are shared by the batch.
 
-    The steps themselves run in one of two kernels, chosen by the batch
-    size alone: :func:`_float_kernel` steps a single cell on Python floats,
-    :func:`_array_kernel` a batch of two or more on (B, n) arrays.  A numpy
-    call costs about the same on one row as on twelve, so a lone cell is
-    fastest without them, a batch with them.  Both compute each cell's
-    every float with the same IEEE operation on the same operands, so a
-    cell's log is bitwise the same whichever kernel steps it, and bitwise
-    the scalar reference (``laws.controller_step`` or
-    ``laws.observer_step``, RK4 plant).  A non-finite state makes the next
-    norm non-finite, so a kernel checks the state only then; the loop
+    The steps run in :func:`_float_kernel` for a single cell and in
+    :func:`_array_kernel` for two or more, which apply the same IEEE
+    operations (see the module docstring).  A non-finite state makes the
+    next norm non-finite, so a kernel checks the state only then; the loop
     checks it again after each block and reports the step that made it.
     """
     if not cfgs:
@@ -369,14 +372,6 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = Fals
         yield Block(start, times, d_now, x1 if observe else x1_log, y_log, l0_log, i_log)
 
 
-def _gains(v, cfg) -> tuple:
-    """``(L1, L3, L2, L4)`` at ``L0 = v``: ``laws.gains_from_L0``'s
-    expressions, without its check and its dataclass."""
-    m = cfg.m
-    return (cfg.k1 * v ** ((m - 1.0) / m), cfg.k3 * v ** ((2.0 * m - 2.0) / m), cfg.k2 * v,
-            cfg.k4 * v ** 2)
-
-
 def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
     """The steps of a batch on (B, n) arrays, one row per cell: returns a
     function that runs the steps of a block, from its measurement (observers,
@@ -385,16 +380,19 @@ def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
     logs ``(x1, y, L0, integral)``, views of buffers that every block
     reuses, sized by the first and longest block.
 
-    One norm per row, ``sqrt(vecdot)``, which is ``np.linalg.norm`` bit for
-    bit, and every power of the spec as Python's float ``**`` per cell,
-    because numpy's vectorised power is not libm ``pow``.  A step makes few
-    numpy calls, most on arrays of one shape: ``G = [L1; L3]`` and
-    ``H = [L2; L4]`` are the gains repeated to shape (2, B, n), rebuilt from
-    Python floats only after a row adapted; ``D = S / [r**(1/m); r**(2/m)]``
-    holds both direction terms and ``T = G*D + H*S`` both sums of the law
-    (``Y = T[0] + I`` and the integral increment ``dt*T[1]``); ``U + d``
-    with the stacked disturbance gives the three RK4 stage sums.  The
-    singular and adaptation tests read the norms ``r`` as a list.
+    The one vectorised copy of ``laws.law_step``: one norm per row,
+    ``sqrt(vecdot)``, which is ``np.linalg.norm`` bit for bit under the
+    module docstring's BLAS condition, and every power of the spec as
+    Python's float ``**`` per cell, because numpy's vectorised power is not
+    libm ``pow``.  A step makes few numpy calls, most on arrays of one
+    shape: ``G = [L1; L3]`` and ``H = [L2; L4]`` are the gains repeated to
+    shape (2, B, n), rebuilt only after a row adapted, from the gains that
+    ``laws.gains_from_L0`` gave each row at its latest L0;
+    ``D = S / [r**(1/m); r**(2/m)]`` holds both direction terms and
+    ``T = G*D + H*S`` both sums of the law (``Y = T[0] + I`` and the
+    integral increment ``dt*T[1]``); ``U + d`` with the stacked disturbance
+    gives the three RK4 stage sums.  The singular and adaptation tests read
+    the norms ``r`` as a list.
     """
     n, dt, tol, rows = sim.n, sim.dt, sim.singular_tol, len(cfgs)
     dt6 = dt / 6.0
@@ -402,11 +400,12 @@ def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
     powers = [1.0 / c.m for c in cfgs] + [2.0 / c.m for c in cfgs]
     adapt = [(c.epsilon, c.kappa * dt) for c in cfgs]
     l0 = [c.L0_init for c in cfgs]
+    gains = [*map(gains_from_L0, cfgs, l0)]  # each row's, refreshed when its L0 moves
     I = np.zeros((rows, n))
     stale, L0, G, H, buffers = True, None, None, None, None
 
     def steps(x1, d3):
-        nonlocal W, I, l0, stale, L0, G, H, buffers
+        nonlocal W, I, l0, gains, stale, L0, G, H, buffers
         count = len(d3)  # the stages of step start + j are d3[j]
         if buffers is None:  # x1, y (u = -Y, or d_hat = Y), L0, integral
             buffers = (None if observe else np.empty((rows, count, n)),
@@ -421,8 +420,9 @@ def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
                 break
             if stale:
                 L0 = np.array(l0)
-                G, H = np.array([*map(_gains, l0, cfgs)]).T.reshape(
-                    2, 2, rows, 1).repeat(n, axis=3)
+                # rows [L1, L2; L3, L4] of plain tuples (numpy reads them fastest)
+                G, H = np.array([g[:4] for g in gains]).T.reshape(
+                    2, 2, rows, 1).swapaxes(0, 1).repeat(n, axis=3)
             D = S / np.array([*map(pow, r + r, powers)]).reshape(2, rows, 1)
             if min(r) < tol:
                 D[:, [v < tol for v in r]] = 0.0
@@ -433,7 +433,10 @@ def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
             l0_log[:, j] = L0
             I = I + dt * T[1]
             new = [v + kd if s >= e else v for v, s, (e, kd) in zip(l0, r, adapt)]
-            stale, l0 = new != l0, new
+            if stale := new != l0:
+                gains = [g if v == w else gains_from_L0(c, v)
+                         for g, c, v, w in zip(gains, cfgs, new, l0)]
+            l0 = new
             # Y is never -0.0 (I starts at +0.0), so dt * Y is bitwise
             # laws.observer_step's dt * (u + d_hat) at u = 0
             if observe:
@@ -454,31 +457,25 @@ def _float_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
     fresh ``array('d')`` buffers, which its :class:`Block` views through
     ``np.frombuffer``.
 
-    Every float is the operation the array kernel applies to the cell's
-    row, in the same order: the direction terms ``s / r**(1/m)`` and
-    ``s / r**(2/m)``, or +0.0 below the singular tolerance; the output
-    ``(L1*d + L2*s) + i``; the integral ``i + dt*(L3*d + L4*s)``; the RK4
-    step ``w + dt/6*((((u+d0) + 2(u+d1)) + 2(u+d1)) + (u+d2))``.  The norm
-    stays one ``np.vecdot``, on a reused 1-D buffer: BLAS ``ddot`` rounds
-    its sum its own way (with FMA on most kernels), which no float
-    expression reproduces.
+    Each step calls :func:`laws.law_step` and :func:`laws.update_L0`, with
+    the gains cached until L0 moves.  The norm is one ``np.vecdot``, on a
+    reused 1-D buffer: BLAS ``ddot`` rounds its sum its own way (with FMA on
+    most kernels), which no float expression reproduces.
     """
     (cfg,) = cfgs
-    n, dt, tol = sim.n, sim.dt, sim.singular_tol
+    n, m, dt, tol = sim.n, cfg.m, sim.dt, sim.singular_tol
     dt6 = dt / 6.0
-    p1, p2, eps, kd = 1.0 / cfg.m, 2.0 / cfg.m, cfg.epsilon, cfg.kappa * dt
     W, I, l0 = sim.x1_init.tolist(), [0.0] * n, cfg.L0_init
-    zero, buf = [0.0] * n, np.empty(n)
+    gains, buf = gains_from_L0(cfg, l0), np.empty(n)
     vecdot, sqrt, isfinite = np.vecdot, math.sqrt, math.isfinite
 
     def steps(x1, d3):
-        nonlocal W, I, l0
+        nonlocal W, I, l0, gains
         count = len(d3)
         d3 = d3[:, :, 0]  # (steps, 3, n)
         x1_log = None if observe else array("d")
         y_log, l0_log = array("d"), array("d")
         i_log = array("d") if log_integral else None
-        L1, L3, L2, L4 = _gains(l0, cfg)
         for j in range(count):
             S = [x - w for x, w in zip(x1[j].tolist(), W)] if observe else W
             buf[:] = S
@@ -486,19 +483,12 @@ def _float_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
             if not isfinite(r) and not all(map(isfinite, W)):
                 j -= 1  # the state step j - 1 made is not finite
                 break
-            if r < tol:
-                D1 = D2 = zero
-            else:
-                q1, q2 = r ** p1, r ** p2
-                D1, D2 = [s / q1 for s in S], [s / q2 for s in S]
-            Y = [L1 * d + L2 * s + i for d, s, i in zip(D1, S, I)]
             if i_log is not None:
                 i_log.extend(I)
             l0_log.append(l0)
-            I = [i + dt * (L3 * d + L4 * s) for i, d, s in zip(I, D2, S)]
-            if r >= eps:
-                l0 += kd
-                L1, L3, L2, L4 = _gains(l0, cfg)
+            Y, I = law_step(S, r, I, gains, m, dt, tol)
+            if (new := update_L0(l0, r, cfg, dt)) != l0:
+                l0, gains = new, gains_from_L0(cfg, new)
             if observe:
                 y_log.extend(Y)
                 W = [w + dt * y for w, y in zip(W, Y)]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smoothsmc.laws as laws
 import smoothsmc.sim as sim_module
 from smoothsmc import (
     DisturbanceSpec,
@@ -93,6 +94,16 @@ class TestDisturbanceSpecs:
             again = DisturbanceSpec.from_dict(spec.to_dict())
             assert again.to_dict() == spec.to_dict()
 
+    def test_equality_compares_values(self):
+        # the generated __eq__ compared the constant_value arrays and raised
+        assert experiment_disturbance("exp1") == experiment_disturbance("exp1")
+        assert DisturbanceSpec.constant([0.1, 0.2]) != DisturbanceSpec.constant([0.1, 0.3])
+        assert EXP1 != EXP2 and EXP2 == experiment_disturbance("exp2")
+        assert DisturbanceSpec.none(3) == DisturbanceSpec.none(3) != DisturbanceSpec.none(2)
+        # the same samples, another kind: a different spec, as its JSON form is
+        assert DisturbanceSpec.none(2) != DisturbanceSpec.constant([0.0, 0.0])
+        assert EXP1 != EXP1.to_dict()
+
     @pytest.mark.parametrize("make, message", [
         (lambda: DisturbanceSpec(kind="bogus", n=3), "unknown disturbance kind 'bogus'"),
         (lambda: DisturbanceSpec(kind="constant", n=2, constant_value=[0.1, 0.2, 0.2]),
@@ -147,6 +158,14 @@ class TestSimConfigSettings:
     def test_a_channel_too_large_for_a_float_is_refused(self):
         with pytest.raises(ValueError, match="must be finite numbers"):
             DisturbanceSpec.sinusoid_mix([(10**400, 1.0, False)])
+
+    def test_equality_compares_values(self):
+        # the generated __eq__ compared the x1_init arrays and raised
+        assert SimConfig(x1_init=[1.0, 2.0]) == SimConfig(x1_init=np.array([1.0, 2.0]))
+        assert SimConfig(x1_init=[1.0, 2.0]) != SimConfig(x1_init=[1.0, 2.5])
+        assert SimConfig(x1_init=[1.0, 2.0]) != SimConfig(x1_init=[1.0, 2.0], dt=2e-3)
+        assert SimConfig(x1_init=[1.0, 2.0]) != SimConfig(x1_init=[1.0, 2.0, 0.0])
+        assert SimConfig(x1_init=[1.0, 2.0]) != {"x1_init": [1.0, 2.0]}
 
 
 class TestClosedLoopBasics:
@@ -399,6 +418,7 @@ MIXED_OBSERVERS = (
     reference_gains(),
     reference_gains(m=2.0, k4=20.0, kappa=5.0, epsilon=1e-2),
 )
+PARTNER = reference_gains(m=2.0, k4=25.0, kappa=7.0, epsilon=2e-3)
 
 
 class TestBatchedLoopIsTheScalarLaws:
@@ -410,15 +430,20 @@ class TestBatchedLoopIsTheScalarLaws:
         (reference_gains(m=2.0), EXP2, NEGATIVE_ZERO),
     ], ids=["exp1-m3-with-V", "exp2-m2", "negative-zero-none-m3-with-V", "negative-zero-exp2-m2"])
     def test_controller_at_b1_is_the_reference_loop(self, cfg, dist, sim):
+        # the float kernel calls laws.law_step as the reference loop does, so
+        # row 0 of a pair (the array kernel, row 0 as in
+        # assert_alone_is_row_zero_of_a_pair) is the check that is independent
         p_block = build_p_block(cfg) if cfg.m > 2 else None
-        got = simulate_closed_loop([cfg], sim, dist)[0]
-        assert_same_record(got, reference_controller_run(cfg, sim, dist, p_block))
+        want = reference_controller_run(cfg, sim, dist, p_block)
+        assert_same_record(simulate_closed_loop([cfg], sim, dist)[0], want, "alone")
+        assert_same_record(simulate_closed_loop([cfg, PARTNER], sim, dist)[0], want, "row 0")
 
     @pytest.mark.parametrize("m", [3.0, 2.0])
     def test_observer_at_b1_is_the_reference_loop(self, m):
         cfg = reference_gains(m=m)
-        got = simulate_observer([cfg], SHORT, EXP3)[0]
-        assert_same_record(got, reference_observer_run(cfg, SHORT, EXP3))
+        want = reference_observer_run(cfg, SHORT, EXP3)
+        assert_same_record(simulate_observer([cfg], SHORT, EXP3)[0], want, "alone")
+        assert_same_record(simulate_observer([cfg, PARTNER], SHORT, EXP3)[0], want, "row 0")
 
     def test_mixed_controller_batch_rows_are_their_own_runs(self):
         batch = simulate_closed_loop(MIXED_CONTROLLERS, SHORT, EXP2)
@@ -480,21 +505,19 @@ class TestTheTwoKernelsAgree:
     """One cell steps on Python floats, a batch of two or more on arrays;
     the cell's record does not tell which."""
 
-    PARTNER = reference_gains(m=2.0, k4=25.0, kappa=7.0, epsilon=2e-3)
-
     @pytest.mark.parametrize("m", [3.0, 2.0])
     def test_a_start_below_the_singular_tolerance(self, m):
         sim = SimConfig(x1_init=[4e-13, -3e-13, 0.0], dt=1e-3, horizon=0.3)
         alone = simulate_closed_loop([reference_gains(m=m)], sim, EXP1)[0]
         # the first step's direction terms are +0.0: u = -((L1*0.0 + L2*x1) + 0.0)
         assert alone.u[0].tobytes() == (-(0.0 + 2.5 * sim.x1_init)).tobytes()
-        assert_alone_is_row_zero_of_a_pair(reference_gains(m=m), self.PARTNER, sim, EXP1)
+        assert_alone_is_row_zero_of_a_pair(reference_gains(m=m), PARTNER, sim, EXP1)
 
     @pytest.mark.parametrize("observe", [False, True], ids=["controller", "observer"])
     def test_negative_zero_components(self, observe):
         sim = SimConfig(x1_init=[-0.0, 3.0, -0.0], dt=1e-3, horizon=0.3)
         dist = (EXP3 if observe else DisturbanceSpec.none(3))
-        assert_alone_is_row_zero_of_a_pair(reference_gains(), self.PARTNER, sim, dist, observe)
+        assert_alone_is_row_zero_of_a_pair(reference_gains(), PARTNER, sim, dist, observe)
 
     @pytest.mark.parametrize("observe", [False, True], ids=["controller", "observer"])
     def test_numpy_scalar_gains_and_a_float32_dt(self, observe):
@@ -503,7 +526,7 @@ class TestTheTwoKernelsAgree:
         assert all(type(getattr(cfg, name)) is float for name in ("k1", "k2", "k4", "kappa", "m"))
         sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=np.float32(1e-3), horizon=0.3)
         assert type(sim.dt) is float and sim.dt == float(np.float32(1e-3))
-        assert_alone_is_row_zero_of_a_pair(cfg, self.PARTNER, sim, EXP3 if observe else EXP2,
+        assert_alone_is_row_zero_of_a_pair(cfg, PARTNER, sim, EXP3 if observe else EXP2,
                                            observe)
 
     def test_the_dt_001_abort(self):
@@ -535,6 +558,26 @@ class TestTheTwoKernelsAgree:
         assert simulate([reference_gains()], sim, EXP3, False) == [None]
         assert len(calls) == sim.steps
         assert len(set(calls)) == 1 and calls[0][0] == calls[0][1] and calls[0][2] == (3,)
+
+    @pytest.mark.parametrize("observe", [False, True], ids=["controller", "observer"])
+    def test_a_lone_cell_calls_the_law_once_a_step(self, monkeypatch, observe):
+        # the float kernel states no law of its own: it steps through laws.py
+        assert sim_module.law_step is laws.law_step
+        assert sim_module.update_L0 is laws.update_L0
+        calls = {"law_step": 0, "update_L0": 0}
+
+        def counted(name):
+            def call(*args):
+                calls[name] += 1
+                return getattr(laws, name)(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(sim_module, name, counted(name))
+        sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=1e-3, horizon=0.5)
+        simulate = simulate_observer if observe else simulate_closed_loop
+        assert simulate([reference_gains()], sim, EXP3, False) == [None]
+        assert calls == {"law_step": sim.steps, "update_L0": sim.steps}
 
 
 class TestRecordAndFold:
