@@ -127,7 +127,7 @@ def _resolved_config(experiment: str, method: str, cfg: GainConfig,
         "experiment": experiment,
         "method": method,
         "gains": dataclasses.asdict(cfg),
-        "sim": sim.to_dict(),
+        "sim": dataclasses.asdict(sim) | {"x1_init": list(sim.x1_init)},
         "disturbance": dist.to_dict(),
     }
 
@@ -249,14 +249,15 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None, record:
     dist = None if disturbance is None else DisturbanceSpec.from_dict(disturbance, n=sim.n)
     if experiment != "custom":
         preset = experiment_disturbance(experiment)
-        if dist is not None and dist.to_dict() != preset.to_dict():
+        if dist is not None and dist != preset:
             raise ValueError(f"{experiment} has its own disturbance; "
                              "run a different one with --experiment custom")
         dist = preset
 
     cfgs = [cfg for _, cfg, _ in configured]
     if kinds == {"controller"}:
-        threshold = CONTROLLER_SETTLE_REL * float((sim.x1_init @ sim.x1_init) ** 0.5)
+        x1_init = np.array(sim.x1_init)
+        threshold = CONTROLLER_SETTLE_REL * float((x1_init @ x1_init) ** 0.5)
         if not threshold > 0:
             raise ValueError("a controller settles relative to ||x1(0)||, so --x1-init "
                              "must not be the origin")

@@ -53,16 +53,20 @@ MAX_STEPS = 10**7
 BLOCK_CELL_STEPS = 4608
 
 
-def _real_vector(value, name: str) -> np.ndarray:
-    """A read-only float copy of a non-empty 1-D sequence of finite real
-    numbers; JSON booleans and numeric strings are refused, not converted."""
+def _real_vector(value, name: str) -> tuple[float, ...]:
+    """A tuple of the Python floats of a non-empty 1-D sequence of finite
+    real numbers; JSON booleans and numeric strings are refused, not converted."""
     items = value.tolist() if isinstance(value, np.ndarray) and value.ndim == 1 else value
     if not (isinstance(items, (list, tuple)) and items
             and all(real_setting(v) is not None and math.isfinite(v) for v in items)):
         raise ValueError(f"{name} must be a non-empty vector of finite numbers")
-    vec = np.array(items, dtype=float)
-    vec.setflags(write=False)
-    return vec
+    return tuple(map(float, items))
+
+
+def _refuse_other_keys(d: dict, keys: set, what: str) -> None:
+    """Refuse, by name, a key of ``d`` that is not one of ``keys``."""
+    if other := d.keys() - keys:
+        raise ValueError(f"{what} has keys it does not read: {sorted(other, key=str)}")
 
 
 class SineChannel(NamedTuple):
@@ -73,41 +77,44 @@ class SineChannel(NamedTuple):
     is_cosine: bool
 
 
+# The keys that DisturbanceSpec.from_dict reads, per kind, besides kind and n.
+_SPEC_KEYS = {"none": set(), "constant": {"constant_value", "value"}, "sinusoid-mix": {"channels"}}
+
+
 @dataclass(frozen=True)
 class DisturbanceSpec:
     """A disturbance of one :class:`SineChannel` per component, with
-    closed-form norm bounds.  Every kind is stored as channels: a constant
-    ``c`` is ``(c_i, 0.0, True)`` per component, since ``c_i * cos(0.0 * t)``
-    is ``c_i`` bit for bit (-0.0 too), and ``none`` has amplitude 0.0;
-    ``kind`` and ``constant_value`` serve validation and the JSON form.
-    Channels and ``n`` hold Python numbers (``laws.real_setting``)."""
+    closed-form norm bounds.  Every kind is its channels: a constant ``c`` is
+    ``(c_i, 0.0, True)`` per component, as ``c_i * cos(0.0 * t)`` is ``c_i``
+    bit for bit (-0.0 too), and ``none`` is ``(0.0, 0.0, True)``, built if not
+    given; these two kinds, whose JSON form has no channels, refuse others.
+    Fields hold Python values (``laws.real_setting``), so specs hash by value."""
 
     kind: str  # "none" | "constant" | "sinusoid-mix"
     n: int
-    constant_value: np.ndarray | None = None
-    channels: tuple[SineChannel, ...] | None = None  # given for sinusoid-mix only
+    channels: tuple[SineChannel, ...] | None = None  # may be omitted for none
 
     def __post_init__(self):
-        if self.kind not in ("none", "constant", "sinusoid-mix"):
+        if not (isinstance(self.kind, str) and self.kind in _SPEC_KEYS):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if not (is_real_number(self.n) and isinstance(self.n, numbers.Integral) and self.n >= 1):
-            raise ValueError("a disturbance dimension n must be an integer >= 1")
+            raise ValueError("a disturbance needs a dimension n, an integer >= 1")
         object.__setattr__(self, "n", int(self.n))
-        channels = self.channels if self.kind == "sinusoid-mix" else [(0.0, 0.0, True)] * self.n
-        if self.kind == "constant":
-            vec = _real_vector(self.constant_value, "constant_value")
-            if vec.shape != (self.n,):
-                raise ValueError("constant_value dimension mismatch")
-            object.__setattr__(self, "constant_value", vec)
-            channels = [(c, 0.0, True) for c in vec.tolist()]
+        none = self.kind == "none" and self.channels is None
+        channels = [(0.0, 0.0, True)] * self.n if none else self.channels
         if channels is None or len(channels) != self.n:
-            raise ValueError("sinusoid-mix needs one channel per component")
+            raise ValueError(f"a {self.kind} disturbance of n = {self.n} needs one channel "
+                             "per component")
         channels = tuple(SineChannel(real_setting(a), real_setting(w), cos)
                          for a, w, cos in channels)
         if not all(v is not None and math.isfinite(v) for c in channels for v in c[:2]):
             raise ValueError("channel amplitudes and frequencies must be finite numbers")
         if not all(isinstance(c.is_cosine, bool) for c in channels):
             raise ValueError("a channel's is_cosine must be true or false")
+        if self.kind != "sinusoid-mix" and not all(
+                c.frequency == 0 and c.is_cosine and (self.kind == "constant" or (
+                    c.amplitude, math.copysign(1, c.amplitude)) == (0, 1)) for c in channels):
+            raise ValueError("none and constant channels are cosines at w = 0, none's at a = +0.0")
         object.__setattr__(self, "channels", channels)
 
     @classmethod
@@ -117,7 +124,7 @@ class DisturbanceSpec:
     @classmethod
     def constant(cls, value) -> "DisturbanceSpec":
         value = _real_vector(value, "constant_value")
-        return cls(kind="constant", n=value.size, constant_value=value)
+        return cls(kind="constant", n=len(value), channels=[(c, 0.0, True) for c in value])
 
     @classmethod
     def sinusoid_mix(cls, channels) -> "DisturbanceSpec":
@@ -127,43 +134,41 @@ class DisturbanceSpec:
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind, "n": self.n}
         if self.kind == "constant":
-            out["constant_value"] = self.constant_value.tolist()
+            out["constant_value"] = [c.amplitude for c in self.channels]
         if self.kind == "sinusoid-mix":
             out["channels"] = [c._asdict() for c in self.channels]
         return out
 
-    def __eq__(self, other):  # the generated one compares arrays, which raises
-        return self.to_dict() == other.to_dict() if type(other) is type(self) else NotImplemented
-
     @classmethod
     def from_dict(cls, d: dict, n: int | None = None) -> "DisturbanceSpec":
+        """The spec of ``to_dict``'s form, where a constant may give ``value``
+        for ``constant_value``; ``n`` is the dimension of a ``none`` that gives
+        none.  A key that the kind does not read is refused by name."""
         if not isinstance(d, dict):
             raise ValueError("a disturbance spec must be a JSON object")
-        kind = d.get("kind")
-        if kind == "none":
-            dim = d.get("n", n)
-            if dim is None:
-                raise ValueError("disturbance kind 'none' needs a dimension")
-            return cls.none(dim)
+        kind, channels = d.get("kind"), d.get("channels")
+        if not (isinstance(kind, str) and kind in _SPEC_KEYS):
+            raise ValueError(f"unknown disturbance kind {kind!r}")
+        _refuse_other_keys(d, {"kind", "n", *_SPEC_KEYS[kind]}, f"a {kind} disturbance")
         if kind == "constant":
-            value = d.get("constant_value", d.get("value"))
-            if not isinstance(value, (list, tuple)):
-                raise ValueError("constant disturbance needs a value vector")
-            return cls.constant(value)
+            if {"constant_value", "value"} <= d.keys():
+                raise ValueError("a constant disturbance takes constant_value or value, not both")
+            channels = cls.constant(d.get("constant_value", d.get("value"))).channels
         if kind == "sinusoid-mix":
-            if not isinstance(d.get("channels"), (list, tuple)) or not d["channels"]:
+            if not isinstance(channels, (list, tuple)) or not channels:
                 raise ValueError("sinusoid-mix disturbance needs a list of channels")
-            channels = []
-            for ch in d["channels"]:
+            given, channels = channels, []
+            for ch in given:
                 if isinstance(ch, dict):
+                    _refuse_other_keys(ch, set(SineChannel._fields), "a sinusoid channel")
                     if not {"amplitude", "frequency"} <= ch.keys():
                         raise ValueError("a sinusoid channel needs amplitude and frequency")
                     ch = (ch["amplitude"], ch["frequency"], ch.get("is_cosine", False))
                 if not isinstance(ch, (list, tuple)) or len(ch) != 3:
                     raise ValueError("a sinusoid channel is (amplitude, frequency, is_cosine)")
                 channels.append(ch)
-            return cls.sinusoid_mix(channels)
-        raise ValueError(f"unknown disturbance kind {kind!r}")
+        return cls(kind=kind, n=d.get("n", n if channels is None else len(channels)),
+                   channels=channels)
 
 
 def disturbance_at(spec: DisturbanceSpec, t: float) -> np.ndarray:
@@ -186,9 +191,10 @@ def rate_bound(spec: DisturbanceSpec) -> float:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Step size, horizon, initial state and logging cadence."""
+    """Step size, horizon, initial state (a tuple of floats) and logging
+    cadence, as Python values, so configs compare and hash by value."""
 
-    x1_init: np.ndarray
+    x1_init: tuple[float, ...]
     dt: float = 1e-3
     horizon: float = 10.0
     singular_tol: float = 1e-12
@@ -214,17 +220,11 @@ class SimConfig:
 
     @property
     def n(self) -> int:
-        return self.x1_init.shape[0]
+        return len(self.x1_init)
 
     @property
     def steps(self) -> int:
         return int(round(self.horizon / self.dt))
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)} | {
-            "x1_init": self.x1_init.tolist()}
-
-    __eq__ = DisturbanceSpec.__eq__
 
 
 class SimulationAborted(RuntimeError):
@@ -298,9 +298,9 @@ def _rk4_increment(dt6, stages):
 
 class Block(NamedTuple):
     """Steps ``start`` onward of a batch run, the step axis after the cell
-    axis: ``x1`` (B, steps, n), or an observer batch's one measurement
-    (steps, n); ``y``, which is u or d_hat (B, steps, n); ``L0`` (B, steps);
-    the integral term before each step (B, steps, n), or None."""
+    axis: ``x1`` (B, steps, n), for an observer batch a read-only broadcast
+    of its one measurement; ``y``, which is u or d_hat (B, steps, n); ``L0``
+    (B, steps); the integral term before each step (B, steps, n), or None."""
 
     start: int
     times: np.ndarray
@@ -312,12 +312,9 @@ class Block(NamedTuple):
 
     def rows(self, index: slice) -> "Block":
         """A copy of the steps ``index`` of the block."""
-        cells = (slice(None), index)
-        x1 = self.x1[cells if self.x1.ndim == 3 else index]
         return Block(self.start + index.indices(self.times.size)[0], self.times[index].copy(),
-                     self.d_true[index].copy(), x1.copy(), self.y[cells].copy(),
-                     self.L0[cells].copy(),
-                     None if self.integral is None else self.integral[cells].copy())
+                     self.d_true[index].copy(),
+                     *(None if a is None else a[:, index].copy() for a in self[3:]))
 
 
 def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = False,
@@ -369,7 +366,8 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = Fals
         bad = np.flatnonzero(~np.isfinite(W).all(axis=1))
         if bad.size:  # the state step start + j made is not finite
             raise SimulationAborted(start + j, float(times[j]) + dt, W[bad[0]], int(bad[0]))
-        yield Block(start, times, d_now, x1 if observe else x1_log, y_log, l0_log, i_log)
+        yield Block(start, times, d_now, np.broadcast_to(x1, y_log.shape) if observe else x1_log,
+                    y_log, l0_log, i_log)
 
 
 def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
@@ -465,7 +463,7 @@ def _float_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
     (cfg,) = cfgs
     n, m, dt, tol = sim.n, cfg.m, sim.dt, sim.singular_tol
     dt6 = dt / 6.0
-    W, I, l0 = sim.x1_init.tolist(), [0.0] * n, cfg.L0_init
+    W, I, l0 = list(sim.x1_init), [0.0] * n, cfg.L0_init
     gains, buf = gains_from_L0(cfg, l0), np.empty(n)
     vecdot, sqrt, isfinite = np.vecdot, math.sqrt, math.isfinite
 
@@ -508,10 +506,10 @@ def _float_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
     return steps
 
 
-def _records(blocks, fold, cfgs, sim: SimConfig, record: bool) -> list:
-    """Hand every block to ``fold``, if given, and with ``record`` join
-    copies of every ``sim.log_stride``-th row into one record per cell, with
-    V for smooth controllers (m > 2); all None without ``record``."""
+def _records(blocks, fold, cfgs, sim: SimConfig, record: bool, observe: bool = False) -> list:
+    """Hand every block to ``fold``, if given, and with ``record`` join copies
+    of every ``sim.log_stride``-th row into one record per cell (with V for a
+    smooth controller, m > 2; ``y`` as d_hat with ``observe``); else all None."""
     stride, parts = sim.log_stride, []
     for block in blocks:  # the loop runs here, so fold reads each block before its reuse
         if fold is not None:
@@ -525,13 +523,12 @@ def _records(blocks, fold, cfgs, sim: SimConfig, record: bool) -> list:
     def joined(name, axis=1):
         return np.concatenate([getattr(p, name) for p in parts], axis=axis)
 
-    observe = parts[0].x1.ndim == 2  # observers share one measurement
-    times, d_true, x1 = joined("times", 0), joined("d_true", 0), joined("x1", int(not observe))
+    times, d_true, x1 = joined("times", 0), joined("d_true", 0), joined("x1")
     y, L0, u = joined("y"), joined("L0"), np.zeros_like(d_true)
     records = []
     for b, cfg in enumerate(cfgs):
-        traj = (Trajectory(times=times, x1=x1, u=u, d_true=d_true, d_hat=y[b], L0=L0[b])
-                if observe else Trajectory(times=times, x1=x1[b], u=y[b], d_true=d_true, L0=L0[b]))
+        traj = Trajectory(times=times, x1=x1[b], u=u if observe else y[b], d_true=d_true,
+                          d_hat=y[b] if observe else None, L0=L0[b])
         if not observe and cfg.m > 2:
             # a run whose norms overflow on finite states still gets its record
             with np.errstate(over="ignore", invalid="ignore"):
@@ -564,7 +561,8 @@ def simulate_observer(cfgs, sim: SimConfig, dist: DisturbanceSpec, record: bool 
     observer never acts on the plant); ``record`` and ``fold`` as for
     :func:`simulate_closed_loop`."""
     cfgs = list(cfgs)
-    return _records(_step_loop(sim, dist, cfgs, observe=True), fold, cfgs, sim, record)
+    return _records(_step_loop(sim, dist, cfgs, observe=True), fold, cfgs, sim, record,
+                    observe=True)
 
 
 def trajectory_columns(traj: Trajectory) -> list[str]:

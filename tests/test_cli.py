@@ -646,6 +646,31 @@ class TestBadInputs:
         assert "Traceback" not in err
         assert out == ""
 
+    # A disturbance key that the spec would not read is refused by name, not dropped.
+    @pytest.mark.parametrize("spec, named", [
+        ({"kind": "sinusoid-mix", "channels": [
+            {"amplitude": a, "frequency": 1.0, "phase": 1.0} for a in (0.1, 0.2, 0.3)]},
+         "'phase'"),
+        ({"kind": "constant", "constant_value": [0.1, 0.2, 0.3], "n": 5}, "n = 5"),
+        ({"kind": "sinusoid-mix", "n": 9, "channels": [[0.1, 1.0, False]]}, "n = 9"),
+        ({"kind": "constant", "value": [0.1, 0.2, 0.3],
+          "channels": [[0.1, 0.0, True]] * 3}, "'channels'"),
+        ({"kind": "none", "constant_value": [0.1, 0.2, 0.3]}, "'constant_value'"),
+        ({"kind": "sinusoid-mix", "channels": [[0.1, 1.0, False]] * 3, "bogus": 1},
+         "'bogus'"),
+        ({"kind": "constant", "value": [0.1, 0.2, 0.3], "constant_value": [0.1, 0.2, 0.3]},
+         "constant_value or value"),
+    ], ids=["channel-phase", "constant-n", "sinusoid-mix-n", "constant-channels",
+            "none-constant-value", "unknown-key", "value-and-constant-value"])
+    def test_a_disturbance_key_that_is_not_read_is_named(self, tmp_path, capsys, spec, named):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, [
+            "run", "--experiment", "custom", "--method", "amssosmc", "--horizon", "0.1",
+            "--x1-init", "1,2,3", "--disturbance", json.dumps(spec), "--out", str(out_dir)])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and named in err and err.count("\n") == 1
+        assert not out_dir.exists()
+
     # At dt = 1 ms, 2 steps leave one sample in the metric tail, which has no
     # variation rate: every command refuses that before it writes or prints.
     @pytest.mark.parametrize("case", [

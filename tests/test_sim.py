@@ -104,10 +104,46 @@ class TestDisturbanceSpecs:
         assert DisturbanceSpec.none(2) != DisturbanceSpec.constant([0.0, 0.0])
         assert EXP1 != EXP1.to_dict()
 
+    def test_equal_specs_hash_equal(self):
+        pairs = [
+            (DisturbanceSpec.constant([-0.0, 2]), DisturbanceSpec.constant([0.0, 2.0])),
+            (DisturbanceSpec.sinusoid_mix([(2, 1.0, True)]),
+             DisturbanceSpec.sinusoid_mix([(2.0, 1, True)])),
+            (experiment_disturbance("exp1"), DisturbanceSpec.from_dict(EXP1.to_dict())),
+            (DisturbanceSpec.none(np.int64(3)), DisturbanceSpec.from_dict({"kind": "none"}, n=3)),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+
+    def test_specs_are_set_members_and_dict_keys(self):
+        specs = {EXP1, EXP2, EXP3, experiment_disturbance("exp1"), DisturbanceSpec.none(3)}
+        assert len(specs) == 4 and DisturbanceSpec.constant([0.1, 0.2, 0.2]) in specs
+        names = {EXP1: "exp1", EXP2: "exp2"}
+        assert names[experiment_disturbance("exp2")] == "exp2"
+        assert DisturbanceSpec.none(2) not in {DisturbanceSpec.constant([0.0, 0.0])}
+
+    @pytest.mark.parametrize("kind, channel", [
+        ("constant", (0.1, 1.0, True)), ("constant", (0.1, 0.0, False)),
+        ("none", (0.1, 0.0, True)), ("none", (-0.0, 0.0, True)), ("none", (0.0, 2.0, True)),
+    ], ids=["constant-frequency", "constant-sine", "none-amplitude", "none-negative-zero",
+            "none-frequency"])
+    def test_a_constant_or_none_is_cosines_at_frequency_zero(self, kind, channel):
+        # the JSON form of these kinds gives no channels, so it could not state others
+        with pytest.raises(ValueError, match="cosines at w = 0"):
+            DisturbanceSpec(kind=kind, n=1, channels=[channel])
+
+    def test_channel_form_of_a_constant_and_of_none(self):
+        spec = DisturbanceSpec(kind="constant", n=2, channels=[(0.1, 0.0, True), (-0.0, 0, True)])
+        assert spec == DisturbanceSpec.constant([0.1, -0.0])
+        assert json.dumps(spec.to_dict()) == json.dumps(DisturbanceSpec.constant(
+            [0.1, -0.0]).to_dict()) == '{"kind": "constant", "n": 2, "constant_value": [0.1, -0.0]}'
+        none = DisturbanceSpec(kind="none", n=2, channels=[(0.0, 0.0, True)] * 2)
+        assert none == DisturbanceSpec.none(2)
+
     @pytest.mark.parametrize("make, message", [
         (lambda: DisturbanceSpec(kind="bogus", n=3), "unknown disturbance kind 'bogus'"),
-        (lambda: DisturbanceSpec(kind="constant", n=2, constant_value=[0.1, 0.2, 0.2]),
-         "constant_value dimension mismatch"),
+        (lambda: DisturbanceSpec(kind="constant", n=2, channels=[(0.1, 0.0, True)] * 3),
+         "one channel per component"),
         (lambda: DisturbanceSpec(kind="sinusoid-mix", n=2, channels=[(1.0, 1.0, True)]),
          "one channel per component"),
         (lambda: DisturbanceSpec(kind="sinusoid-mix", n=1), "one channel per component"),
@@ -133,7 +169,7 @@ class TestDisturbanceSpecs:
                                       DisturbanceSpec.none(2)], ids=["constant", "none"])
     def test_a_constant_series_is_its_value_bit_for_bit(self, spec):
         # a constant is the cosine channels at frequency 0, none at amplitude 0
-        value = np.zeros(spec.n) if spec.constant_value is None else spec.constant_value
+        value = np.array([c.amplitude for c in spec.channels])
         sim = SimConfig(x1_init=[1.0] * spec.n, dt=1e-3, horizon=5.0)
         times, d_now, d3 = sim_module._disturbance_series(sim, spec, 4000, 5000)
         assert d_now.tobytes() == np.tile(value, (1000, 1)).tobytes()
@@ -158,6 +194,13 @@ class TestSimConfigSettings:
     def test_a_channel_too_large_for_a_float_is_refused(self):
         with pytest.raises(ValueError, match="must be finite numbers"):
             DisturbanceSpec.sinusoid_mix([(10**400, 1.0, False)])
+
+    def test_equal_configs_hash_equal(self):
+        a = SimConfig(x1_init=[-0.0, 2], horizon=2)
+        b = SimConfig(x1_init=np.array([0.0, 2.0]), horizon=2.0)
+        assert a == b and hash(a) == hash(b)
+        assert a.x1_init == (0.0, 2.0) and [type(v) for v in a.x1_init] == [float, float]
+        assert {a: "a"}[b] == "a" and len({a, b, replace(a, dt=2e-3)}) == 2
 
     def test_equality_compares_values(self):
         # the generated __eq__ compared the x1_init arrays and raised
@@ -213,7 +256,7 @@ class TestClosedLoopBasics:
     @pytest.mark.parametrize("spec", [EXP1, EXP2, EXP3], ids=["exp1", "exp2", "exp3"])
     def test_open_loop_is_the_textbook_rk4_loop(self, spec):
         sim = SimConfig(x1_init=[-0.0, 3.0, -2.5], dt=1e-3, horizon=1.0)
-        x, zero, xs = sim.x1_init.copy(), np.zeros(3), []
+        x, zero, xs = np.array(sim.x1_init), np.zeros(3), []
         for k in range(sim.steps):
             xs.append(x)
             x = textbook_rk4(x, zero, spec, k * sim.dt, sim.dt)
@@ -369,7 +412,7 @@ def textbook_rk4(x, u, dist, t, dt):
 
 def reference_controller_run(cfg, sim, dist, p_block=None):
     """A plain loop over laws.controller_step with the textbook RK4 step."""
-    x = sim.x1_init.copy()
+    x = np.array(sim.x1_init)
     state = initial_controller_state(cfg, sim.n)
     rows = {"times": [], "x1": [], "u": [], "d_true": [], "L0": [], "V": []}
     for k in range(sim.steps):
@@ -388,7 +431,7 @@ def reference_controller_run(cfg, sim, dist, p_block=None):
 def reference_observer_run(cfg, sim, dist):
     """The uncontrolled plant (textbook RK4), then a plain loop over
     laws.observer_step on its stream."""
-    x, zero = sim.x1_init.copy(), np.zeros(sim.n)
+    x, zero = np.array(sim.x1_init), np.zeros(sim.n)
     times, xs, ds = [], [], []
     for k in range(sim.steps):
         t = k * sim.dt
@@ -510,7 +553,7 @@ class TestTheTwoKernelsAgree:
         sim = SimConfig(x1_init=[4e-13, -3e-13, 0.0], dt=1e-3, horizon=0.3)
         alone = simulate_closed_loop([reference_gains(m=m)], sim, EXP1)[0]
         # the first step's direction terms are +0.0: u = -((L1*0.0 + L2*x1) + 0.0)
-        assert alone.u[0].tobytes() == (-(0.0 + 2.5 * sim.x1_init)).tobytes()
+        assert alone.u[0].tobytes() == (-(0.0 + 2.5 * np.array(sim.x1_init))).tobytes()
         assert_alone_is_row_zero_of_a_pair(reference_gains(m=m), PARTNER, sim, EXP1)
 
     @pytest.mark.parametrize("observe", [False, True], ids=["controller", "observer"])
@@ -601,6 +644,16 @@ class TestRecordAndFold:
             assert np.array_equal(y[b], want.d_hat if observe else want.u)
             assert np.array_equal(L0[b], want.L0)
 
+
+    @pytest.mark.parametrize("cfgs", [[reference_gains()], MIXED_OBSERVERS],
+                             ids=["alone", "batch"])
+    def test_an_observer_block_broadcasts_its_one_measurement(self, cfgs):
+        seen = []
+        full = simulate_observer(cfgs, SHORT, EXP3, fold=lambda block: seen.append(
+            (block.x1.shape, block.y.shape, block.x1.flags.writeable, block.x1[-1].copy())))
+        assert all(x1 == y and not writeable for x1, y, writeable, _ in seen)
+        measured = np.concatenate([last for *_, last in seen])
+        assert all(np.array_equal(traj.x1, measured) for traj in full)
 
 class TestAbortsAreClean:
     def test_divergent_cell_aborts_without_numpy_warnings(self):
