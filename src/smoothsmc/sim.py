@@ -15,8 +15,7 @@ only a batch repays it.  Both kernels apply the same IEEE operations, so
 every cell is bitwise what the scalar laws give on their own, in either
 kernel, wherever BLAS ``ddot`` rounds a row of an (N, n) array as it
 rounds a fresh vector: OpenBLAS's default Haswell kernel does, its Prescott
-kernel does not (ROADMAP item 11).  The loop only steps; V is computed from
-the kept rows after it.
+kernel does not (ROADMAP item 11).  The loop only steps.
 
 The loop runs in blocks of about :data:`BLOCK_CELL_STEPS` cell-steps.  Each
 block builds only its own slice of the time grid, the disturbance and the
@@ -24,8 +23,9 @@ measurement, and logs into buffers that the next block reuses or replaces,
 so the loop's memory does not grow with the run or the batch.  A simulator
 hands each full-rate block to an optional ``fold``, which reads it (this is
 how ``experiments.run_cells`` computes the metrics from every step), and
-with ``record`` keeps copies of every ``log_stride``-th row, the one place
-the stride is applied.
+with ``record`` copies every ``log_stride``-th row once into the record's
+final arrays, the one place the stride is applied.  V is computed after
+the loop, in chunks of rows that keep each row's alignment.
 Everything is deterministic: identical configs give bit-identical logs.
 """
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -310,12 +310,6 @@ class Block(NamedTuple):
     L0: np.ndarray
     integral: np.ndarray | None
 
-    def rows(self, index: slice) -> "Block":
-        """A copy of the steps ``index`` of the block."""
-        return Block(self.start + index.indices(self.times.size)[0], self.times[index].copy(),
-                     self.d_true[index].copy(),
-                     *(None if a is None else a[:, index].copy() for a in self[3:]))
-
 
 def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = False,
                log_integral: bool = False):
@@ -507,35 +501,50 @@ def _float_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
 
 
 def _records(blocks, fold, cfgs, sim: SimConfig, record: bool, observe: bool = False) -> list:
-    """Hand every block to ``fold``, if given, and with ``record`` join copies
-    of every ``sim.log_stride``-th row into one record per cell (with V for a
-    smooth controller, m > 2; ``y`` as d_hat with ``observe``); else all None."""
-    stride, parts = sim.log_stride, []
+    """Hand every block to ``fold``, if given, and with ``record`` copy every
+    ``sim.log_stride``-th row into one record per cell, allocated at its
+    final length (an observer batch's one measurement shared, like the time
+    grid); else all None.  A smooth controller (m > 2) gets V, computed in
+    views of ``2 * BLOCK_CELL_STEPS`` rows: an even count keeps each row's
+    16-byte alignment in the temporaries, so V's BLAS norms round as over
+    the whole record (module docstring) in chunk-sized memory."""
+    stride, B, n = sim.log_stride, len(cfgs), sim.n
+    first = lambda step: -(-step // stride)  # the count of kept steps before step
+    rows = first(sim.steps)
+    if record:
+        times, d_true, L0 = np.empty(rows), np.empty((rows, n)), np.empty((B, rows))
+        x1, y = np.empty((rows, n) if observe else (B, rows, n)), np.empty((B, rows, n))
+        smooth = not observe and any(c.m > 2 for c in cfgs)
+        integral = np.empty((B, rows, n)) if smooth else None
     for block in blocks:  # the loop runs here, so fold reads each block before its reuse
         if fold is not None:
             fold(block)
         if record:
-            parts.append(block.rows(slice(-block.start % stride, None, stride)))
-    del block  # its views would keep the loop's buffers alive through the join
+            kept = slice(-block.start % stride, None, stride)
+            at = slice(first(block.start), first(block.start + block.times.size))
+            times[at], d_true[at] = block.times[kept], block.d_true[kept]
+            L0[:, at], y[:, at] = block.L0[:, kept], block.y[:, kept]
+            x1[..., at, :] = block.x1[0, kept] if observe else block.x1[:, kept]
+            if integral is not None:
+                integral[:, at] = block.integral[:, kept]
+    del block  # its views would keep the loop's buffers alive through V
     if not record:
-        return [None] * len(cfgs)
+        return [None] * B
 
-    def joined(name, axis=1):
-        return np.concatenate([getattr(p, name) for p in parts], axis=axis)
-
-    times, d_true, x1 = joined("times", 0), joined("d_true", 0), joined("x1")
-    y, L0, u = joined("y"), joined("L0"), np.zeros_like(d_true)
-    records = []
+    u = np.zeros_like(d_true) if observe else None
+    chunk, records = 2 * BLOCK_CELL_STEPS, []
     for b, cfg in enumerate(cfgs):
-        traj = Trajectory(times=times, x1=x1[b], u=u if observe else y[b], d_true=d_true,
-                          d_hat=y[b] if observe else None, L0=L0[b])
+        V = None
         if not observe and cfg.m > 2:
+            V, P = np.empty(rows), build_p_block(cfg)
             # a run whose norms overflow on finite states still gets its record
             with np.errstate(over="ignore", invalid="ignore"):
-                traj = replace(traj, V=lyapunov_series(
-                    traj.x1, d_true - np.concatenate([p.integral[b] for p in parts]),
-                    traj.L0, cfg.m, build_p_block(cfg), sim.singular_tol))
-        records.append(traj)
+                for at in (slice(c, c + chunk) for c in range(0, rows, chunk)):
+                    V[at] = lyapunov_series(x1[b, at], d_true[at] - integral[b, at], L0[b, at],
+                                            cfg.m, P, sim.singular_tol)
+        records.append(Trajectory(times=times, x1=x1 if observe else x1[b],
+                                  u=u if observe else y[b], d_true=d_true,
+                                  d_hat=y[b] if observe else None, L0=L0[b], V=V))
     return records
 
 
@@ -583,18 +592,24 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def load_trajectory_csv(path) -> Trajectory:
-    """Inverse of :func:`write_trajectory_csv`."""
+    """Inverse of :func:`write_trajectory_csv`, each field a view of the one
+    parsed table (n columns for a vector, n those of ``x1``).  A header that
+    the loaded record would not write back is refused."""
     with open(path, "r") as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     index = {name: i for i, name in enumerate(header)}
-    columns = {}
+    n, columns = sum(h.startswith("x1") for h in header), {}
     for f in fields(Trajectory):
         head = _CSV_NAMES.get(f.name, f.name)
-        # a vector field has the columns head1 .. headn, and n < len(header)
-        block = [index[h] for h in (f"{head}{i}" for i in range(1, len(header))) if h in index]
         if head in index:
             columns[f.name] = data[:, index[head]]
-        elif block:
-            columns[f.name] = data[:, block]
-    return Trajectory(**columns)
+        elif (i := index.get(f"{head}1")) is not None:
+            columns[f.name] = data[:, i:i + n]
+        elif f.default is MISSING:
+            break  # a field every record has
+    else:
+        if trajectory_columns(traj := Trajectory(**columns)) == header:
+            return traj
+    raise ValueError(f"{path}: header {','.join(header)!r} is not one that "
+                     "write_trajectory_csv writes")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -310,6 +311,19 @@ class TestDeterminismAndExport:
         write_trajectory_csv(traj, path)
         assert path.read_text().splitlines()[0] == "t,x11,x12,u1,u2,d1,d2,dhat1,dhat2,L0,V"
         assert_same_record(load_trajectory_csv(path), traj)
+
+    @pytest.mark.parametrize("header", [
+        "t,x11,x13,u1,u2,u3,d1,d2,d3",  # a gap in x1
+        "t,x12,x11,x13,u1,u2,u3,d1,d2,d3",  # x1 out of order
+        "t,x11,x12,x13,u1,u2,u3,d1,d2,d3,phase",  # a column no field has
+        "t,x11,x12,x13,u1,u2,d1,d2,d3",  # u narrower than x1
+    ], ids=["gap", "order", "unknown", "width"])
+    def test_a_header_the_writer_cannot_write_is_refused(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        row = ",".join(["0.5"] * len(header.split(",")))
+        path.write_text(f"{header}\n{row}\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(header)):
+            load_trajectory_csv(path)
 
 
 class TestDisturbanceHonesty:
@@ -623,6 +637,11 @@ class TestTheTwoKernelsAgree:
         assert calls == {"law_step": sim.steps, "update_L0": sim.steps}
 
 
+def copied(block):
+    """A copy of every array of ``block``, whose buffers the next block reuses."""
+    return Block(block.start, *(None if a is None else a.copy() for a in block[1:]))
+
+
 class TestRecordAndFold:
     @pytest.mark.parametrize("observe", [False, True], ids=["controllers", "observers"])
     def test_without_record_the_fold_still_sees_every_step(self, monkeypatch, observe):
@@ -631,8 +650,7 @@ class TestRecordAndFold:
         monkeypatch.setattr(sim_module, "BLOCK_CELL_STEPS", 7 * len(cfgs))
         sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=1e-3, horizon=0.1, log_stride=4)
         seen = []
-        got = simulate(cfgs, sim, dist, False, fold=lambda block: seen.append(
-            block.rows(slice(None))))
+        got = simulate(cfgs, sim, dist, False, fold=lambda block: seen.append(copied(block)))
         assert got == [None] * len(cfgs)
         assert [block.start for block in seen] == list(range(0, sim.steps, 7))
         assert all(block.integral is None for block in seen)  # no V, so no integral
@@ -861,14 +879,17 @@ class TestStreamedMetricsAreTheArrayMetrics:
 
     @settings(max_examples=20, deadline=None)
     @given(horizon=st.floats(0.03, 0.3), stride=st.integers(1, 40), observer=st.booleans(),
-           k4=st.lists(st.floats(15.0, 45.0), min_size=1, max_size=3),
+           gains=st.lists(st.tuples(st.floats(15.0, 45.0), st.sampled_from([2.0, 3.0])),
+                          min_size=1, max_size=3),
            blocks=st.sampled_from(["1", "7", "steps-1", "steps", "steps+5"]))
-    def test_random_runs(self, horizon, stride, observer, k4, blocks):
+    def test_random_runs(self, horizon, stride, observer, gains, blocks):
+        # a batch that mixes m = 2 and m = 3 has V on some rows only
         sim_overrides = {"horizon": horizon, "log_stride": stride}
         steps = build_sim_config(**sim_overrides).steps
         block_steps = {"1": 1, "7": 7, "steps-1": max(1, steps - 1), "steps": steps,
                        "steps+5": steps + 5}[blocks]
-        cells = [("amsdo" if observer else "amssosmc", {"k4": k}) for k in k4]
+        methods = ("amsdo", "amdo-baseline") if observer else ("amssosmc", "amstsmc-baseline")
+        cells = [(methods[m == 2.0], {"k4": k}) for k, m in gains]
         assert_streamed_is_full_rate("exp3" if observer else "exp2", cells, sim_overrides,
                                      block_steps)
 
@@ -932,3 +953,41 @@ class TestSweepMemory:
                 tracemalloc.stop()
 
         assert traced_peak(8.0) <= 1.2 * traced_peak(2.0)
+
+
+class TestRecordMemory:
+    """A recorded run holds each value once: its traced peak grows with the
+    horizon by little more than its records' own bytes, and a loaded record
+    is views of the one table that it parsed."""
+
+    @pytest.mark.parametrize("experiment, cells, bound", [
+        ("exp2", [("amssosmc", None), ("amstsmc-baseline", None)], 2.0),  # V and its integral
+        ("exp3", [("amsdo", None), ("amdo-baseline", None)], 1.25),  # one shared measurement
+    ], ids=["controllers", "observers"])
+    def test_peak_grows_as_the_records(self, monkeypatch, experiment, cells, bound):
+        # blocks of 128 steps and V in chunks of 512 rows, all of them full at
+        # both horizons, so that only what grows with the run differs
+        monkeypatch.setattr(sim_module, "BLOCK_CELL_STEPS", 256)
+        run_cells(experiment, cells, {"horizon": 0.1})  # first-call allocations
+
+        def traced(horizon):
+            tracemalloc.start()
+            try:
+                trajs = [traj for traj, _ in run_cells(experiment, cells, {"horizon": horizon})]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # shared columns (the time grid, d, an observer's measurement) count once
+            return peak, sum({id(c): c.nbytes for t in trajs for _, c in t.columns()}.values())
+
+        (peak_a, own_a), (peak_b, own_b) = traced(1.024), traced(2.048)
+        assert peak_b - peak_a <= bound * (own_b - own_a)
+
+    def test_a_loaded_record_is_views_of_its_table(self, tmp_path, exp3_m3):
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(exp3_m3[0], path)
+        loaded = load_trajectory_csv(path)
+        table = loaded.times.base  # t is a column of the parsed table
+        assert table.shape == (loaded.times.size, len(trajectory_columns(loaded)))
+        for name in ("x1", "u", "d_true", "d_hat"):
+            assert np.shares_memory(getattr(loaded, name), table), name
