@@ -13,8 +13,8 @@ same gains with m=2.  A ``custom`` scenario names its own initial state and
 disturbance.
 
 :func:`run_cells` hands the simulators a read-only fold, :class:`_Metrics`,
-that updates every cell's settling step, tail peak and tail step norms from
-each block of the step loop, so the metrics read every step; ``record``
+that updates every cell's settling step, tail peak and exact tail variation
+from each block of the step loop, so the metrics read every step; ``record``
 alone decides whether a run keeps a record, of every ``log_stride``-th step,
 to return and write.  A sweep keeps none.
 """
@@ -22,13 +22,14 @@ to return and write.  A sweep keeps none.
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .certificate import build_certificate
-from .laws import GainConfig, check_gain_condition
-from .metrics import ExperimentReport
+from .laws import GainConfig, check_gain_condition, gains_from_L0
+from .metrics import ExperimentReport, exact_parts
 from .sim import (
     Block,
     DisturbanceSpec,
@@ -135,75 +136,58 @@ def _resolved_config(experiment: str, method: str, cfg: GainConfig,
 class _Metrics:
     """The batch's metrics, folded block by block on the step grid
     ``t_k = k * dt`` from each cell's norms, ``||x1||`` or for observers
-    ``||d_hat - d||``, and the tail steps of u or d_hat; bitwise the
-    :mod:`metrics` array functions over the full-rate record.  The first
-    overflow of a norm that a metric reads (earliest step, then lowest cell)
-    is kept as the abort it calls for."""
+    ``||d_hat - d||``, and its tail step norms of u or d_hat, summed exactly
+    (``metrics.exact_parts``); bitwise the :mod:`metrics` array functions.
+    The first overflow of a norm that a metric reads (earliest step, then
+    lowest cell) is kept as the abort it calls for."""
 
     def __init__(self, cells: int, threshold: float, sim: SimConfig, observe: bool):
         self.threshold, self.dt, self.observe = threshold, sim.dt, observe
         self.last, self.cutoff = sim.steps - 1, tail_cutoff(sim)
         self.above = np.full(cells, -1)  # the last step at or above the threshold
         self.peak = np.full(cells, -np.inf)
+        self.parts = [[] for _ in range(cells)]  # each cell's tail step norms, summed exactly
         self.tail = self.previous = None  # the tail's first step, the last sample of y
-        self.steps = []  # each block's step norms of y in the tail, (cells, steps)
         self.final_L0 = self.overflow = None
 
+    @np.errstate(over="ignore", invalid="ignore")
     def add(self, block: Block) -> None:
         inside = block.times >= self.cutoff
-        tail = int(inside.argmax()) if inside[-1] else inside.size
-        rows = block.y[:, tail:]
-        if self.previous is None and rows.size:  # the tail's first sample closes no step
-            self.tail, self.previous, rows = block.start + tail, rows[:, 0].copy(), rows[:, 1:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # first, so that its temporaries and the signal are never alive together
-            steps = self._step_norms(rows)
-            signal = block.y - block.d_true if self.observe else block.x1
-            norms = np.linalg.norm(signal, axis=2)
-        above = norms >= self.threshold
+        if self.tail is None and inside[-1]:
+            self.tail = block.start + int(inside.argmax())
+        signal = block.y - block.d_true if self.observe else block.x1
+        norms = np.linalg.norm(signal, axis=2)
+        above, bad = norms >= self.threshold, ~np.isfinite(norms)
         self.above = np.where(above.any(axis=1),
                               block.start + above.shape[1] - 1 - above[:, ::-1].argmax(axis=1),
                               self.above)
-        if self.previous is not None:
-            self.peak = np.maximum(self.peak, norms[:, tail:].max(axis=1))
-            self.steps.append(steps)
-            self.previous = block.y[:, -1].copy()
+        if self.tail is not None:
+            self.peak = np.maximum(self.peak, norms[:, inside.argmax():].max(axis=1))
+            first = max(self.tail + 1 - block.start, 0)  # steps to first, ... start in the tail
+            for b, y in enumerate(block.y):  # a cell at a time, so that temporaries are a row
+                steps = np.linalg.norm(np.diff(y[first - 1:] if first else np.concatenate(
+                    [self.previous[b], y]), axis=0), axis=1)
+                self.parts[b] = exact_parts(self.parts[b] + steps.tolist())
+                bad[b, first:] |= ~np.isfinite(steps)
+        self.previous = block.y[:, -1:].copy()
         self.final_L0 = block.L0[:, -1].tolist()
-        bad = ~np.isfinite(norms)
-        bad[:, norms.shape[1] - steps.shape[1]:] |= ~np.isfinite(steps)  # the last samples'
         if self.overflow is None and bad.any():
-            k = int(np.flatnonzero(bad.any(axis=0))[0])
-            b = int(np.flatnonzero(bad[:, k])[0])
+            k, b = divmod(int(bad.T.argmax()), bad.shape[0])  # earliest step, then lowest cell
             row, name = ((block.y[b, k], "a step of " + ("d_hat" if self.observe else "u"))
                          if np.isfinite(norms[b, k])
                          else (signal[b, k], "||d_hat - d||" if self.observe else "||x1||"))
             self.overflow = SimulationAborted(block.start + k, float(block.times[k]), row, b,
                                               reason=f"{name} overflowed")
 
-    def _step_norms(self, rows: np.ndarray) -> np.ndarray:
-        """The norms of the steps of y that end at ``rows``, the first from the
-        carried sample: ``np.linalg.norm``'s arithmetic, squaring in place.
-        The carried step is taken apart, as joining the sample to the rows
-        would copy them."""
-        if self.previous is None:  # before the tail, which has no rows
-            return np.empty(rows.shape[:2])
-        norms = lambda d: np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=2))
-        return np.concatenate([norms(rows[:, :1] - self.previous[:, None]),
-                               norms(np.diff(rows, axis=1))], axis=1)
-
     def results(self) -> list[tuple[float | None, float, float, float]]:
         """Per cell: the settling time, None while the last step is above the
-        threshold; the ultimate bound; the chattering index; the final L0.
-        Each cell's tail steps are joined and summed once, a cell at a time
-        so that the steps are not held twice, and the sum is numpy's pairwise
-        sum over the whole tail, whatever the blocks."""
+        threshold; the ultimate bound; the chattering index; the final L0."""
         if self.overflow is not None:
             raise self.overflow  # every step ran finite
         span = self.last * self.dt - self.tail * self.dt
-        return [(None if k == self.last else (k + 1) * self.dt, peak,
-                 float(np.concatenate([s[b] for s in self.steps]).sum()) / span, L0)
-                for b, (k, peak, L0) in enumerate(zip(self.above.tolist(), self.peak.tolist(),
-                                                      self.final_L0))]
+        return [(None if k == self.last else (k + 1) * self.dt, peak, math.fsum(parts) / span, L0)
+                for k, peak, parts, L0 in zip(self.above.tolist(), self.peak.tolist(),
+                                              self.parts, self.final_L0)]
 
 
 def run_cells(experiment: str, cells, sim_overrides: dict | None = None, record: bool = True,
@@ -222,9 +206,9 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None, record:
     ``record``, each cell's trajectory keeps every ``sim.log_stride``-th
     step, with V for smooth controllers (m > 2), which changes no reported
     number.  Without it, each cell's trajectory is None.  A state that
-    turns non-finite aborts the loop at once; a norm that overflows on
-    finite states aborts the run, at its first step, once every step has
-    run, so which abort a run reports does not depend on the blocks.
+    turns non-finite, or gains past the float range, abort the loop at once;
+    a norm that overflows on finite states aborts the run, at its first
+    step, once every step has run, so the abort does not depend on blocks.
     """
     sim_overrides = sim_overrides or {}
     if experiment == "custom":
@@ -241,8 +225,9 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None, record:
                              f"{method!r} is a {kind}")
         kinds.add(kind)
         cfg = method_gain_config(method, overrides)
-        # before any step: gains that overflow the certificate are refused here
+        # before any step: gains that overflow the certificate or at L0_init are refused here
         configured.append((method, cfg, certificate_summary(cfg)))
+        gains_from_L0(cfg, cfg.L0_init)
     if len(kinds) != 1:
         raise ValueError("a batch holds one or more cells of one kind (controllers or observers)")
     sim = build_sim_config(**sim_overrides)
@@ -267,24 +252,10 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None, record:
     simulate = simulate_closed_loop if kinds == {"controller"} else simulate_observer
     trajs = simulate(cfgs, sim, dist, record, fold=metrics.add)
 
-    out = []
-    for (method, cfg, summary), traj, (settle, bound, chatter, final_L0) in zip(
-            configured, trajs, metrics.results()):
-        report = ExperimentReport(
-            method_id=method,
-            scenario_id=experiment,
-            settling_time=settle,
-            ultimate_bound=bound,
-            chattering_index=chatter,
-            final_L0=final_L0,
-            dt_used=sim.dt,
-            settling_threshold=threshold,
-            tail_fraction=TAIL_FRACTION,
-            certificate_summary=summary,
-            config=_resolved_config(experiment, method, cfg, sim, dist),
-        )
-        out.append((traj, report))
-    return out
+    # a cell's metrics are its report's fields from settling_time to final_L0
+    return [(traj, ExperimentReport(method, experiment, *cell, sim.dt, threshold, TAIL_FRACTION,
+                                    summary, _resolved_config(experiment, method, cfg, sim, dist)))
+            for (method, cfg, summary), traj, cell in zip(configured, trajs, metrics.results())]
 
 
 def run_cell(experiment: str, method: str, gain_overrides: dict | None = None,

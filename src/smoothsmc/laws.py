@@ -142,12 +142,18 @@ class AdaptiveGains(NamedTuple):
 
 
 def gains_from_L0(cfg: GainConfig, L0: float) -> AdaptiveGains:
-    """Evaluate the gain power laws at ``L0``."""
+    """Evaluate the gain power laws at ``L0``, refusing gains past the float range."""
     if not L0 > 0:
         raise ValueError("L0 must be positive")
     m = cfg.m
-    return AdaptiveGains(cfg.k1 * L0 ** ((m - 1.0) / m), cfg.k2 * L0,
-                         cfg.k3 * L0 ** ((2.0 * m - 2.0) / m), cfg.k4 * L0 ** 2, L0)
+    try:
+        gains = AdaptiveGains(cfg.k1 * L0 ** ((m - 1.0) / m), cfg.k2 * L0,
+                              cfg.k3 * L0 ** ((2.0 * m - 2.0) / m), cfg.k4 * L0 ** 2, L0)
+    except OverflowError:  # a power of L0 past the float range (a product is inf)
+        gains = None
+    if gains is None or math.inf in gains:
+        raise gain_overflow(cfg, f"the adaptive gains at L0 = {L0!r}")
+    return gains
 
 
 def update_L0(L0: float, x1_norm: float, cfg: GainConfig, dt: float) -> float:

@@ -1,13 +1,14 @@
 """Trajectory metrics over arrays of samples: settling time, ultimate bound
-over a tail window, and a total-variation chattering index, plus the per-run
-report record.  The array functions are the plain definitions over one whole
-record; the runs fold the same numbers block by block as they step
-(``experiments._Metrics``), and the tests hold the two bitwise equal.
+over a tail window and a total-variation chattering index, its step norms
+summed exactly and rounded once, plus the per-run report record.  The array
+functions are the plain definitions over one record; the runs fold the same
+numbers block by block (``experiments._Metrics``), held bitwise equal.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -41,14 +42,25 @@ def ultimate_bound(times: np.ndarray, norms: np.ndarray, tail_fraction: float = 
 
 
 def chattering_index(times: np.ndarray, values: np.ndarray, tail_fraction: float = 0.2) -> float:
-    """Total variation per second of a vector signal, rows of ``values``,
-    over the tail window."""
+    """Total variation per second of a vector signal, rows of ``values``, over
+    the tail window: ``math.fsum`` of its step norms over the tail's span."""
     mask = _tail_mask(times, tail_fraction)
     if int(mask.sum()) < 2:
         raise ValueError("need at least two tail samples for a variation rate")
     t = times[mask]
-    variation = float(np.linalg.norm(np.diff(values[mask], axis=0), axis=1).sum())
-    return variation / float(t[-1] - t[0])
+    steps = np.linalg.norm(np.diff(values[mask], axis=0), axis=1)
+    return math.fsum(steps.tolist()) / float(t[-1] - t[0])
+
+
+def exact_parts(values: list) -> list:
+    """A few floats, the rounded sum and remainders, whose exact sum is that of
+    ``values`` (one part if it is not finite), to fold a sum into ``math.fsum``."""
+    parts = []
+    while rest := math.fsum(values + [-p for p in parts]):
+        parts.append(rest)
+        if not math.isfinite(rest):
+            break
+    return parts
 
 
 @dataclass(frozen=True)

@@ -228,9 +228,9 @@ class SimConfig:
 
 
 class SimulationAborted(RuntimeError):
-    """A run that diverged: a non-finite state, or a metric norm that
-    overflowed; carries the step diagnostics and the index of the aborting
-    cell (its row in the batch)."""
+    """A run that diverged: a non-finite state, or a metric norm or adapted
+    gains that overflowed; carries the step diagnostics and the index of the
+    aborting cell (its row in the batch)."""
 
     def __init__(self, step: int, time: float, state: np.ndarray, cell: int = 0,
                  reason: str = "non-finite state"):
@@ -356,7 +356,7 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = Fals
             x1, measured = x1[:-1], x1[-1]
         # a diverging cell overflows before it turns non-finite, and the abort reports it
         with np.errstate(all="ignore"):
-            j, W, (x1_log, y_log, l0_log, i_log) = kernel(x1, d3.swapaxes(0, 1))
+            j, W, (x1_log, y_log, l0_log, i_log) = kernel(start, x1, d3.swapaxes(0, 1))
         bad = np.flatnonzero(~np.isfinite(W).all(axis=1))
         if bad.size:  # the state step start + j made is not finite
             raise SimulationAborted(start + j, float(times[j]) + dt, W[bad[0]], int(bad[0]))
@@ -364,12 +364,22 @@ def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = Fals
                     y_log, l0_log, i_log)
 
 
+def _adapted_gains(cfg, L0: float, step: int, dt: float, state, cell: int):
+    """``laws.gains_from_L0`` at the L0 that step ``step`` adapted to at
+    ``state``; gains past the float range abort the run there."""
+    try:
+        return gains_from_L0(cfg, L0)
+    except ValueError:
+        raise SimulationAborted(step, step * dt, state, cell,
+                                reason=f"the adaptive gains overflowed at L0 = {L0!r}") from None
+
+
 def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
     """The steps of a batch on (B, n) arrays, one row per cell: returns a
-    function that runs the steps of a block, from its measurement (observers,
-    else None) and its disturbance stages ``d3`` (steps, 3, 1, n), and
-    returns the index of the last step run, the state ``W`` (B, n) and the
-    logs ``(x1, y, L0, integral)``, views of buffers that every block
+    function that runs the steps of a block, from its first step, measurement
+    (observers, else None) and disturbance stages ``d3`` (steps, 3, 1, n),
+    and returns the index of the last step run, the state ``W`` (B, n) and
+    the logs ``(x1, y, L0, integral)``, views of buffers that every block
     reuses, sized by the first and longest block.
 
     The one vectorised copy of ``laws.law_step``: one norm per row,
@@ -396,7 +406,7 @@ def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
     I = np.zeros((rows, n))
     stale, L0, G, H, buffers = True, None, None, None, None
 
-    def steps(x1, d3):
+    def steps(start, x1, d3):
         nonlocal W, I, l0, gains, stale, L0, G, H, buffers
         count = len(d3)  # the stages of step start + j are d3[j]
         if buffers is None:  # x1, y (u = -Y, or d_hat = Y), L0, integral
@@ -426,8 +436,8 @@ def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
             I = I + dt * T[1]
             new = [v + kd if s >= e else v for v, s, (e, kd) in zip(l0, r, adapt)]
             if stale := new != l0:
-                gains = [g if v == w else gains_from_L0(c, v)
-                         for g, c, v, w in zip(gains, cfgs, new, l0)]
+                gains = [g if v == w else _adapted_gains(c, v, start + j, dt, W[b], b)
+                         for b, (g, c, v, w) in enumerate(zip(gains, cfgs, new, l0))]
             l0 = new
             # Y is never -0.0 (I starts at +0.0), so dt * Y is bitwise
             # laws.observer_step's dt * (u + d_hat) at u = 0
@@ -461,7 +471,7 @@ def _float_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
     gains, buf = gains_from_L0(cfg, l0), np.empty(n)
     vecdot, sqrt, isfinite = np.vecdot, math.sqrt, math.isfinite
 
-    def steps(x1, d3):
+    def steps(start, x1, d3):
         nonlocal W, I, l0, gains
         count = len(d3)
         d3 = d3[:, :, 0]  # (steps, 3, n)
@@ -480,7 +490,7 @@ def _float_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
             l0_log.append(l0)
             Y, I = law_step(S, r, I, gains, m, dt, tol)
             if (new := update_L0(l0, r, cfg, dt)) != l0:
-                l0, gains = new, gains_from_L0(cfg, new)
+                l0, gains = new, _adapted_gains(cfg, new, start + j, dt, W, 0)
             if observe:
                 y_log.extend(Y)
                 W = [w + dt * y for w, y in zip(W, Y)]

@@ -722,6 +722,63 @@ class TestBadInputs:
         assert "k1=1e+200" in err and "overflow" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, L0", [
+        (["run", "--experiment", "exp1", "--method", "amssosmc", "--l0-init", "1e300"], "1e+300"),
+        (["run", "--experiment", "exp1", "--method", "amstsmc-baseline", "--l0-init", "1e200"],
+         "1e+200"),
+        (["sweep", "--parameter", "k4", "--values", "30", "--l0-init", "1e300"], "1e+300"),
+    ], ids=["run-smooth", "run-baseline", "sweep"])
+    def test_gains_that_overflow_at_l0_init_are_refused_before_stepping(
+            self, tmp_path, capsys, monkeypatch, argv, L0):
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the plant was stepped")
+
+        monkeypatch.setattr("smoothsmc.experiments.simulate_closed_loop", no_stepping)
+        code, out, err = run_cli(capsys, [*argv, "--out", str(tmp_path / "out")])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: gains m=") and err.count("\n") == 1
+        assert err.endswith(f" overflow the adaptive gains at L0 = {L0}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_certify_only_echoes_l0_init(self, capsys):
+        # the certificate does not depend on L0, so its gains are not refused
+        code, out, err = run_cli(capsys, ["certify", "--l0-init", "1e300"])
+        assert (code, err) == (0, "")
+        certified = json.loads(out)
+        assert certified.pop("gains").pop("L0_init") == 1e300
+        _, default, _ = run_cli(capsys, ["certify"])
+        assert {k: v for k, v in json.loads(default).items() if k != "gains"} == certified
+
+    # kappa = 1e300 takes L0 to 1e297 in one step of dt = 1 ms, where L0**2
+    # leaves the float range: the run aborts at the step that adapted, with
+    # the state it adapted at, alone (the float kernel) or in a batch (the
+    # array kernel) alike.
+    @pytest.mark.parametrize("alone, batch, message", [
+        (["run", "--experiment", "exp1", "--method", "amssosmc", "--kappa", "1e300",
+          "--horizon", "0.5"],
+         ["compare", "--experiment", "exp1", "--methods", "amssosmc,amstsmc-baseline",
+          "--kappa", "1e300", "--horizon", "0.5"],
+         "numerical abort: the adaptive gains overflowed at L0 = 1e+297 in cell 0 at step 0 "
+         "(t=0): [1. 3. 2.]\n"),
+        (["sweep", "--parameter", "kappa", "--values", "1e300", "--experiment", "exp3",
+          "--method", "amsdo"],
+         ["sweep", "--parameter", "kappa", "--values", "1e300,10", "--experiment", "exp3",
+          "--method", "amsdo"],
+         # the observer's innovation is zero at step 0, so it adapts from step 1
+         "numerical abort: the adaptive gains overflowed at L0 = 1e+297 in cell 0 at step 1 "
+         "(t=0.001): [1. 3. 2.]\n"),
+    ], ids=["controller", "observer"])
+    def test_gains_that_overflow_by_adaptation_are_a_numerical_abort(
+            self, tmp_path, capsys, alone, batch, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [run_cli(capsys, [*argv, "--out", str(tmp_path / name)])
+                       for name, argv in (("alone", alone), ("batch", batch))]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert (code, out, err) == (2, "", message)
+        assert not (tmp_path / "alone").exists() and not (tmp_path / "batch").exists()
+
     def test_a_nan_block_entry_names_the_gains(self, capsys):
         # k1/m underflows to 0.0 and meets k3*m = inf: 0 * inf is a NaN entry
         # of Omega1, refused as an overflow of the blocks, not as a NaN matrix

@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from smoothsmc import (
     settling_time,
     ultimate_bound,
 )
+from smoothsmc.metrics import exact_parts
 
 
 def make_trajectory(times, x1=None, u=None, d_hat=None, d_true=None):
@@ -163,6 +166,39 @@ class TestChatteringIndex:
         threshold = 0.25
         assert settling_time(scaled.times, state_norms(scaled), scale * threshold) == settling_time(
             traj.times, state_norms(traj), threshold)
+
+
+class TestExactlyRoundedChattering:
+    def test_the_reproduced_exp1_baseline_rounds_its_exact_sum_once(self, exp1_m2):
+        # reproduce's exp1 baseline (its report is that of the cell run
+        # alone): the exactly rounded sum of its tail step norms and numpy's
+        # pairwise sum of them differ in the last bit
+        traj, report = exp1_m2
+        assert traj.times.size == round(report.config["sim"]["horizon"] / report.dt_used)
+        t = traj.times[traj.times >= traj.times[0] + 0.8 * (traj.times[-1] - traj.times[0])]
+        steps = np.linalg.norm(np.diff(traj.u[-t.size:], axis=0), axis=1)
+        span = float(t[-1] - t[0])
+        assert report.chattering_index == math.fsum(steps.tolist()) / span
+        assert report.chattering_index != float(steps.sum()) / span
+
+
+class TestExactParts:
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.lists(st.floats(0.0, 1e150) | st.floats(0.0, 1e-300), max_size=40),
+           split=st.integers(0, 40))
+    def test_folded_parts_sum_as_the_whole(self, values, split):
+        parts = exact_parts(exact_parts(values[:split]) + values[split:])
+        assert sum(map(Fraction, parts)) == sum(map(Fraction, values))
+        assert math.fsum(parts) == math.fsum(values)
+        # each part is at most half an ulp of the one before, so the parts of
+        # any sum below 2**505 number at most (505 + 1074) / 52 + 1, about 31
+        assert len(parts) <= 31
+
+    def test_a_non_finite_sum_is_its_one_part(self):
+        assert exact_parts([1.0, math.inf, 2.0]) == [math.inf]
+        (nan,) = exact_parts([math.inf, 1.0, math.nan])
+        assert math.isnan(nan)
+        assert exact_parts([]) == exact_parts([0.0, 0.0]) == []
 
 
 class TestReport:
