@@ -98,13 +98,16 @@ def transform_state(x1: np.ndarray, x2: np.ndarray, L0: float, m: float,
 
 
 def _quadratic_form(P_block: SymMatrix, xi1, xi2, xi3):
-    """``xi' (P (x) I_n) xi`` over the last axis, from the 3x3 factor of P."""
+    """``xi' (P (x) I_n) xi`` over the last axis, from the 3x3 factor of P.
+    Each dot product is an elementwise sum, ``np.add.reduce(a * b, axis=-1)``,
+    which rounds a row alike wherever it lies in memory (BLAS ``ddot`` need not)."""
     p = P_block.entries
     if p.shape != (3, 3):
         raise ValueError("P_block must be a 3x3 factor")
-    return (p[0, 0] * np.vecdot(xi1, xi1) + 2.0 * p[0, 1] * np.vecdot(xi1, xi2)
-            + 2.0 * p[0, 2] * np.vecdot(xi1, xi3) + p[1, 1] * np.vecdot(xi2, xi2)
-            + 2.0 * p[1, 2] * np.vecdot(xi2, xi3) + p[2, 2] * np.vecdot(xi3, xi3))
+    dot = lambda a, b: np.add.reduce(a * b, axis=-1)
+    return (p[0, 0] * dot(xi1, xi1) + 2.0 * p[0, 1] * dot(xi1, xi2)
+            + 2.0 * p[0, 2] * dot(xi1, xi3) + p[1, 1] * dot(xi2, xi2)
+            + 2.0 * p[1, 2] * dot(xi2, xi3) + p[2, 2] * dot(xi3, xi3))
 
 
 def lyapunov_value(xi: TransformedState, P_block: SymMatrix) -> float:
@@ -115,12 +118,11 @@ def lyapunov_value(xi: TransformedState, P_block: SymMatrix) -> float:
 def lyapunov_series(x1: np.ndarray, x2: np.ndarray, L0: np.ndarray, m: float,
                     P_block: SymMatrix, singular_tol: float = DEFAULT_SINGULAR_TOL) -> np.ndarray:
     """:func:`lyapunov_value` of :func:`transform_state` at every row of a
-    record, bit for bit wherever BLAS ``ddot`` rounds a row of an (N, n)
-    array as it rounds a fresh vector (OpenBLAS's default Haswell kernel
-    does, Prescott does not: ROADMAP item 11): the norm is ``sqrt(vecdot)``
-    and every power is Python's float ``**`` per row (numpy's vectorised
-    power is not libm ``pow``)."""
-    nrm = np.sqrt(np.vecdot(x1, x1))
+    record, bit for bit under any BLAS kernel and for any slice of rows: the
+    norm is ``np.linalg.norm(x1, axis=-1)``, a row's own elementwise sum, as
+    in the scalar value, and every power is Python's float ``**`` per row
+    (numpy's vectorised power is not libm ``pow``)."""
+    nrm = np.linalg.norm(x1, axis=-1)
     regular = nrm >= singular_tol
     xi1 = np.zeros_like(x1)
     roots = np.array([r ** (1.0 / m) for r in nrm[regular].tolist()])

@@ -241,8 +241,8 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None, record:
 
     cfgs = [cfg for _, cfg, _ in configured]
     if kinds == {"controller"}:
-        x1_init = np.array(sim.x1_init)
-        threshold = CONTROLLER_SETTLE_REL * float((x1_init @ x1_init) ** 0.5)
+        # the norm that the metric fold compares with it
+        threshold = CONTROLLER_SETTLE_REL * float(np.linalg.norm(sim.x1_init, axis=-1))
         if not threshold > 0:
             raise ValueError("a controller settles relative to ||x1(0)||, so --x1-init "
                              "must not be the origin")

@@ -174,13 +174,15 @@ def unit_power_direction(x: np.ndarray, exponent: float,
     fractional power is undefined.  Exponent 1 (the unit-vector case the m=2
     baseline needs) is admitted; the result then has constant norm 1 away from
     the origin, which is the structural source of baseline chattering.
+    The norm is ``np.linalg.norm(x, axis=-1)``, an elementwise sum, so that a
+    record's V (``certificate.lyapunov_series``) rounds as this does.
     """
     if not 0.0 < exponent <= 1.0:
         raise ValueError("exponent must lie in (0, 1]")
     if not singular_tol > 0:
         raise ValueError("singular_tol must be positive")
     x = np.asarray(x, dtype=float)
-    nrm = float(np.linalg.norm(x))
+    nrm = float(np.linalg.norm(x, axis=-1))
     if nrm < singular_tol:
         return np.zeros_like(x)
     return x / nrm**exponent

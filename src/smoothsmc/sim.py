@@ -14,18 +14,21 @@ floats through ``laws.law_step`` and a batch of two or more as the rows of
 only a batch repays it.  Both kernels apply the same IEEE operations, so
 every cell is bitwise what the scalar laws give on their own, in either
 kernel, wherever BLAS ``ddot`` rounds a row of an (N, n) array as it
-rounds a fresh vector: OpenBLAS's default Haswell kernel does, its Prescott
-kernel does not (ROADMAP item 11).  The loop only steps.
+rounds a fresh vector.  The step norms are the loop's only BLAS calls.
+OpenBLAS picks its kernel from the CPU at run time; a row rounds as a fresh
+vector under the SkylakeX and Nehalem kernels, not under Prescott (ROADMAP
+item 11).  The loop only steps.
 
 The loop runs in blocks of about :data:`BLOCK_CELL_STEPS` cell-steps.  Each
 block builds only its own slice of the time grid, the disturbance and the
-measurement, and logs into buffers that the next block reuses or replaces,
-so the loop's memory does not grow with the run or the batch.  A simulator
-hands each full-rate block to an optional ``fold``, which reads it (this is
-how ``experiments.run_cells`` computes the metrics from every step), and
-with ``record`` copies every ``log_stride``-th row once into the record's
-final arrays, the one place the stride is applied.  V is computed after
-the loop, in chunks of rows that keep each row's alignment.
+measurement, and logs into fresh buffers, so the loop's memory does not grow
+with the run or the batch.  A simulator hands each full-rate block to an
+optional ``fold``, which reads it (this is how ``experiments.run_cells``
+computes the metrics from every step), and with ``record`` copies every
+``log_stride``-th row once into the record's final arrays, the one place
+the stride is applied, and computes V of those rows.  A row's V is computed
+from that row with elementwise sums only, so neither the BLAS kernel nor
+the blocks change its bits.
 Everything is deterministic: identical configs give bit-identical logs.
 """
 
@@ -314,8 +317,9 @@ class Block(NamedTuple):
 def _step_loop(sim: SimConfig, dist: DisturbanceSpec, cfgs, observe: bool = False,
                log_integral: bool = False):
     """The one step loop: advances B cells at once and yields each block of
-    ``BLOCK_CELL_STEPS // B`` steps as a :class:`Block` of logs that the
-    next block replaces (the integral only if ``log_integral``).
+    ``BLOCK_CELL_STEPS // B`` steps as a :class:`Block` of logs in fresh
+    C-contiguous arrays, but for an observer batch's broadcast ``x1`` (the
+    integral only if ``log_integral``).
 
     Every cell applies the adaptive law ``cfgs[b]`` (``laws.law_step``) and
     keeps one state ``W``, which starts at ``x1(0)``.  Without ``observe``
@@ -379,8 +383,7 @@ def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
     function that runs the steps of a block, from its first step, measurement
     (observers, else None) and disturbance stages ``d3`` (steps, 3, 1, n),
     and returns the index of the last step run, the state ``W`` (B, n) and
-    the logs ``(x1, y, L0, integral)``, views of buffers that every block
-    reuses, sized by the first and longest block.
+    the logs ``(x1, y, L0, integral)``, arrays allocated for that block.
 
     The one vectorised copy of ``laws.law_step``: one norm per row,
     ``sqrt(vecdot)``, which is ``np.linalg.norm`` bit for bit under the
@@ -404,16 +407,15 @@ def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
     l0 = [c.L0_init for c in cfgs]
     gains = [*map(gains_from_L0, cfgs, l0)]  # each row's, refreshed when its L0 moves
     I = np.zeros((rows, n))
-    stale, L0, G, H, buffers = True, None, None, None, None
+    stale, L0, G, H = True, None, None, None
 
     def steps(start, x1, d3):
-        nonlocal W, I, l0, gains, stale, L0, G, H, buffers
+        nonlocal W, I, l0, gains, stale, L0, G, H
         count = len(d3)  # the stages of step start + j are d3[j]
-        if buffers is None:  # x1, y (u = -Y, or d_hat = Y), L0, integral
-            buffers = (None if observe else np.empty((rows, count, n)),
-                       np.empty((rows, count, n)), np.empty((rows, count)),
-                       np.empty((rows, count, n)) if log_integral else None)
-        x1_log, y_log, l0_log, i_log = (None if b is None else b[:, :count] for b in buffers)
+        # x1, y (u = -Y, or d_hat = Y), L0, integral
+        x1_log, y_log, l0_log, i_log = (
+            None if observe else np.empty((rows, count, n)), np.empty((rows, count, n)),
+            np.empty((rows, count)), np.empty((rows, count, n)) if log_integral else None)
         for j in range(count):
             S = x1[j] - W if observe else W
             r = np.sqrt(np.vecdot(S, S)).tolist()
@@ -514,19 +516,19 @@ def _records(blocks, fold, cfgs, sim: SimConfig, record: bool, observe: bool = F
     """Hand every block to ``fold``, if given, and with ``record`` copy every
     ``sim.log_stride``-th row into one record per cell, allocated at its
     final length (an observer batch's one measurement shared, like the time
-    grid); else all None.  A smooth controller (m > 2) gets V, computed in
-    views of ``2 * BLOCK_CELL_STEPS`` rows: an even count keeps each row's
-    16-byte alignment in the temporaries, so V's BLAS norms round as over
-    the whole record (module docstring) in chunk-sized memory."""
+    grid); else all None.  A smooth controller (m > 2) gets V, computed from
+    each block's kept rows as they are copied, with the block's integral
+    term; every operation of ``lyapunov_series`` is a row's own, so V is
+    that of the whole record."""
     stride, B, n = sim.log_stride, len(cfgs), sim.n
     first = lambda step: -(-step // stride)  # the count of kept steps before step
     rows = first(sim.steps)
     if record:
         times, d_true, L0 = np.empty(rows), np.empty((rows, n)), np.empty((B, rows))
         x1, y = np.empty((rows, n) if observe else (B, rows, n)), np.empty((B, rows, n))
-        smooth = not observe and any(c.m > 2 for c in cfgs)
-        integral = np.empty((B, rows, n)) if smooth else None
-    for block in blocks:  # the loop runs here, so fold reads each block before its reuse
+        V = {b: (np.empty(rows), build_p_block(c))  # each smooth controller's V and P
+             for b, c in enumerate(cfgs) if not observe and c.m > 2}
+    for block in blocks:
         if fold is not None:
             fold(block)
         if record:
@@ -535,27 +537,17 @@ def _records(blocks, fold, cfgs, sim: SimConfig, record: bool, observe: bool = F
             times[at], d_true[at] = block.times[kept], block.d_true[kept]
             L0[:, at], y[:, at] = block.L0[:, kept], block.y[:, kept]
             x1[..., at, :] = block.x1[0, kept] if observe else block.x1[:, kept]
-            if integral is not None:
-                integral[:, at] = block.integral[:, kept]
-    del block  # its views would keep the loop's buffers alive through V
-    if not record:
-        return [None] * B
-
-    u = np.zeros_like(d_true) if observe else None
-    chunk, records = 2 * BLOCK_CELL_STEPS, []
-    for b, cfg in enumerate(cfgs):
-        V = None
-        if not observe and cfg.m > 2:
-            V, P = np.empty(rows), build_p_block(cfg)
             # a run whose norms overflow on finite states still gets its record
             with np.errstate(over="ignore", invalid="ignore"):
-                for at in (slice(c, c + chunk) for c in range(0, rows, chunk)):
-                    V[at] = lyapunov_series(x1[b, at], d_true[at] - integral[b, at], L0[b, at],
-                                            cfg.m, P, sim.singular_tol)
-        records.append(Trajectory(times=times, x1=x1 if observe else x1[b],
-                                  u=u if observe else y[b], d_true=d_true,
-                                  d_hat=y[b] if observe else None, L0=L0[b], V=V))
-    return records
+                for b, (Vb, P) in V.items():
+                    Vb[at] = lyapunov_series(x1[b, at], d_true[at] - block.integral[b, kept],
+                                             L0[b, at], cfgs[b].m, P, sim.singular_tol)
+    if not record:
+        return [None] * B
+    u = np.zeros_like(d_true) if observe else None
+    return [Trajectory(times=times, x1=x1 if observe else x1[b], u=u if observe else y[b],
+                       d_true=d_true, d_hat=y[b] if observe else None, L0=L0[b],
+                       V=V[b][0] if b in V else None) for b in range(B)]
 
 
 def simulate_closed_loop(cfgs, sim: SimConfig, dist: DisturbanceSpec, record: bool = True,

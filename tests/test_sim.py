@@ -638,7 +638,7 @@ class TestTheTwoKernelsAgree:
 
 
 def copied(block):
-    """A copy of every array of ``block``, whose buffers the next block reuses."""
+    """A copy of every array of ``block``."""
     return Block(block.start, *(None if a is None else a.copy() for a in block[1:]))
 
 
@@ -672,6 +672,21 @@ class TestRecordAndFold:
         assert all(x1 == y and not writeable for x1, y, writeable, _ in seen)
         measured = np.concatenate([last for *_, last in seen])
         assert all(np.array_equal(traj.x1, measured) for traj in full)
+
+    def test_every_block_is_c_contiguous(self, monkeypatch):
+        # blocks of 50 steps over 120: the last block is 20 steps, shorter than the first
+        monkeypatch.setattr(sim_module, "BLOCK_CELL_STEPS", 2 * 50)
+        sim, seen = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=1e-3, horizon=0.12), []
+
+        def fold(block):
+            assert block.integral is not None  # the smooth cell's V needs it
+            seen.append((block.y.shape[1], [name for name, a in block._asdict().items()
+                                            if isinstance(a, np.ndarray)
+                                            and not a.flags.c_contiguous]))
+
+        simulate_closed_loop(MIXED_CONTROLLERS[:2], sim, EXP2, fold=fold)
+        assert seen == [(50, []), (50, []), (20, [])]
+
 
 class TestAbortsAreClean:
     def test_divergent_cell_aborts_without_numpy_warnings(self):
