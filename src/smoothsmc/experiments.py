@@ -59,6 +59,15 @@ CONTROLLER_SETTLE_REL = 0.01
 OBSERVER_SETTLE_ABS = 0.05
 TAIL_FRACTION = 0.2
 
+# The tail step norms a cell that the metric fold holds before it sums them
+# exactly, so that a large batch, whose blocks are a few steps long (6 for
+# 768 cells), makes one Python call a cell per 64 tail steps, not per block.
+PENDING_STEPS = 64
+
+# The most cell-steps whose tail step norms the fold takes in one numpy call,
+# so that its temporaries stay about a row of a long block.
+FOLD_CELL_STEPS = 1024
+
 
 def experiment_disturbance(experiment: str) -> DisturbanceSpec:
     if experiment == "exp1":
@@ -138,8 +147,13 @@ class _Metrics:
     ``t_k = k * dt`` from each cell's norms, ``||x1||`` or for observers
     ``||d_hat - d||``, and its tail step norms of u or d_hat, summed exactly
     (``metrics.exact_parts``); bitwise the :mod:`metrics` array functions.
-    The first overflow of a norm that a metric reads (earliest step, then
-    lowest cell) is kept as the abort it calls for."""
+    A block's norms are taken for all cells at once and its tail step norms
+    up to :data:`FOLD_CELL_STEPS` cell-steps at a time; these wait in
+    ``pending`` until :data:`PENDING_STEPS` a cell have built up, and then,
+    or at :meth:`results`, join each cell's exact sum, which does not depend
+    on how its terms are grouped.  The first overflow of a norm that a
+    metric reads (earliest step, then lowest cell) is kept as the abort it
+    calls for."""
 
     def __init__(self, cells: int, threshold: float, sim: SimConfig, observe: bool):
         self.threshold, self.dt, self.observe = threshold, sim.dt, observe
@@ -147,6 +161,7 @@ class _Metrics:
         self.above = np.full(cells, -1)  # the last step at or above the threshold
         self.peak = np.full(cells, -np.inf)
         self.parts = [[] for _ in range(cells)]  # each cell's tail step norms, summed exactly
+        self.pending = []  # (cells, steps) tail step norms not yet in parts
         self.tail = self.previous = None  # the tail's first step, the last sample of y
         self.final_L0 = self.overflow = None
 
@@ -164,11 +179,17 @@ class _Metrics:
         if self.tail is not None:
             self.peak = np.maximum(self.peak, norms[:, inside.argmax():].max(axis=1))
             first = max(self.tail + 1 - block.start, 0)  # steps to first, ... start in the tail
-            for b, y in enumerate(block.y):  # a cell at a time, so that temporaries are a row
-                steps = np.linalg.norm(np.diff(y[first - 1:] if first else np.concatenate(
-                    [self.previous[b], y]), axis=0), axis=1)
-                self.parts[b] = exact_parts(self.parts[b] + steps.tolist())
-                bad[b, first:] |= ~np.isfinite(steps)
+            y = block.y[:, first - 1:] if first else block.y
+            steps = np.empty((len(y), y.shape[1] - (first > 0)))
+            group = max(1, FOLD_CELL_STEPS // (y.shape[1] + 1))  # cells per numpy call
+            for b in range(0, len(y), group):
+                rows = slice(b, b + group)
+                steps[rows] = np.linalg.norm(np.diff(y[rows] if first else np.concatenate(
+                    [self.previous[rows], y[rows]], 1), axis=1), axis=2)
+            bad[:, first:] |= ~np.isfinite(steps)
+            self.pending.append(steps)
+            if sum(a.shape[1] for a in self.pending) >= PENDING_STEPS:
+                self._fold()
         self.previous = block.y[:, -1:].copy()
         self.final_L0 = block.L0[:, -1].tolist()
         if self.overflow is None and bad.any():
@@ -179,11 +200,19 @@ class _Metrics:
             self.overflow = SimulationAborted(block.start + k, float(block.times[k]), row, b,
                                               reason=f"{name} overflowed")
 
+    def _fold(self) -> None:
+        """Join the pending step norms to each cell's exact sum, a cell at a time."""
+        for b, steps in enumerate(np.concatenate(self.pending, axis=1)):
+            self.parts[b] = exact_parts(self.parts[b] + steps.tolist())
+        self.pending = []
+
     def results(self) -> list[tuple[float | None, float, float, float]]:
         """Per cell: the settling time, None while the last step is above the
         threshold; the ultimate bound; the chattering index; the final L0."""
         if self.overflow is not None:
             raise self.overflow  # every step ran finite
+        if self.pending:
+            self._fold()
         span = self.last * self.dt - self.tail * self.dt
         return [(None if k == self.last else (k + 1) * self.dt, peak, math.fsum(parts) / span, L0)
                 for k, peak, parts, L0 in zip(self.above.tolist(), self.peak.tolist(),

@@ -130,8 +130,8 @@ class GainConfig:
 
 
 class AdaptiveGains(NamedTuple):
-    """The four feedback gains at a given value of L0 (a named tuple: both
-    step kernels build it at every step that moves L0, and a frozen
+    """The four feedback gains at a given value of L0 (a named tuple: the
+    single-cell kernel builds it at every step that moves L0, and a frozen
     dataclass costs about twice as much to build)."""
 
     L1: float
@@ -141,14 +141,20 @@ class AdaptiveGains(NamedTuple):
     L0: float
 
 
+def gain_scales(m: float, L0: float) -> tuple[float, float, float, float]:
+    """The powers of ``L0`` that scale ``k1``, ``k2``, ``k3`` and ``k4`` into
+    ``L1`` to ``L4``, by Python's float ``**`` (libm ``pow``, which numpy's
+    vectorised power is not); ``OverflowError`` past the float range."""
+    return L0 ** ((m - 1.0) / m), L0, L0 ** ((2.0 * m - 2.0) / m), L0 ** 2
+
+
 def gains_from_L0(cfg: GainConfig, L0: float) -> AdaptiveGains:
     """Evaluate the gain power laws at ``L0``, refusing gains past the float range."""
     if not L0 > 0:
         raise ValueError("L0 must be positive")
-    m = cfg.m
     try:
-        gains = AdaptiveGains(cfg.k1 * L0 ** ((m - 1.0) / m), cfg.k2 * L0,
-                              cfg.k3 * L0 ** ((2.0 * m - 2.0) / m), cfg.k4 * L0 ** 2, L0)
+        s1, s2, s3, s4 = gain_scales(cfg.m, L0)
+        gains = AdaptiveGains(cfg.k1 * s1, cfg.k2 * s2, cfg.k3 * s3, cfg.k4 * s4, L0)
     except OverflowError:  # a power of L0 past the float range (a product is inf)
         gains = None
     if gains is None or math.inf in gains:

@@ -38,12 +38,14 @@ import math
 import numbers
 from array import array
 from dataclasses import MISSING, dataclass, fields
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .certificate import build_p_block, lyapunov_series
-from .laws import gains_from_L0, is_real_number, law_step, real_setting, update_L0
+from .laws import (gain_scales, gains_from_L0, is_real_number, law_step, real_setting,
+                   update_L0)
 
 # The longest run accepted, in steps (one controller cell at n = 3 needs about
 # 250 bytes a step, 2.5 GB here), checked before any array is allocated.
@@ -294,9 +296,15 @@ def _disturbance_series(sim: SimConfig, dist: DisturbanceSpec, start: int, stop:
 def _rk4_increment(dt6, stages):
     """The plant's RK4 increment over one step with ``U`` held, from the
     stage sums ``U + d`` at ``t_k``, ``t_k + dt/2`` and ``t_k + dt`` stacked
-    on the first axis (the two middle stages share one)."""
-    F2 = 2.0 * stages[1]
-    return dt6 * (stages[0] + F2 + F2 + stages[2])
+    on the first axis (the two middle stages share one), computed in place:
+    ``stages`` is the caller's scratch, and the result is its first row."""
+    F2, total = stages[1], stages[0]
+    F2 *= 2.0
+    total += F2  # ((s0 + F2) + F2) + s2
+    total += F2
+    total += stages[2]
+    total *= dt6
+    return total
 
 
 class Block(NamedTuple):
@@ -390,27 +398,46 @@ def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
     module docstring's BLAS condition, and every power of the spec as
     Python's float ``**`` per cell, because numpy's vectorised power is not
     libm ``pow``.  A step makes few numpy calls, most on arrays of one
-    shape: ``G = [L1; L3]`` and ``H = [L2; L4]`` are the gains repeated to
-    shape (2, B, n), rebuilt only after a row adapted, from the gains that
-    ``laws.gains_from_L0`` gave each row at its latest L0;
+    shape, in place where a temporary would only be added on:
+    ``G = [L1; L3]`` and ``H = [L2; L4]`` are the gains repeated to shape
+    (2, B, n), ``K * P`` from the rows' ``(k1, k2, k3, k4)`` and the powers
+    of L0 that ``laws.gain_scales`` gives (4, B), rebuilt only after an L0
+    moved, with the powers of the moved rows alone;
     ``D = S / [r**(1/m); r**(2/m)]`` holds both direction terms and
     ``T = G*D + H*S`` both sums of the law (``Y = T[0] + I`` and the
     integral increment ``dt*T[1]``); ``U + d`` with the stacked disturbance
     gives the three RK4 stage sums.  The singular and adaptation tests read
-    the norms ``r`` as a list.
+    the norms ``r`` as a list; no row adapts while every norm is below the
+    batch's least epsilon.
     """
     n, dt, tol, rows = sim.n, sim.dt, sim.singular_tol, len(cfgs)
     dt6 = dt / 6.0
     W = np.tile(sim.x1_init, (rows, 1))
-    powers = [1.0 / c.m for c in cfgs] + [2.0 / c.m for c in cfgs]
+    ms = [c.m for c in cfgs]
+    powers = [1.0 / m for m in ms] + [2.0 / m for m in ms]
     adapt = [(c.epsilon, c.kappa * dt) for c in cfgs]
+    least = min(c.epsilon for c in cfgs)
     l0 = [c.L0_init for c in cfgs]
-    gains = [*map(gains_from_L0, cfgs, l0)]  # each row's, refreshed when its L0 moves
+    [*map(gains_from_L0, cfgs, l0)]  # gains past the float range are refused before any step
+    K = np.array([[c.k1, c.k2, c.k3, c.k4] for c in cfgs]).T
+    scales = [*map(gain_scales, ms, l0)]  # each row's, refreshed when its L0 moves
     I = np.zeros((rows, n))
-    stale, L0, G, H = True, None, None, None
+    G = H = L0 = None
+
+    def refresh():
+        """``L0``, ``G`` and ``H`` from ``scales``; OverflowError if a gain is not finite."""
+        nonlocal G, H, L0
+        # a flat iterator converts about twice as fast as a list of tuples
+        P = np.fromiter(chain.from_iterable(scales), float, 4 * rows).reshape(rows, 4).T
+        L0, gains = P[1], K * P
+        if not np.isfinite(gains).all():
+            raise OverflowError("a gain past the float range")
+        G, H = gains.reshape(2, 2, rows, 1).swapaxes(0, 1).repeat(n, axis=3)
+
+    refresh()
 
     def steps(start, x1, d3):
-        nonlocal W, I, l0, gains, stale, L0, G, H
+        nonlocal W, I, l0, scales
         count = len(d3)  # the stages of step start + j are d3[j]
         # x1, y (u = -Y, or d_hat = Y), L0, integral
         x1_log, y_log, l0_log, i_log = (
@@ -422,34 +449,40 @@ def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
             if not math.isfinite(sum(r)) and not np.isfinite(W).all():
                 j -= 1  # the state step j - 1 made is not finite
                 break
-            if stale:
-                L0 = np.array(l0)
-                # rows [L1, L2; L3, L4] of plain tuples (numpy reads them fastest)
-                G, H = np.array([g[:4] for g in gains]).T.reshape(
-                    2, 2, rows, 1).swapaxes(0, 1).repeat(n, axis=3)
-            D = S / np.array([*map(pow, r + r, powers)]).reshape(2, rows, 1)
+            # D, which becomes T in place
+            T = S / np.fromiter(map(pow, r + r, powers), float, 2 * rows).reshape(2, rows, 1)
             if min(r) < tol:
-                D[:, [v < tol for v in r]] = 0.0
-            T = G * D + H * S
+                T[:, [v < tol for v in r]] = 0.0
+            T *= G
+            T += H * S
             Y = T[0] + I
             if i_log is not None:
                 i_log[:, j] = I
             l0_log[:, j] = L0
-            I = I + dt * T[1]
-            new = [v + kd if s >= e else v for v, s, (e, kd) in zip(l0, r, adapt)]
-            if stale := new != l0:
-                gains = [g if v == w else _adapted_gains(c, v, start + j, dt, W[b], b)
-                         for b, (g, c, v, w) in enumerate(zip(gains, cfgs, new, l0))]
-            l0 = new
+            T[1] *= dt
+            I += T[1]
+            if max(r) >= least:  # r holds no NaN: W is finite here
+                new = [v + kd if s >= e else v for v, s, (e, kd) in zip(l0, r, adapt)]
+                if new != l0:
+                    try:
+                        scales = [sc if v == w else gain_scales(m, v)
+                                  for sc, m, v, w in zip(scales, ms, new, l0)]
+                        refresh()
+                    except OverflowError:  # abort at the lowest row whose gains overflow
+                        for b, (c, v, w) in enumerate(zip(cfgs, new, l0)):
+                            if v != w:
+                                _adapted_gains(c, v, start + j, dt, W[b], b)
+                l0 = new
             # Y is never -0.0 (I starts at +0.0), so dt * Y is bitwise
             # laws.observer_step's dt * (u + d_hat) at u = 0
             if observe:
                 y_log[:, j] = Y
-                W = W + dt * Y
+                Y *= dt
+                W += Y
             else:
                 x1_log[:, j] = W
                 U = np.negative(Y, out=y_log[:, j])
-                W = W + _rk4_increment(dt6, U + d3[j])
+                W += _rk4_increment(dt6, U + d3[j])
         return j, W, (x1_log, y_log, l0_log, i_log)
 
     return steps

@@ -779,6 +779,23 @@ class TestBadInputs:
         assert (code, out, err) == (2, "", message)
         assert not (tmp_path / "alone").exists() and not (tmp_path / "batch").exists()
 
+    # A batch aborts at the lowest row whose gains overflow, also when that
+    # is not row 0 and when two rows overflow at one step: kappa = 1e300
+    # takes L0**2 past the float range, kappa = 1e157 only k4 * L0**2 (at
+    # L0 = 1e154).  The messages are those that the batch kernel gave when
+    # it rebuilt each moved row's gains through laws.gains_from_L0.
+    @pytest.mark.parametrize("values, L0", [
+        ("10,1e300", "1e+297"),
+        ("10,1e157,1e300", "1e+154"),
+        ("10,1e300,1e157", "1e+297"),
+    ], ids=["row-1", "row-1-by-a-product-row-2-by-a-power", "row-1-by-a-power-row-2-by-a-product"])
+    def test_the_lowest_overflowing_row_names_the_abort(self, capsys, values, L0):
+        code, out, err = run_cli(capsys, ["sweep", "--parameter", "kappa", "--values", values,
+                                          "--experiment", "exp3", "--method", "amsdo"])
+        assert (code, out) == (2, "")
+        assert err == (f"numerical abort: the adaptive gains overflowed at L0 = {L0} in cell 1 "
+                       "at step 1 (t=0.001): [1. 3. 2.]\n")
+
     def test_a_nan_block_entry_names_the_gains(self, capsys):
         # k1/m underflows to 0.0 and meets k3*m = inf: 0 * inf is a NaN entry
         # of Omega1, refused as an overflow of the blocks, not as a NaN matrix

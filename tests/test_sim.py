@@ -955,6 +955,56 @@ class TestMetricsFold:
             assert final_L0 == l0[-1]
 
 
+class TestPendingTailSteps:
+    """``_Metrics`` holds the tail step norms until ``PENDING_STEPS`` a cell
+    have built up and then sums them exactly; neither the index nor the
+    abort depends on where a hold ends."""
+
+    @staticmethod
+    def held_at_each_fold(monkeypatch):
+        """The steps a cell that each call of ``_Metrics._fold`` joins."""
+        held, fold = [], _Metrics._fold
+        monkeypatch.setattr(_Metrics, "_fold", lambda self: held.append(
+            sum(steps.shape[1] for steps in self.pending)) or fold(self))
+        return held
+
+    # exp2 at dt = 1 ms: the tail starts at step 800 of 1000, or 240 of 300
+    @pytest.mark.parametrize("horizon, block_steps, held", [
+        (1.0, 5, [64, 65, 65, 5]),  # three holds reach the bound, the rest waits for results
+        (0.3, 7, [59]),  # the tail never reaches the bound: it is summed only by results
+    ], ids=["crosses-the-bound", "never-reaches-it"])
+    def test_the_index_is_that_of_the_full_record(self, monkeypatch, horizon, block_steps, held):
+        folds = self.held_at_each_fold(monkeypatch)
+        cells = [("amssosmc", None), ("amstsmc-baseline", {"k4": 25.0})]
+        # checks each chattering index against metrics.chattering_index
+        assert_streamed_is_full_rate("exp2", cells, {"horizon": horizon}, block_steps)
+        assert folds == held
+
+    @pytest.mark.parametrize("block_steps", [1, 3, 7, 500])
+    def test_an_overflow_while_held_aborts_as_at_once(self, monkeypatch, block_steps):
+        sim = build_sim_config(dt=0.01, horizon=5.0)  # 500 steps, the tail is steps 400-499
+        times = np.arange(sim.steps) * sim.dt
+        rng = np.random.default_rng(5)
+        x1 = rng.uniform(-0.2, 0.2, (3, sim.steps, 3))
+        y = rng.uniform(-1.0, 1.0, x1.shape)
+        # the norms of steps 480 and 481 of cells 1 and 2 overflow, and of 490 and 491 of
+        # cell 0: in blocks of 1 to 7 steps, they are held after a fold at step 464 or 468
+        y[1:, 480, 0] = y[0, 490, 0] = 1e300
+        L0, d_true = np.ones(x1.shape[:2]), np.zeros((sim.steps, 3))
+        folds = self.held_at_each_fold(monkeypatch)
+        metrics = _Metrics(len(x1), 0.5, sim, observe=False)
+        for start in range(0, sim.steps, block_steps):
+            rows = slice(start, start + block_steps)
+            metrics.add(Block(start, times[rows], d_true[rows], x1[:, rows], y[:, rows],
+                              L0[:, rows], None))
+        with pytest.raises(SimulationAborted) as info:
+            metrics.results()
+        assert (info.value.step, info.value.cell) == (480, 1)
+        assert str(info.value).startswith("a step of u overflowed in cell 1 at step 480 ")
+        assert np.array_equal(info.value.state, y[1, 480])
+        assert folds == {1: [64], 3: [64], 7: [68], 500: [99]}[block_steps]
+
+
 class TestSweepMemory:
     def test_peak_memory_does_not_grow_with_the_horizon(self):
         cells = [("amssosmc", {"k4": k4}) for k4 in (20.0, 25.0, 30.0, 35.0)]
@@ -998,12 +1048,12 @@ class TestRecordMemory:
     is views of the one table that it parsed."""
 
     @pytest.mark.parametrize("experiment, cells, bound", [
-        ("exp2", [("amssosmc", None), ("amstsmc-baseline", None)], 2.0),  # V and its integral
+        ("exp2", [("amssosmc", None), ("amstsmc-baseline", None)], 2.0),  # with V, block by block
         ("exp3", [("amsdo", None), ("amdo-baseline", None)], 1.25),  # one shared measurement
     ], ids=["controllers", "observers"])
     def test_peak_grows_as_the_records(self, monkeypatch, experiment, cells, bound):
-        # blocks of 128 steps and V in chunks of 512 rows, all of them full at
-        # both horizons, so that only what grows with the run differs
+        # blocks of 128 steps, each of them full at both horizons, so that
+        # only what grows with the run differs
         monkeypatch.setattr(sim_module, "BLOCK_CELL_STEPS", 256)
         run_cells(experiment, cells, {"horizon": 0.1})  # first-call allocations
 
