@@ -220,14 +220,13 @@ def law_step(s: list, r: float, integral: list, gains: AdaptiveGains, m: float, 
     ``singular_tol``.  The caller then advances L0 (:func:`update_L0`).
     The controller feeds back ``-y`` on ``x1``, the observer ``y`` on its
     innovation."""
-    if r < singular_tol:
-        D1 = D2 = [0.0] * len(s)
-    else:
-        q1, q2 = r ** (1.0 / m), r ** (2.0 / m)
-        D1, D2 = [v / q1 for v in s], [v / q2 for v in s]
     L1, L2, L3, L4, _ = gains
-    y = [L1 * d + L2 * v + i for d, v, i in zip(D1, s, integral)]
-    return y, [i + dt * (L3 * d + L4 * v) for i, d, v in zip(integral, D2, s)]
+    if r < singular_tol:  # a +0.0 direction, whatever the sign of v
+        return ([L1 * 0.0 + L2 * v + i for v, i in zip(s, integral)],
+                [i + dt * (L3 * 0.0 + L4 * v) for v, i in zip(s, integral)])
+    q1, q2 = r ** (1.0 / m), r ** (2.0 / m)
+    return ([L1 * (v / q1) + L2 * v + i for v, i in zip(s, integral)],
+            [i + dt * (L3 * (v / q2) + L4 * v) for v, i in zip(s, integral)])
 
 
 def controller_step(x1: np.ndarray, state: ControllerState, cfg: GainConfig,

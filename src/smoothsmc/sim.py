@@ -57,6 +57,10 @@ MAX_STEPS = 10**7
 # 12 cells), and a block's few extra numpy calls stay small beside its steps.
 BLOCK_CELL_STEPS = 4608
 
+# Rows of a trajectory CSV formatted per ``%`` of a repeated line template;
+# one ``%`` over a whole table would hold about 8x its bytes at once.
+CSV_CHUNK_ROWS = 256
+
 
 def _real_vector(value, name: str) -> tuple[float, ...]:
     """A tuple of the Python floats of a non-empty 1-D sequence of finite
@@ -495,7 +499,8 @@ def _float_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
     ``np.frombuffer``.
 
     Each step calls :func:`laws.law_step` and :func:`laws.update_L0`, with
-    the gains cached until L0 moves.  The norm is one ``np.vecdot``, on a
+    the gains cached until L0 moves, and doubles each middle RK4 stage once,
+    as :func:`_rk4_increment` does.  The norm is one ``np.vecdot``, on a
     reused 1-D buffer: BLAS ``ddot`` rounds its sum its own way (with FMA on
     most kernels), which no float expression reproduces.
     """
@@ -534,7 +539,7 @@ def _float_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
                 U = [-y for y in Y]
                 y_log.extend(U)
                 d0, d1, d2 = d3[j].tolist()
-                W = [w + dt6 * (u + a + 2.0 * (u + b) + 2.0 * (u + b) + (u + c))
+                W = [w + dt6 * (u + a + (F2 := 2.0 * (u + b)) + F2 + (u + c))
                      for w, u, a, b, c in zip(W, U, d0, d1, d2)]
 
         def view(log, *shape):
@@ -620,10 +625,16 @@ def trajectory_columns(traj: Trajectory) -> list[str]:
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the trajectory with 17 significant digits per value so that a
-    round-trip through text reproduces the floats bit for bit."""
-    np.savetxt(path, np.column_stack([col for _, col in traj.columns()]),
-               fmt="%.17g", delimiter=",", header=",".join(trajectory_columns(traj)),
-               comments="")
+    round-trip through text reproduces the floats bit for bit: the bytes of
+    ``np.savetxt(path, table, fmt="%.17g", delimiter=",", header=...,
+    comments="")``, formatted :data:`CSV_CHUNK_ROWS` rows per ``%``."""
+    table = np.column_stack([col for _, col in traj.columns()])
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(trajectory_columns(traj)) + "\n")
+        for at in range(0, len(table), CSV_CHUNK_ROWS):
+            chunk = table[at:at + CSV_CHUNK_ROWS]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def load_trajectory_csv(path) -> Trajectory:

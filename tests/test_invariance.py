@@ -10,11 +10,21 @@ of a norm, ``a * sin(w t)``) rounds sign-symmetrically in IEEE arithmetic,
 so this holds bit for bit, but for the sign of a zero: ``x - x`` is +0.0
 whatever the sign of ``x``.  ``np.array_equal`` compares floats that way,
 equal exactly when their bits are, or when both are zeros.
+
+Rotation.  Every term of the law is parallel to its signal and scaled by
+the signal's norm, so an orthogonal Q applied to x1(0) and to a constant
+disturbance rotates the whole run: the reports stay.  Q's products round,
+so the bounds and chattering indices agree to a tolerance, and settling
+times and final L0, decided on steps, agree exactly.
+
+The ray.  Undisturbed, x1 stays on the ray through x1(0), within the
+rounding of its first steps, until the run reaches its residual cycle,
+which amplifies rounding off the ray.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smoothsmc.experiments import experiment_disturbance, run_cells
@@ -55,3 +65,56 @@ class TestSignFlips:
             for name, col in traj.columns():
                 want = col * np.array(signs) if name in SIGNED else col
                 assert np.array_equal(getattr(flipped, name), want), name
+
+
+EXP1 = np.array([c.amplitude for c in experiment_disturbance("exp1").channels])
+X1_INIT = np.array([1.0, 3.0, 2.0])  # the experiments' x1(0)
+
+
+def lone_cell(method, x1_init, disturbance, horizon, record):
+    return run_cells("custom", [(method, None)], {"x1_init": x1_init.tolist(), "horizon": horizon},
+                     disturbance=disturbance, record=record)[0]
+
+
+class TestRotation:
+    # At 10 s, over 30 random Q (QR of a seeded normal 3x3), the smooth
+    # cell's bound read at most 2.6e-13 relative apart and its chattering
+    # index 3.6e-15, the baseline's 1.9e-15 and 1.4e-16 (the ROADMAP's one Q
+    # read 9.4e-14 and 4.0e-15); the tolerances are 10x the ROADMAP's.
+    BOUND_RTOL, CHATTERING_RTOL = 1e-12, 4e-14
+
+    @pytest.mark.parametrize("method", ["amssosmc", "amstsmc-baseline"])
+    def test_a_rotated_run_reports_the_same(self, method):
+        Q, R = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
+        Q *= np.sign(np.diag(R))
+        report, rotated = (
+            lone_cell(method, x, {"kind": "constant", "value": d.tolist()}, 10.0, False)[1]
+            for x, d in ((X1_INIT, EXP1), (Q @ X1_INIT, Q @ EXP1)))
+        assert rotated.settling_time == report.settling_time
+        assert rotated.final_L0 == report.final_L0
+        assert rotated.ultimate_bound == pytest.approx(report.ultimate_bound, rel=self.BOUND_RTOL)
+        assert rotated.chattering_index == pytest.approx(report.chattering_index,
+                                                         rel=self.CHATTERING_RTOL)
+
+
+class TestTheRay:
+    # Measured against ||x1(0)||, the off-ray part ||x - (x.v)v|| is the
+    # rounding of the first steps, which the radial law then contracts with
+    # x1.  Over 200 seeded runs at 3 s it read at most 5.4e-16 (2.4 ulp)
+    # while ||x1|| stayed above 100x the tail peak (the first 300 to 660
+    # steps; about 90 from a start of norm 0.1), so 1e-14 is a margin of
+    # about 18.  Measured against ||x1||, it is that rounding over a
+    # shrinking norm: below 1e-12 in 199 of those runs, 1.8e-12 in one.  In
+    # the residual cycle after the window it grows to O(1).
+    @settings(max_examples=6, deadline=None)
+    @given(x1_init=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    @pytest.mark.parametrize("method", ["amssosmc", "amstsmc-baseline"])
+    def test_an_undisturbed_run_stays_on_its_ray(self, method, x1_init):
+        x1_init = np.array(x1_init)
+        assume(np.linalg.norm(x1_init) > 0.1)
+        traj, report = lone_cell(method, x1_init, {"kind": "none"}, 3.0, True)
+        ray = x1_init / np.linalg.norm(x1_init)
+        window = np.cumprod(np.linalg.norm(traj.x1, axis=-1) > 100.0 * report.ultimate_bound)
+        x = traj.x1[window.astype(bool)]
+        off = np.linalg.norm(x - (x * ray).sum(axis=1)[:, None] * ray, axis=-1)
+        assert len(x) > 50 and off.max() <= 1e-14 * np.linalg.norm(x1_init)

@@ -1007,6 +1007,12 @@ class TestPendingTailSteps:
 
 class TestSweepMemory:
     def test_peak_memory_does_not_grow_with_the_horizon(self):
+        # Default blocks (1,152 steps for 4 cells), and both tails hold a
+        # whole block (steps 5,760 to 6,911 at 7 s), so that the metric
+        # fold's temporaries are the same size at both horizons: 21 s read
+        # 0.999x 7 s.  A loop that builds the whole time grid up front
+        # (8 bytes a step) read 1.15x.  Against 2 s, whose tail lies inside
+        # one block, 8 s read 1.167x with no such loop.
         cells = [("amssosmc", {"k4": k4}) for k4 in (20.0, 25.0, 30.0, 35.0)]
         run_cells("exp2", cells, {"horizon": 0.1}, record=False)  # first-call allocations
 
@@ -1018,7 +1024,7 @@ class TestSweepMemory:
             finally:
                 tracemalloc.stop()
 
-        assert traced_peak(8.0) <= 1.2 * traced_peak(2.0)
+        assert traced_peak(21.0) <= 1.1 * traced_peak(7.0)
 
 
 class TestMetricsFoldMemory:
