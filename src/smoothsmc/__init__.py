@@ -26,15 +26,11 @@ from .certificate import (
 from .experiments import run_cell, run_cells, write_cell_outputs
 from .laws import (
     AdaptiveGains,
-    ControllerState,
     GainCheck,
     GainConfig,
-    ObserverState,
     check_gain_condition,
     controller_step,
     gains_from_L0,
-    initial_controller_state,
-    initial_observer_state,
     law_step,
     observer_step,
     unit_power_direction,

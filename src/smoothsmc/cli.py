@@ -23,6 +23,7 @@ from .experiments import (
     build_gain_config,
     build_sim_config,
     certificate_summary,
+    run_cell,
     run_cells,
     tail_cutoff,
     write_cell_outputs,
@@ -264,7 +265,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    """Each experiment's smooth method and baseline as one batch, plus the
+    """Each experiment's smooth method and baseline, each cell run on its
+    own (a batch of two costs more than two lone cells), plus the
     certificate of the default gains, written under ``--out``."""
     sim_over = _overrides(args, SIM_FLAGS)
     tail_cutoff(build_sim_config(**sim_over))  # a bad or short --dt or --horizon writes nothing
@@ -276,7 +278,7 @@ def cmd_reproduce(args) -> int:
           f"all blocks PD={cert.all_pd}")
     for experiment in EXPERIMENTS:
         pair = PAIRS[EXPERIMENTS[experiment]]
-        results = run_cells(experiment, [(method, None) for method in pair], sim_over)
+        results = [run_cell(experiment, method, sim_overrides=sim_over) for method in pair]
         for method, (traj, report) in zip(pair, results):
             write_cell_outputs(args.out, experiment, method, traj, report)
             settle = ("not settled" if report.settling_time is None

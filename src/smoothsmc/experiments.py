@@ -29,7 +29,7 @@ import numpy as np
 
 from .certificate import build_certificate
 from .laws import GainConfig, check_gain_condition, gains_from_L0
-from .metrics import ExperimentReport, exact_parts
+from .metrics import TAIL_FRACTION, ExperimentReport, exact_parts
 from .sim import (
     Block,
     DisturbanceSpec,
@@ -57,16 +57,11 @@ EXPERIMENTS = {"exp1": "controller", "exp2": "controller", "exp3": "observer"}
 # to the initial state norm.
 CONTROLLER_SETTLE_REL = 0.01
 OBSERVER_SETTLE_ABS = 0.05
-TAIL_FRACTION = 0.2
 
 # The tail step norms a cell that the metric fold holds before it sums them
 # exactly, so that a large batch, whose blocks are a few steps long (6 for
 # 768 cells), makes one Python call a cell per 64 tail steps, not per block.
 PENDING_STEPS = 64
-
-# The most cell-steps whose tail step norms the fold takes in one numpy call,
-# so that its temporaries stay about a row of a long block.
-FOLD_CELL_STEPS = 1024
 
 
 def experiment_disturbance(experiment: str) -> DisturbanceSpec:
@@ -147,13 +142,12 @@ class _Metrics:
     ``t_k = k * dt`` from each cell's norms, ``||x1||`` or for observers
     ``||d_hat - d||``, and its tail step norms of u or d_hat, summed exactly
     (``metrics.exact_parts``); bitwise the :mod:`metrics` array functions.
-    A block's norms are taken for all cells at once and its tail step norms
-    up to :data:`FOLD_CELL_STEPS` cell-steps at a time; these wait in
-    ``pending`` until :data:`PENDING_STEPS` a cell have built up, and then,
-    or at :meth:`results`, join each cell's exact sum, which does not depend
-    on how its terms are grouped.  The first overflow of a norm that a
-    metric reads (earliest step, then lowest cell) is kept as the abort it
-    calls for."""
+    A block's norms and tail step norms are taken for all cells at once;
+    the latter wait in ``pending`` until :data:`PENDING_STEPS` a cell have
+    built up, and then, or at :meth:`results`, join each cell's exact sum,
+    which does not depend on how its terms are grouped.  The first overflow
+    of a norm that a metric reads (earliest step, then lowest cell) is kept
+    as the abort it calls for."""
 
     def __init__(self, cells: int, threshold: float, sim: SimConfig, observe: bool):
         self.threshold, self.dt, self.observe = threshold, sim.dt, observe
@@ -180,12 +174,8 @@ class _Metrics:
             self.peak = np.maximum(self.peak, norms[:, inside.argmax():].max(axis=1))
             first = max(self.tail + 1 - block.start, 0)  # steps to first, ... start in the tail
             y = block.y[:, first - 1:] if first else block.y
-            steps = np.empty((len(y), y.shape[1] - (first > 0)))
-            group = max(1, FOLD_CELL_STEPS // (y.shape[1] + 1))  # cells per numpy call
-            for b in range(0, len(y), group):
-                rows = slice(b, b + group)
-                steps[rows] = np.linalg.norm(np.diff(y[rows] if first else np.concatenate(
-                    [self.previous[rows], y[rows]], 1), axis=1), axis=2)
+            steps = np.linalg.norm(np.diff(y if first else np.concatenate([self.previous, y], 1),
+                                           axis=1), axis=2)
             bad[:, first:] |= ~np.isfinite(steps)
             self.pending.append(steps)
             if sum(a.shape[1] for a in self.pending) >= PENDING_STEPS:

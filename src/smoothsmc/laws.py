@@ -9,8 +9,9 @@ Both laws are the one discrete block ``law_step(s, r, integral, gains, m,
 dt, singular_tol) -> (y, new_integral)`` on Python float lists, then
 :func:`update_L0`: integral and ``L0`` advance by explicit Euler once per
 major step, as a sampled digital implementation does.
-:func:`controller_step`, :func:`observer_step` and the simulator's
-single-cell kernel call it; ``sim._array_kernel`` is its one vectorised copy.
+:func:`controller_step`, :func:`observer_step` (the readable reference,
+taking and returning plain values) and the simulator's single-cell kernel
+call it; ``sim._array_kernel`` is its one vectorised copy.
 """
 
 from __future__ import annotations
@@ -138,7 +139,6 @@ class AdaptiveGains(NamedTuple):
     L2: float
     L3: float
     L4: float
-    L0: float
 
 
 def gain_scales(m: float, L0: float) -> tuple[float, float, float, float]:
@@ -154,7 +154,7 @@ def gains_from_L0(cfg: GainConfig, L0: float) -> AdaptiveGains:
         raise ValueError("L0 must be positive")
     try:
         s1, s2, s3, s4 = gain_scales(cfg.m, L0)
-        gains = AdaptiveGains(cfg.k1 * s1, cfg.k2 * s2, cfg.k3 * s3, cfg.k4 * s4, L0)
+        gains = AdaptiveGains(cfg.k1 * s1, cfg.k2 * s2, cfg.k3 * s3, cfg.k4 * s4)
     except OverflowError:  # a power of L0 past the float range (a product is inf)
         gains = None
     if gains is None or math.inf in gains:
@@ -194,23 +194,6 @@ def unit_power_direction(x: np.ndarray, exponent: float,
     return x / nrm**exponent
 
 
-@dataclass(frozen=True)
-class ControllerState:
-    """Running integral of the controller law plus the current L0."""
-
-    integral_term: np.ndarray
-    L0: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.integral_term, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "integral_term", arr)
-
-
-def initial_controller_state(cfg: GainConfig, n: int) -> ControllerState:
-    return ControllerState(integral_term=np.zeros(n), L0=cfg.L0_init)
-
-
 def law_step(s: list, r: float, integral: list, gains: AdaptiveGains, m: float, dt: float,
              singular_tol: float = DEFAULT_SINGULAR_TOL) -> tuple[list, list]:
     """One sampled step of the adaptive law on the signal ``s`` (a float
@@ -220,7 +203,7 @@ def law_step(s: list, r: float, integral: list, gains: AdaptiveGains, m: float, 
     ``singular_tol``.  The caller then advances L0 (:func:`update_L0`).
     The controller feeds back ``-y`` on ``x1``, the observer ``y`` on its
     innovation."""
-    L1, L2, L3, L4, _ = gains
+    L1, L2, L3, L4 = gains
     if r < singular_tol:  # a +0.0 direction, whatever the sign of v
         return ([L1 * 0.0 + L2 * v + i for v, i in zip(s, integral)],
                 [i + dt * (L3 * 0.0 + L4 * v) for v, i in zip(s, integral)])
@@ -229,63 +212,36 @@ def law_step(s: list, r: float, integral: list, gains: AdaptiveGains, m: float, 
             [i + dt * (L3 * (v / q2) + L4 * v) for v, i in zip(s, integral)])
 
 
-def controller_step(x1: np.ndarray, state: ControllerState, cfg: GainConfig,
+def controller_step(x1: np.ndarray, integral: np.ndarray, L0: float, cfg: GainConfig,
                     dt: float, singular_tol: float = DEFAULT_SINGULAR_TOL):
-    """One sampled controller update: returns ``(u, new_state)`` with
-    ``u = -(L1*x1/||x1||**(1/m) + L2*x1 + integral)``, the law on ``x1``."""
-    x1 = np.asarray(x1, dtype=float)
-    if x1.shape != state.integral_term.shape:
-        raise ValueError(f"dimension mismatch: x1 {x1.shape} vs integral "
-                         f"{state.integral_term.shape}")
+    """One sampled controller update: returns ``(u, new_integral, new_L0)``
+    with ``u = -(L1*x1/||x1||**(1/m) + L2*x1 + integral)``, the law on ``x1``."""
+    x1, integral = np.asarray(x1, dtype=float), np.asarray(integral, dtype=float)
+    if x1.shape != integral.shape:
+        raise ValueError(f"dimension mismatch: x1 {x1.shape} vs integral {integral.shape}")
     r = float(np.linalg.norm(x1))
-    y, new_integral = law_step(x1.tolist(), r, state.integral_term.tolist(),
-                               gains_from_L0(cfg, state.L0), cfg.m, dt, singular_tol)
-    return -np.array(y), ControllerState(integral_term=new_integral,
-                                         L0=update_L0(state.L0, r, cfg, dt))
+    y, new_integral = law_step(x1.tolist(), r, integral.tolist(), gains_from_L0(cfg, L0),
+                               cfg.m, dt, singular_tol)
+    return -np.array(y), np.array(new_integral), update_L0(L0, r, cfg, dt)
 
 
-@dataclass(frozen=True)
-class ObserverState:
-    """Observer internals: auxiliary state z1, last estimate, integral, L0."""
-
-    z1: np.ndarray
-    d_hat: np.ndarray
-    integral_term: np.ndarray
-    L0: float
-
-    def __post_init__(self):
-        for name in ("z1", "d_hat", "integral_term"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if not (self.z1.shape == self.d_hat.shape == self.integral_term.shape):
-            raise ValueError("observer state vectors must share one dimension")
-
-
-def initial_observer_state(cfg: GainConfig, z1_init: np.ndarray) -> ObserverState:
-    z1 = np.asarray(z1_init, dtype=float)
-    return ObserverState(z1=z1, d_hat=np.zeros_like(z1),
-                         integral_term=np.zeros_like(z1), L0=cfg.L0_init)
-
-
-def observer_step(x1_measured: np.ndarray, u: np.ndarray, state: ObserverState,
-                  cfg: GainConfig, dt: float,
+def observer_step(x1_measured: np.ndarray, u: np.ndarray, z1: np.ndarray, integral: np.ndarray,
+                  L0: float, cfg: GainConfig, dt: float,
                   singular_tol: float = DEFAULT_SINGULAR_TOL):
-    """One sampled observer update: returns ``(d_hat, new_state)``.
+    """One sampled observer update: returns ``(d_hat, new_z1, new_integral, new_L0)``.
 
     ``d_hat`` is the law on the innovation ``e = x1 - z1`` (measured minus
     auxiliary state), fed back with a plus sign in ``z1 += dt*(u + d_hat)``;
     this makes the error dynamics the stable mirror of the controller loop,
     driven by the disturbance rate.
     """
-    x1_measured = np.asarray(x1_measured, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x1_measured.shape != state.z1.shape or u.shape != state.z1.shape:
+    x1_measured, u, z1, integral = (np.asarray(v, dtype=float)
+                                    for v in (x1_measured, u, z1, integral))
+    if not x1_measured.shape == u.shape == z1.shape == integral.shape:
         raise ValueError("dimension mismatch between measurement, control and observer state")
-    e = x1_measured - state.z1
+    e = x1_measured - z1
     r = float(np.linalg.norm(e))
-    y, new_integral = law_step(e.tolist(), r, state.integral_term.tolist(),
-                               gains_from_L0(cfg, state.L0), cfg.m, dt, singular_tol)
+    y, new_integral = law_step(e.tolist(), r, integral.tolist(), gains_from_L0(cfg, L0),
+                               cfg.m, dt, singular_tol)
     d_hat = np.array(y)
-    return d_hat, ObserverState(z1=state.z1 + dt * (u + d_hat), d_hat=d_hat,
-                                integral_term=new_integral, L0=update_L0(state.L0, r, cfg, dt))
+    return d_hat, z1 + dt * (u + d_hat), np.array(new_integral), update_L0(L0, r, cfg, dt)

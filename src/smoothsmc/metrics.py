@@ -14,6 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
+TAIL_FRACTION = 0.2  # the final fraction of a record that the tail metrics read
+
 
 def _tail_mask(times: np.ndarray, tail_fraction: float) -> np.ndarray:
     if not 0.0 < tail_fraction < 1.0:
@@ -36,12 +38,14 @@ def settling_time(times: np.ndarray, norms: np.ndarray, threshold: float) -> flo
     return float(times[last + 1])
 
 
-def ultimate_bound(times: np.ndarray, norms: np.ndarray, tail_fraction: float = 0.2) -> float:
+def ultimate_bound(times: np.ndarray, norms: np.ndarray,
+                   tail_fraction: float = TAIL_FRACTION) -> float:
     """Max of ``norms`` over the final fraction of the record."""
     return float(norms[_tail_mask(times, tail_fraction)].max())
 
 
-def chattering_index(times: np.ndarray, values: np.ndarray, tail_fraction: float = 0.2) -> float:
+def chattering_index(times: np.ndarray, values: np.ndarray,
+                     tail_fraction: float = TAIL_FRACTION) -> float:
     """Total variation per second of a vector signal, rows of ``values``, over
     the tail window: ``math.fsum`` of its step norms over the tail's span."""
     mask = _tail_mask(times, tail_fraction)

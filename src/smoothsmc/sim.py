@@ -44,8 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .certificate import build_p_block, lyapunov_series
-from .laws import (gain_scales, gains_from_L0, is_real_number, law_step, real_setting,
-                   update_L0)
+from .laws import (DEFAULT_SINGULAR_TOL, gain_scales, gains_from_L0, is_real_number, law_step,
+                   real_setting, update_L0)
 
 # The longest run accepted, in steps (one controller cell at n = 3 needs about
 # 250 bytes a step, 2.5 GB here), checked before any array is allocated.
@@ -206,7 +206,7 @@ class SimConfig:
     x1_init: tuple[float, ...]
     dt: float = 1e-3
     horizon: float = 10.0
-    singular_tol: float = 1e-12
+    singular_tol: float = DEFAULT_SINGULAR_TOL
     log_stride: int = 1
 
     def __post_init__(self):
@@ -287,14 +287,14 @@ def _disturbance_series(sim: SimConfig, dist: DisturbanceSpec, start: int, stop:
     and ``t_k + dt`` stacked stage first, shape (3, stop - start, 1, n)
     (``t_k + dt`` is not ``t_{k+1}`` in floating point), each channel
     ``a * cos(w t)`` or ``a * sin(w t)``.  The grid is the slice of
-    ``np.arange(steps) * dt``.  The second is a copy, so a record does not
-    keep the stack alive."""
+    ``np.arange(steps) * dt``.  The second is a view of the stack's first
+    stage."""
     times, dt = np.arange(start, stop) * sim.dt, sim.dt
     d3 = np.empty((3, times.size, 1, dist.n))
     for stage, t in zip(d3[:, :, 0], (times, times + 0.5 * dt, times + dt)):
         for i, ch in enumerate(dist.channels):
             stage[:, i] = ch.amplitude * (np.cos if ch.is_cosine else np.sin)(ch.frequency * t)
-    return times, d3[0, :, 0].copy(), d3
+    return times, d3[0, :, 0], d3
 
 
 def _rk4_increment(dt6, stages):

@@ -20,7 +20,7 @@ def law_step_with_direction_lists(s, r, integral, gains, m, dt, singular_tol):
     else:
         q1, q2 = r ** (1.0 / m), r ** (2.0 / m)
         D1, D2 = [v / q1 for v in s], [v / q2 for v in s]
-    L1, L2, L3, L4, _ = gains
+    L1, L2, L3, L4 = gains
     y = [L1 * d + L2 * v + i for d, v, i in zip(D1, s, integral)]
     return y, [i + dt * (L3 * d + L4 * v) for i, d, v in zip(integral, D2, s)]
 
@@ -39,7 +39,7 @@ def law_inputs(draw):
     scale = draw(st.sampled_from([1.0, 1e-6, 1e-13]))
     s = [scale * v for v in draw(st.lists(component, min_size=n, max_size=n))]
     integral = draw(st.lists(component, min_size=n, max_size=n))
-    gains = AdaptiveGains(*draw(st.lists(gain, min_size=4, max_size=4)), 1.0)
+    gains = AdaptiveGains(*draw(st.lists(gain, min_size=4, max_size=4)))
     m, dt = draw(st.sampled_from([2.0, 2.5, 3.0, 4.0])), draw(st.floats(1e-5, 0.1))
     return s, integral, gains, m, dt
 
@@ -47,9 +47,9 @@ def law_inputs(draw):
 class TestLawStepIsItsEarlierStatement:
     @settings(max_examples=200, deadline=None)
     @given(inputs=law_inputs(), singular=st.booleans())
-    @example(inputs=([-0.0, 0.0, -0.0], [-0.0, -0.0, 0.0], AdaptiveGains(2.0, 2.5, 4.0, 30.0, 1.0),
+    @example(inputs=([-0.0, 0.0, -0.0], [-0.0, -0.0, 0.0], AdaptiveGains(2.0, 2.5, 4.0, 30.0),
                      3.0, 1e-3), singular=True)
-    @example(inputs=([-0.0, 1e-3, -0.0], [-0.0, -0.0, 0.0], AdaptiveGains(2.0, 2.5, 4.0, 30.0, 1.0),
+    @example(inputs=([-0.0, 1e-3, -0.0], [-0.0, -0.0, 0.0], AdaptiveGains(2.0, 2.5, 4.0, 30.0),
                      2.0, 1e-3), singular=False)
     def test_y_and_the_integral_are_bitwise_the_oracle(self, inputs, singular):
         s, integral, gains, m, dt = inputs
@@ -66,6 +66,6 @@ class TestLawStepIsItsEarlierStatement:
 
     def test_a_singular_step_keeps_a_positive_zero_direction(self):
         # -0.0 everywhere: L2*v + i alone would be -0.0, the law gives +0.0
-        y, new_integral = law_step([-0.0], 0.0, [-0.0], AdaptiveGains(1.0, 1.0, 1.0, 1.0, 1.0),
+        y, new_integral = law_step([-0.0], 0.0, [-0.0], AdaptiveGains(1.0, 1.0, 1.0, 1.0),
                                    3.0, 1e-3)
         assert bits(y) == bits(new_integral) == [(0.0).hex()]

@@ -6,15 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothsmc import (
-    ControllerState,
     GainCheck,
     GainConfig,
-    ObserverState,
     check_gain_condition,
     controller_step,
     gains_from_L0,
-    initial_controller_state,
-    initial_observer_state,
     observer_step,
     unit_power_direction,
     update_L0,
@@ -216,16 +212,14 @@ class TestGainsFromL0:
 class TestControllerStep:
     def test_origin_is_equilibrium(self):
         cfg = reference_gains()
-        state = initial_controller_state(cfg, 3)
-        u, new = controller_step(np.zeros(3), state, cfg, 1e-3)
+        u, integral, L0 = controller_step(np.zeros(3), np.zeros(3), cfg.L0_init, cfg, 1e-3)
         assert np.array_equal(u, np.zeros(3))
-        assert np.array_equal(new.integral_term, np.zeros(3))
-        assert new.L0 == state.L0  # dead zone
+        assert np.array_equal(integral, np.zeros(3))
+        assert L0 == cfg.L0_init  # dead zone
 
     def test_unit_state_control(self):
         cfg = reference_gains()
-        state = initial_controller_state(cfg, 3)
-        u, _ = controller_step(np.array([1.0, 0.0, 0.0]), state, cfg, 1e-3)
+        u, _, _ = controller_step(np.array([1.0, 0.0, 0.0]), np.zeros(3), cfg.L0_init, cfg, 1e-3)
         assert u == pytest.approx([-4.5, 0.0, 0.0])
 
     def test_two_step_hand_recursion(self):
@@ -234,68 +228,58 @@ class TestControllerStep:
         cfg = reference_gains()
         dt = 1e-3
         x1 = np.array([1.0, 0.0, 0.0])
-        state = initial_controller_state(cfg, 3)
+        integral, L0 = np.zeros(3), cfg.L0_init
         for _ in range(2):
-            _, state = controller_step(x1, state, cfg, dt)
+            _, integral, L0 = controller_step(x1, integral, L0, cfg, dt)
 
         L0_a = 1.0
         g_a = gains_from_L0(cfg, L0_a)
         L0_b = L0_a + cfg.kappa * dt
         g_b = gains_from_L0(cfg, L0_b)
         expected = dt * (g_a.L3 + g_a.L4) + dt * (g_b.L3 + g_b.L4)
-        assert state.integral_term[0] == pytest.approx(expected, rel=1e-15)
-        assert state.L0 == pytest.approx(L0_b + cfg.kappa * dt)
+        assert integral[0] == pytest.approx(expected, rel=1e-15)
+        assert L0 == pytest.approx(L0_b + cfg.kappa * dt)
 
     def test_dimension_mismatch_is_hard_error(self):
         cfg = reference_gains()
-        state = initial_controller_state(cfg, 3)
         with pytest.raises(ValueError):
-            controller_step(np.zeros(2), state, cfg, 1e-3)
+            controller_step(np.zeros(2), np.zeros(3), cfg.L0_init, cfg, 1e-3)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_L0_monotone_along_trajectories(self, seed):
         cfg = reference_gains()
         rng = np.random.default_rng(seed)
-        state = initial_controller_state(cfg, 3)
-        previous = state.L0
+        integral, L0 = np.zeros(3), cfg.L0_init
+        previous = L0
         for _ in range(30):
-            _, state = controller_step(rng.uniform(-1, 1, 3), state, cfg, 1e-3)
-            assert state.L0 >= previous
-            previous = state.L0
+            _, integral, L0 = controller_step(rng.uniform(-1, 1, 3), integral, L0, cfg, 1e-3)
+            assert L0 >= previous
+            previous = L0
 
 
 class TestObserverStep:
     def test_zero_error_gives_zero_estimate(self):
         cfg = reference_gains()
         x = np.array([1.0, 2.0, 3.0])
-        state = initial_observer_state(cfg, x)
-        d_hat, new = observer_step(x, np.zeros(3), state, cfg, 1e-3)
+        d_hat, _, integral, _ = observer_step(x, np.zeros(3), x, np.zeros(3), cfg.L0_init, cfg,
+                                              1e-3)
         assert np.array_equal(d_hat, np.zeros(3))
-        assert np.array_equal(new.integral_term, np.zeros(3))
+        assert np.array_equal(integral, np.zeros(3))
 
     def test_unit_error_estimate(self):
         # innovation e = x - z = [1,0,0] mirrors the controller example with
         # the observer's plus signs
         cfg = reference_gains()
-        state = initial_observer_state(cfg, np.zeros(3))
-        d_hat, _ = observer_step(np.array([1.0, 0.0, 0.0]), np.zeros(3), state, cfg, 1e-3)
+        d_hat, _, _, _ = observer_step(np.array([1.0, 0.0, 0.0]), np.zeros(3), np.zeros(3),
+                                       np.zeros(3), cfg.L0_init, cfg, 1e-3)
         assert d_hat == pytest.approx([4.5, 0.0, 0.0])
-
-    def test_estimate_recomputable_from_state(self):
-        cfg = reference_gains()
-        rng = np.random.default_rng(3)
-        state = initial_observer_state(cfg, rng.uniform(-1, 1, 3))
-        x = rng.uniform(-1, 1, 3)
-        for _ in range(5):
-            d_hat, state = observer_step(x, np.zeros(3), state, cfg, 1e-3)
-        assert np.array_equal(state.d_hat, d_hat)
 
     def test_dimension_mismatch_is_hard_error(self):
         cfg = reference_gains()
-        state = initial_observer_state(cfg, np.zeros(3))
         with pytest.raises(ValueError):
-            observer_step(np.zeros(3), np.zeros(2), state, cfg, 1e-3)
+            observer_step(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3), cfg.L0_init, cfg,
+                          1e-3)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), L0=st.floats(0.5, 20.0))
@@ -305,9 +289,6 @@ class TestObserverStep:
         cfg = reference_gains()
         rng = np.random.default_rng(seed)
         e = rng.uniform(-2, 2, 3)
-        ctrl = ControllerState(integral_term=np.zeros(3), L0=L0)
-        obs = ObserverState(z1=np.zeros(3), d_hat=np.zeros(3),
-                            integral_term=np.zeros(3), L0=L0)
-        u, _ = controller_step(e, ctrl, cfg, 1e-3)
-        d_hat, _ = observer_step(e, np.zeros(3), obs, cfg, 1e-3)
+        u, _, _ = controller_step(e, np.zeros(3), L0, cfg, 1e-3)
+        d_hat, _, _, _ = observer_step(e, np.zeros(3), np.zeros(3), np.zeros(3), L0, cfg, 1e-3)
         assert u.tobytes() == (-d_hat).tobytes()

@@ -21,8 +21,6 @@ from smoothsmc import (
     chattering_index,
     controller_step,
     disturbance_at,
-    initial_controller_state,
-    initial_observer_state,
     load_trajectory_csv,
     lyapunov_value,
     norm_bound,
@@ -427,18 +425,19 @@ def textbook_rk4(x, u, dist, t, dt):
 def reference_controller_run(cfg, sim, dist, p_block=None):
     """A plain loop over laws.controller_step with the textbook RK4 step."""
     x = np.array(sim.x1_init)
-    state = initial_controller_state(cfg, sim.n)
+    integral, L0 = np.zeros(sim.n), cfg.L0_init
     rows = {"times": [], "x1": [], "u": [], "d_true": [], "L0": [], "V": []}
     for k in range(sim.steps):
         t = k * sim.dt
         d = disturbance_at(dist, t)
-        u, new_state = controller_step(x, state, cfg, sim.dt, singular_tol=sim.singular_tol)
+        u, new_integral, new_L0 = controller_step(x, integral, L0, cfg, sim.dt,
+                                                  singular_tol=sim.singular_tol)
         if p_block is not None:
-            xi = transform_state(x, d - state.integral_term, state.L0, cfg.m, sim.singular_tol)
+            xi = transform_state(x, d - integral, L0, cfg.m, sim.singular_tol)
             rows["V"].append(lyapunov_value(xi, p_block))
-        for name, value in (("times", t), ("x1", x), ("u", u), ("d_true", d), ("L0", state.L0)):
+        for name, value in (("times", t), ("x1", x), ("u", u), ("d_true", d), ("L0", L0)):
             rows[name].append(value)
-        x, state = textbook_rk4(x, u, dist, t, sim.dt), new_state
+        x, integral, L0 = textbook_rk4(x, u, dist, t, sim.dt), new_integral, new_L0
     return Trajectory(**{name: np.array(v) for name, v in rows.items() if v})
 
 
@@ -453,12 +452,12 @@ def reference_observer_run(cfg, sim, dist):
         xs.append(x)
         ds.append(disturbance_at(dist, t))
         x = textbook_rk4(x, zero, dist, t, sim.dt)
-    state = initial_observer_state(cfg, xs[0])
+    z1, integral, L0 = xs[0], zero, cfg.L0_init
     d_hat, l0 = [], []
     for x in xs:
-        l0.append(state.L0)
-        estimate, state = observer_step(x, zero, state, cfg, sim.dt,
-                                        singular_tol=sim.singular_tol)
+        l0.append(L0)
+        estimate, z1, integral, L0 = observer_step(x, zero, z1, integral, L0, cfg, sim.dt,
+                                                   singular_tol=sim.singular_tol)
         d_hat.append(estimate)
     return Trajectory(times=np.array(times), x1=np.array(xs), u=np.zeros((len(xs), sim.n)),
                       d_true=np.array(ds), d_hat=np.array(d_hat), L0=np.array(l0))
