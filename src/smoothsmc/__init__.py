@@ -9,7 +9,6 @@ from .certificate import (
     ConvergenceEstimate,
     LyapunovCertificate,
     ResidualLevels,
-    TransformedState,
     build_certificate,
     build_omega_blocks,
     build_p_block,

@@ -75,18 +75,9 @@ def build_omega_blocks(cfg: GainConfig) -> tuple[SymMatrix, SymMatrix]:
     return _symmetric(cfg, omega1, omega2)
 
 
-@dataclass(frozen=True)
-class TransformedState:
-    """The scaled coordinates in which the Lyapunov form is evaluated."""
-
-    xi1: np.ndarray
-    xi2: np.ndarray
-    xi3: np.ndarray
-
-
 def transform_state(x1: np.ndarray, x2: np.ndarray, L0: float, m: float,
-                    singular_tol: float = DEFAULT_SINGULAR_TOL) -> TransformedState:
-    """Map plant coordinates ``(x1, x2)`` at gain level ``L0`` to ``xi``.
+                    singular_tol: float = DEFAULT_SINGULAR_TOL) -> tuple:
+    """Map plant coordinates ``(x1, x2)`` at gain level ``L0`` to ``xi = (xi1, xi2, xi3)``.
 
     ``xi1`` extends continuously to zero at the origin (its norm scales as
     ``||x1||**((m-1)/m)``), so the same regularization as the laws applies.
@@ -94,7 +85,7 @@ def transform_state(x1: np.ndarray, x2: np.ndarray, L0: float, m: float,
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     xi1 = L0 ** ((m - 1.0) / m) * unit_power_direction(x1, 1.0 / m, singular_tol)
-    return TransformedState(xi1=xi1, xi2=L0 * x1, xi3=x2)
+    return xi1, L0 * x1, x2
 
 
 def _quadratic_form(P_block: SymMatrix, xi1, xi2, xi3):
@@ -110,9 +101,9 @@ def _quadratic_form(P_block: SymMatrix, xi1, xi2, xi3):
             + 2.0 * p[1, 2] * dot(xi2, xi3) + p[2, 2] * dot(xi3, xi3))
 
 
-def lyapunov_value(xi: TransformedState, P_block: SymMatrix) -> float:
-    """``xi' (P (x) I_n) xi`` evaluated blockwise from the 3x3 factor."""
-    return float(_quadratic_form(P_block, xi.xi1, xi.xi2, xi.xi3))
+def lyapunov_value(xi: tuple, P_block: SymMatrix) -> float:
+    """``xi' (P (x) I_n) xi`` of ``(xi1, xi2, xi3)``, evaluated blockwise from the 3x3 factor."""
+    return float(_quadratic_form(P_block, *xi))
 
 
 def lyapunov_series(x1: np.ndarray, x2: np.ndarray, L0: np.ndarray, m: float,
@@ -161,13 +152,13 @@ class LyapunovCertificate:
     Omega1_eig: EigenSummary
     Omega2_eig: EigenSummary
 
-    def _spectra(self) -> dict:
-        return {"P": self.P_eig, "Q": self.Q_eig,
-                "Omega1": self.Omega1_eig, "Omega2": self.Omega2_eig}
+    def _by_name(self, suffix: str) -> dict:
+        return {name: getattr(self, f"{name}_{suffix}") for name in ("P", "Q", "Omega1", "Omega2")}
 
     @property
     def all_pd(self) -> bool:
-        return all(map(is_positive_definite, self._spectra().values()))
+        return all(map(is_positive_definite,
+                       (self.P_eig, self.Q_eig, self.Omega1_eig, self.Omega2_eig)))
 
     @property
     def certified(self) -> bool:
@@ -182,17 +173,12 @@ class LyapunovCertificate:
             "n3": self.n3,
             "n4": self.n4,
             "positive_definite": {
-                name: is_positive_definite(eig) for name, eig in self._spectra().items()},
+                name: is_positive_definite(eig) for name, eig in self._by_name("eig").items()},
             "eigenvalues": {
                 name: {"min": eig.lambda_min, "max": eig.lambda_max}
-                for name, eig in self._spectra().items()
+                for name, eig in self._by_name("eig").items()
             },
-            "blocks": {
-                "P": self.P_block.entries.tolist(),
-                "Q": self.Q_block.entries.tolist(),
-                "Omega1": self.Omega1_block.entries.tolist(),
-                "Omega2": self.Omega2_block.entries.tolist(),
-            },
+            "blocks": {name: b.entries.tolist() for name, b in self._by_name("block").items()},
         }
 
 
@@ -201,28 +187,20 @@ def build_certificate(cfg: GainConfig) -> LyapunovCertificate:
     blocks leave the float range are refused by name (:func:`gain_overflow`)."""
     if cfg.m <= 2:
         raise ValueError("the certificate requires m > 2 (the baseline is exempt)")
-    p_block, q_block = build_p_block(cfg), build_q_block(cfg)
-    omega1, omega2 = build_omega_blocks(cfg)
-    eigs = {name: eig_sym(mat) for name, mat in
-            (("P", p_block), ("Q", q_block), ("O1", omega1), ("O2", omega2))}
+    blocks = dict(zip(("P", "Q", "Omega1", "Omega2"),
+                      (build_p_block(cfg), build_q_block(cfg), *build_omega_blocks(cfg))))
+    eigs = {name: eig_sym(block) for name, block in blocks.items()}
     p1 = (2.0 * cfg.m - 3.0) / (2.0 * cfg.m - 2.0)
-    if all(is_positive_definite(eig) for eig in eigs.values()):
-        lam_min_p = eigs["P"].lambda_min
-        lam_max_p = eigs["P"].lambda_max
-        n1 = eigs["O1"].lambda_min / lam_max_p**p1
-        n2_coeff = math.sqrt(cfg.k1**2 + cfg.k2**2 + 4.0) / math.sqrt(lam_min_p)
-        n3 = eigs["O2"].lambda_min / lam_max_p
-        n4 = eigs["Q"].lambda_max / (2.0 * lam_min_p)
+    if all(map(is_positive_definite, eigs.values())):
+        p_eig = eigs["P"]
+        n1 = eigs["Omega1"].lambda_min / p_eig.lambda_max**p1
+        n2_coeff = math.sqrt(cfg.k1**2 + cfg.k2**2 + 4.0) / math.sqrt(p_eig.lambda_min)
+        n3 = eigs["Omega2"].lambda_min / p_eig.lambda_max
+        n4 = eigs["Q"].lambda_max / (2.0 * p_eig.lambda_min)
     else:
         n1 = n2_coeff = n3 = n4 = None
-    return LyapunovCertificate(
-        P_block=p_block, Q_block=q_block,
-        Omega1_block=omega1, Omega2_block=omega2,
-        p1=p1, n1=n1, n2_coeff=n2_coeff, n3=n3, n4=n4,
-        gain_condition=check_gain_condition(cfg),
-        P_eig=eigs["P"], Q_eig=eigs["Q"],
-        Omega1_eig=eigs["O1"], Omega2_eig=eigs["O2"],
-    )
+    return LyapunovCertificate(*blocks.values(), p1, n1, n2_coeff, n3, n4,
+                               check_gain_condition(cfg), *eigs.values())
 
 
 def settling_time_unperturbed(c1: float, c2: float, p: float, v0: float) -> float:
@@ -384,25 +362,22 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
         raise ValueError(f"delta={delta!r} overflows the perturbation coefficient c3")
     p1, p2 = cert.p1, 0.5
 
+    th1 = th2 = th3 = None
     if c1 <= 0 or c2 <= 0:
         # adaptation term still dominates: the frozen-coefficient bound is vacuous
-        return ConvergenceEstimate(c1=c1, c2=c2, c3=c3, p=p1, p2=p2, V0=v0,
-                                   settling_time_bound=None, residual_V_level=None,
-                                   theta1=None, theta2=None, theta3=None)
-    if c3 == 0.0:
-        bound = settling_time_unperturbed(c1, c2, p1, v0)
-        return ConvergenceEstimate(c1=c1, c2=c2, c3=c3, p=p1, p2=p2, V0=v0,
-                                   settling_time_bound=bound, residual_V_level=0.0,
-                                   theta1=None, theta2=None, theta3=None)
-    th1 = c1 / 2.0 if theta1 is None else theta1
-    th2 = c2 / 2.0 if theta2 is None else theta2
-    bound = settling_time_perturbed(c1, c2, c3, p1, p2, v0, th1, th2)
-    th3 = solve_residual_split(th1, th2, c3, p1, p2)
-    levels = residual_levels(c3, th1, th2, th3, p1, p2)
-    level = levels.from_linear_term if th3 < 0.5 else levels.from_power_term
-    if level == math.inf:
-        raise ValueError(f"c3={c3!r}, theta1={th1!r}, theta2={th2!r} overflow "
-                         "the residual-set level")
+        bound = level = None
+    elif c3 == 0.0:
+        bound, level = settling_time_unperturbed(c1, c2, p1, v0), 0.0
+    else:
+        th1 = c1 / 2.0 if theta1 is None else theta1
+        th2 = c2 / 2.0 if theta2 is None else theta2
+        bound = settling_time_perturbed(c1, c2, c3, p1, p2, v0, th1, th2)
+        th3 = solve_residual_split(th1, th2, c3, p1, p2)
+        levels = residual_levels(c3, th1, th2, th3, p1, p2)
+        level = levels.from_linear_term if th3 < 0.5 else levels.from_power_term
+        if level == math.inf:
+            raise ValueError(f"c3={c3!r}, theta1={th1!r}, theta2={th2!r} overflow "
+                             "the residual-set level")
     return ConvergenceEstimate(c1=c1, c2=c2, c3=c3, p=p1, p2=p2, V0=v0,
                                settling_time_bound=bound, residual_V_level=level,
                                theta1=th1, theta2=th2, theta3=th3)

@@ -202,19 +202,18 @@ def cmd_certify(args) -> int:
         given = ", ".join("--" + name.lower().replace("_", "-") for name in estimate)
         needs = "--v0" if cfg.m > 2 else "--m above 2"
         raise UsageError(f"{given}: the convergence estimate needs {needs}")
+    split = [f"--{name}" for name in ("theta1", "theta2") if name in estimate]
+    if split and estimate.get("delta", 0.0) <= 0:  # c3 = 0 leaves no residual set to split
+        raise UsageError(f"{', '.join(split)}: the residual split needs a positive --delta")
 
     payload: dict = {"gains": dataclasses.asdict(cfg)}
     del payload["gains"]["allow_uncertified"]
-    if cfg.m > 2:
-        cert = build_certificate(cfg)
-        payload.update(cert.to_dict())
-        payload["certified"] = cert.certified
-        if estimate:
-            payload["convergence"] = estimate_convergence(
-                cert, cfg, **{"delta": 0.0, **estimate}).to_dict()
-    else:
-        payload.update(certificate_summary(cfg))
-        payload["certified"] = False
+    cert = build_certificate(cfg) if cfg.m > 2 else None
+    payload.update(certificate_summary(cfg) if cert is None else cert.to_dict())
+    payload["certified"] = cert is not None and cert.certified
+    if estimate:
+        payload["convergence"] = estimate_convergence(
+            cert, cfg, **{"delta": 0.0, **estimate}).to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 

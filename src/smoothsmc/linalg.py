@@ -62,11 +62,17 @@ class SymMatrix:
 
 @dataclass(frozen=True)
 class EigenSummary:
-    """Sorted spectrum of a symmetric matrix with its extreme eigenvalues."""
+    """Sorted spectrum of a symmetric matrix; its ends are the extreme eigenvalues."""
 
-    lambda_min: float
-    lambda_max: float
     spectrum: tuple[float, ...]
+
+    @property
+    def lambda_min(self) -> float:
+        return self.spectrum[0]
+
+    @property
+    def lambda_max(self) -> float:
+        return self.spectrum[-1]
 
 
 def kron_with_identity(base: SymMatrix, n: int) -> SymMatrix:
@@ -160,12 +166,12 @@ def eig_sym(mat: SymMatrix) -> EigenSummary:
     no eigenvectors here: the values are bitwise :func:`jacobi_eigh`'s."""
     a, _ = _jacobi(mat, False)
     spectrum = tuple(sorted(row[i] for i, row in enumerate(a)))  # the same stable order
-    return EigenSummary(lambda_min=spectrum[0], lambda_max=spectrum[-1], spectrum=spectrum)
+    return EigenSummary(spectrum)
 
 
 def is_positive_definite(mat: SymMatrix | EigenSummary) -> bool:
     """True iff the smallest eigenvalue exceeds ``1e-12 * |lambda_max|``,
     which absorbs rounding; pass the spectrum when it is already known, so
     the matrix is not solved again."""
-    summary = mat if isinstance(mat, EigenSummary) else eig_sym(mat)
-    return summary.lambda_min > 1e-12 * abs(summary.lambda_max)
+    spectrum = (mat if isinstance(mat, EigenSummary) else eig_sym(mat)).spectrum
+    return spectrum[0] > 1e-12 * abs(spectrum[-1])

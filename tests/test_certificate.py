@@ -228,13 +228,11 @@ class TestLyapunovValue:
         rng = np.random.default_rng(0)
         xi = transform_state(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3), 2.0, 3.0)
         v = lyapunov_value(xi, SymMatrix(np.eye(3)))
-        expected = sum(float(part @ part) for part in (xi.xi1, xi.xi2, xi.xi3))
+        expected = sum(float(part @ part) for part in xi)
         assert v == pytest.approx(expected, rel=1e-14)
 
     def test_unit_first_block(self):
-        from smoothsmc.certificate import TransformedState
-        xi = TransformedState(xi1=np.array([1.0, 0.0, 0.0]),
-                              xi2=np.zeros(3), xi3=np.zeros(3))
+        xi = (np.array([1.0, 0.0, 0.0]), np.zeros(3), np.zeros(3))
         assert lyapunov_value(xi, build_p_block(reference_gains())) == 8.0
 
     @settings(max_examples=50, deadline=None)
@@ -243,9 +241,7 @@ class TestLyapunovValue:
         rng = np.random.default_rng(seed)
         p_block = build_p_block(reference_gains())
         xi_parts = rng.uniform(-2, 2, (3, 3))
-        from smoothsmc.certificate import TransformedState
-        xi = TransformedState(*xi_parts)
-        blockwise = lyapunov_value(xi, p_block)
+        blockwise = lyapunov_value(tuple(xi_parts), p_block)
         full = kron_with_identity(p_block, 3).entries
         flat = np.concatenate(xi_parts)  # (xi1; xi2; xi3) matches P (x) I_3 blocks
         direct = float(flat @ full @ flat)
@@ -257,9 +253,8 @@ class TestLyapunovValue:
         rng = np.random.default_rng(seed)
         p_block = build_p_block(reference_gains())
         summary = eig_sym(p_block)
-        from smoothsmc.certificate import TransformedState
-        xi = TransformedState(*rng.uniform(-2, 2, (3, 3)))
-        norm_sq = sum(float(p @ p) for p in (xi.xi1, xi.xi2, xi.xi3))
+        xi = tuple(rng.uniform(-2, 2, (3, 3)))
+        norm_sq = sum(float(p @ p) for p in xi)
         v = lyapunov_value(xi, p_block)
         assert summary.lambda_min * norm_sq <= v * (1 + 1e-12) + 1e-12
         assert v <= summary.lambda_max * norm_sq * (1 + 1e-12) + 1e-12
@@ -336,18 +331,18 @@ class TestTransformState:
         x1 = rng.uniform(-2, 2, 3)
         if np.linalg.norm(x1) < 1e-3:
             x1 += 0.5
-        xi = transform_state(x1, np.zeros(3), L0, m)
+        xi1, xi2, _ = transform_state(x1, np.zeros(3), L0, m)
         nx = np.linalg.norm(x1)
         expected = L0 ** ((m - 1) / m) * nx ** ((m - 1) / m)
-        assert np.linalg.norm(xi.xi1) == pytest.approx(expected, rel=1e-12)
+        assert np.linalg.norm(xi1) == pytest.approx(expected, rel=1e-12)
         unit = x1 / nx
-        assert np.allclose(xi.xi1 / np.linalg.norm(xi.xi1), unit, atol=1e-12)
-        assert np.allclose(xi.xi2 / np.linalg.norm(xi.xi2), unit, atol=1e-12)
+        assert np.allclose(xi1 / np.linalg.norm(xi1), unit, atol=1e-12)
+        assert np.allclose(xi2 / np.linalg.norm(xi2), unit, atol=1e-12)
 
     def test_origin_maps_to_zero(self):
-        xi = transform_state(np.zeros(3), np.zeros(3), 5.0, 3.0)
-        assert np.array_equal(xi.xi1, np.zeros(3))
-        assert np.array_equal(xi.xi2, np.zeros(3))
+        xi1, xi2, _ = transform_state(np.zeros(3), np.zeros(3), 5.0, 3.0)
+        assert np.array_equal(xi1, np.zeros(3))
+        assert np.array_equal(xi2, np.zeros(3))
 
 
 class TestSettlingTimes:

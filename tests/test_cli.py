@@ -246,6 +246,83 @@ class TestReportConfigReruns:
         assert out == "" and not (tmp_path / "out").exists()
 
 
+# certify's whole stdout for m = 2, uncertified gains and each regime of the
+# convergence estimate (vacuous, undisturbed, disturbed), so that a key lost
+# or renamed in one of them fails: the certificate of the default gains ...
+DEFAULT_CERTIFICATE = {
+    "blocks": {
+        "Omega1": [[13.333333333333332, 0.0, -2.6666666666666665],
+                   [0.0, 93.33333333333333, -8.333333333333332],
+                   [-2.6666666666666665, -8.333333333333332, 1.3333333333333333]],
+        "Omega2": [[33.333333333333336, 0.0, 0.0], [0.0, 90.625, -6.25], [0.0, -6.25, 2.5]],
+        "P": [[8.0, 2.5, -1.0], [2.5, 33.125, -1.25], [-1.0, -1.25, 1.0]],
+        "Q": [[23.25, 0.0, 0.0], [0.0, 107.5, 0.0], [0.0, 0.0, 2.875]]},
+    "certified": True,
+    "eigenvalues": {"Omega1": {"max": 94.08277657430774, "min": 0.05338268310502064},
+                    "Omega2": {"max": 91.06605498440544, "min": 2.0589450155945395},
+                    "P": {"max": 33.426933982977516, "min": 0.834596120514615},
+                    "Q": {"max": 107.5, "min": 2.875}},
+    "gain_condition": {"holds": True, "lhs": 1080.0, "reason": "certified", "rhs": 962.5},
+    "gains": {"L0_init": 1.0, "epsilon": 0.001, "k1": 2.0, "k2": 2.5, "k3": 4.0, "k4": 30.0,
+              "kappa": 10.0, "m": 3.0},
+    "n1": 0.003839971407796199,
+    "n2_coeff": 4.1320850443612,
+    "n3": 0.06159538941390933,
+    "n4": 64.40240815744214,
+    "p1": 0.75,
+    "positive_definite": {"Omega1": True, "Omega2": True, "P": True, "Q": True},
+}
+# ... and the convergence estimate frozen at L0 = 150, L0_dot = kappa
+AT_L0_150 = {"V0": 50.0, "c1": 0.5759957111694298, "c2": 3.514649909202655, "p1": 0.75,
+             "p2": 0.5}
+CERTIFY_STDOUT = {
+    "baseline": (["--m", "2"], {
+        "certified": False,
+        "gain_condition": {"holds": False, "lhs": 480.0, "reason": "baseline-exempt",
+                           "rhs": 425.0},
+        "gains": {"L0_init": 1.0, "epsilon": 0.001, "k1": 2.0, "k2": 2.5, "k3": 4.0,
+                  "k4": 30.0, "kappa": 10.0, "m": 2.0}}),
+    "uncertified": (["--k4", "20"], {
+        "blocks": {
+            "Omega1": [[13.333333333333332, 0.0, -2.6666666666666665],
+                       [0.0, 73.33333333333333, -8.333333333333332],
+                       [-2.6666666666666665, -8.333333333333332, 1.3333333333333333]],
+            "Omega2": [[33.333333333333336, 0.0, 0.0], [0.0, 65.625, -6.25], [0.0, -6.25, 2.5]],
+            "P": [[8.0, 2.5, -1.0], [2.5, 23.125, -1.25], [-1.0, -1.25, 1.0]],
+            "Q": [[23.25, 0.0, 0.0], [0.0, 77.5, 0.0], [0.0, 0.0, 2.875]]},
+        "certified": False,
+        "eigenvalues": {"Omega1": {"max": 74.28675909527516, "min": -0.13964210379879555},
+                        "Omega2": {"max": 66.23786178895276, "min": 1.8871382110472614},
+                        "P": {"max": 23.613476305131694, "min": 0.8227351957147038},
+                        "Q": {"max": 77.5, "min": 2.875}},
+        "gain_condition": {"holds": False, "lhs": 720.0, "reason": "condition-violated",
+                           "rhs": 962.5},
+        "gains": {"L0_init": 1.0, "epsilon": 0.001, "k1": 2.0, "k2": 2.5, "k3": 4.0,
+                  "k4": 20.0, "kappa": 10.0, "m": 3.0},
+        "n1": None, "n2_coeff": None, "n3": None, "n4": None, "p1": 0.75,
+        "positive_definite": {"Omega1": False, "Omega2": True, "P": True, "Q": True}}),
+    "vacuous": (["--v0", "50"], DEFAULT_CERTIFICATE | {"convergence": {
+        "V0": 50.0, "c1": 0.003839971407796199, "c2": -858.6371800431479, "c3": 0.0,
+        "p1": 0.75, "p2": 0.5, "residual_V_level": "none", "settling_time_bound": "infinite",
+        "theta1": None, "theta2": None, "theta3": None}}),
+    "undisturbed": (["--v0", "50", "--l0", "150"], DEFAULT_CERTIFICATE | {
+        "convergence": AT_L0_150 | {
+            "c3": 0.0, "residual_V_level": 0.0, "settling_time_bound": 3.239476600577837,
+            "theta1": None, "theta2": None, "theta3": None}}),
+    "disturbed": (["--v0", "50", "--delta", "0.3", "--l0", "150"], DEFAULT_CERTIFICATE | {
+        "convergence": AT_L0_150 | {
+            "c3": 1.23962551330836, "residual_V_level": 0.3370227379525216,
+            "settling_time_bound": 6.478953201155674, "theta1": 0.2879978555847149,
+            "theta2": 1.7573249546013274, "theta3": 0.17701641808332047}}),
+    "disturbed-explicit-split": (
+        ["--v0", "50", "--delta", "0.3", "--l0", "150", "--theta1", "0.1", "--theta2", "1"],
+        DEFAULT_CERTIFICATE | {"convergence": AT_L0_150 | {
+            "c3": 1.23962551330836, "residual_V_level": 1.2840851920595635,
+            "settling_time_bound": 4.312728292940253, "theta1": 0.1, "theta2": 1.0,
+            "theta3": 0.08587326060606304}}),
+}
+
+
 class TestCertify:
     def test_reference_gains_pass_all_checks(self, capsys):
         code, out, _ = run_cli(capsys, ["certify", "--m", "3", "--v0", "50", "--delta", "0.3"])
@@ -298,6 +375,23 @@ class TestCertify:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert all(flag in err for flag in flags if flag.startswith("--")) and "--m" in err
         assert out == ""
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--theta1", "0.5"], "--theta1"),
+        (["--delta", "0", "--theta2", "0.5"], "--theta2"),
+        (["--l0", "150", "--theta1", "0.1", "--theta2", "1"], "--theta1, --theta2"),
+    ], ids=["theta1-without-delta", "theta2-at-zero-delta", "both-without-delta"])
+    def test_the_residual_split_needs_a_positive_delta(self, capsys, flags, named):
+        # with c3 = 0 there is no residual set, so theta1 and theta2 would go unread
+        code, out, err = run_cli(capsys, ["certify", "--v0", "50", *flags])
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {named}: the residual split needs a positive --delta\n"
+
+    @pytest.mark.parametrize("argv, expected", CERTIFY_STDOUT.values(), ids=CERTIFY_STDOUT.keys())
+    def test_stdout_byte_for_byte(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, ["certify", *argv])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_bound_evaluation_at_settled_gain_level(self, capsys):
         code, out, _ = run_cli(capsys, [
@@ -495,6 +589,7 @@ class TestSweep:
 
 
 class TestReproduce:
+    @pytest.mark.blas_row_norm
     def test_writes_the_tree_of_the_single_cells(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, ["reproduce", "--out", str(tmp_path), "--horizon", "1.0"])
         assert code == 0

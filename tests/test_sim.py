@@ -501,6 +501,7 @@ class TestBatchedLoopIsTheScalarLaws:
         assert_same_record(simulate_observer([cfg], SHORT, EXP3)[0], want, "alone")
         assert_same_record(simulate_observer([cfg, PARTNER], SHORT, EXP3)[0], want, "row 0")
 
+    @pytest.mark.blas_row_norm
     def test_mixed_controller_batch_rows_are_their_own_runs(self):
         batch = simulate_closed_loop(MIXED_CONTROLLERS, SHORT, EXP2)
         assert [traj.V is None for traj in batch] == [False, True, False]
@@ -508,6 +509,7 @@ class TestBatchedLoopIsTheScalarLaws:
             alone = simulate_closed_loop([cfg], SHORT, EXP2)[0]
             assert_same_record(batch[i], alone, i)
 
+    @pytest.mark.blas_row_norm
     def test_mixed_observer_batch_rows_are_their_own_runs(self):
         batch = simulate_observer(MIXED_OBSERVERS, SHORT, EXP3)
         for i, cfg in enumerate(MIXED_OBSERVERS):
@@ -516,6 +518,7 @@ class TestBatchedLoopIsTheScalarLaws:
             assert np.array_equal(batch[i].d_hat[0], np.zeros(3))
             assert_same_record(batch[i], simulate_observer([cfg], SHORT, EXP3)[0], i)
 
+    @pytest.mark.blas_row_norm
     def test_run_cells_reports_are_those_of_run_cell(self):
         cells = [("amssosmc", None), ("amstsmc-baseline", {"kappa": 7.0}),
                  ("amssosmc", {"k4": 40.0, "epsilon": 5e-4})]
@@ -527,6 +530,7 @@ class TestBatchedLoopIsTheScalarLaws:
             assert report.to_dict() == alone_report.to_dict()
             assert_same_record(traj, alone_traj, method)
 
+    @pytest.mark.blas_row_norm
     @settings(max_examples=15, deadline=None)
     @given(gains=st.lists(st.tuples(st.sampled_from([2.0, 2.5, 3.0, 4.0]),
                                     st.floats(0.5, 2.0), st.floats(0.5, 2.0),
