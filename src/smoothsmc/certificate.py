@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +31,7 @@ from .linalg import EigenSummary, SymMatrix, eig_sym, is_positive_definite
 def _symmetric(cfg: GainConfig, *blocks: list) -> tuple[SymMatrix, ...]:
     """The blocks, rows of Python floats, refused by name if an entry is not
     finite: float ``*`` and ``/`` overflow to inf, and ``0 * inf`` is NaN, silently."""
-    if not all(math.isfinite(x) for rows in blocks for row in rows for x in row):
+    if not all(map(math.isfinite, chain.from_iterable(chain.from_iterable(blocks)))):
         raise gain_overflow(cfg, "the certificate blocks")
     return tuple(map(SymMatrix, blocks))
 
@@ -187,20 +188,19 @@ def build_certificate(cfg: GainConfig) -> LyapunovCertificate:
     blocks leave the float range are refused by name (:func:`gain_overflow`)."""
     if cfg.m <= 2:
         raise ValueError("the certificate requires m > 2 (the baseline is exempt)")
-    blocks = dict(zip(("P", "Q", "Omega1", "Omega2"),
-                      (build_p_block(cfg), build_q_block(cfg), *build_omega_blocks(cfg))))
-    eigs = {name: eig_sym(block) for name, block in blocks.items()}
+    P, Q = build_p_block(cfg), build_q_block(cfg)
+    Omega1, Omega2 = build_omega_blocks(cfg)
+    P_eig, Q_eig, Omega1_eig, Omega2_eig = eigs = tuple(map(eig_sym, (P, Q, Omega1, Omega2)))
     p1 = (2.0 * cfg.m - 3.0) / (2.0 * cfg.m - 2.0)
-    if all(map(is_positive_definite, eigs.values())):
-        p_eig = eigs["P"]
-        n1 = eigs["Omega1"].lambda_min / p_eig.lambda_max**p1
-        n2_coeff = math.sqrt(cfg.k1**2 + cfg.k2**2 + 4.0) / math.sqrt(p_eig.lambda_min)
-        n3 = eigs["Omega2"].lambda_min / p_eig.lambda_max
-        n4 = eigs["Q"].lambda_max / (2.0 * p_eig.lambda_min)
+    if all(map(is_positive_definite, eigs)):
+        n1 = Omega1_eig.lambda_min / P_eig.lambda_max**p1
+        n2_coeff = math.sqrt(cfg.k1**2 + cfg.k2**2 + 4.0) / math.sqrt(P_eig.lambda_min)
+        n3 = Omega2_eig.lambda_min / P_eig.lambda_max
+        n4 = Q_eig.lambda_max / (2.0 * P_eig.lambda_min)
     else:
         n1 = n2_coeff = n3 = n4 = None
-    return LyapunovCertificate(*blocks.values(), p1, n1, n2_coeff, n3, n4,
-                               check_gain_condition(cfg), *eigs.values())
+    return LyapunovCertificate(P, Q, Omega1, Omega2, p1, n1, n2_coeff, n3, n4,
+                               check_gain_condition(cfg), *eigs)
 
 
 def settling_time_unperturbed(c1: float, c2: float, p: float, v0: float) -> float:
@@ -336,7 +336,9 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
     Defaults freeze the coefficients at ``L0 = L0_init`` with the adaptation
     running at full rate (``L0_dot = kappa``), the most conservative in-run
     instant.  The perturbation exponent is 1/2, which requires ``p1 > 1/2``,
-    i.e. ``m > 2``.
+    i.e. ``m > 2``.  ``theta1`` and ``theta2`` split the residual set, so
+    they are refused where there is none to split: where the bound is
+    vacuous (``c1`` or ``c2`` not positive) or unperturbed (``c3 = 0``).
     """
     if cert.n1 is None or cert.n3 is None or cert.n4 is None or cert.n2_coeff is None:
         raise ValueError("certificate has no valid constants (a matrix failed the PD check)")
@@ -361,6 +363,15 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
     if c3 == math.inf:
         raise ValueError(f"delta={delta!r} overflows the perturbation coefficient c3")
     p1, p2 = cert.p1, 0.5
+    split = [name for name, value in (("theta1", theta1), ("theta2", theta2)) if value is not None]
+    if split:  # a split that the estimate never reads is refused, not dropped
+        unread = [f"c{i} = {c!r} is not positive, so the bound is vacuous"
+                  for i, c in ((1, c1), (2, c2)) if not c > 0]
+        if c3 == 0.0:
+            unread.append("delta = 0 leaves no residual set to split")
+        if unread:
+            raise ValueError(f"{', '.join(split)}: the residual split is never read: "
+                             + "; ".join(unread))
 
     th1 = th2 = th3 = None
     if c1 <= 0 or c2 <= 0:

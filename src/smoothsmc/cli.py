@@ -202,9 +202,6 @@ def cmd_certify(args) -> int:
         given = ", ".join("--" + name.lower().replace("_", "-") for name in estimate)
         needs = "--v0" if cfg.m > 2 else "--m above 2"
         raise UsageError(f"{given}: the convergence estimate needs {needs}")
-    split = [f"--{name}" for name in ("theta1", "theta2") if name in estimate]
-    if split and estimate.get("delta", 0.0) <= 0:  # c3 = 0 leaves no residual set to split
-        raise UsageError(f"{', '.join(split)}: the residual split needs a positive --delta")
 
     payload: dict = {"gains": dataclasses.asdict(cfg)}
     del payload["gains"]["allow_uncertified"]

@@ -57,15 +57,24 @@ class GainCheck(NamedTuple):
     rhs: float
 
 
-def gain_condition_terms(cfg: "GainConfig") -> tuple[Fraction, Fraction]:
-    """Both sides of the feasibility inequality, ``m^2 k3 k4`` and ``(m^3 k3/(m-1)
-    + (2m-1)^2 k1^2) k2^2``, exactly: integers over one denominator per side."""
+def _gain_condition_ratios(cfg: "GainConfig") -> tuple[int, int, int, int]:
+    """``(lhs_num, lhs_den, rhs_num, rhs_den)``: both sides of the feasibility
+    inequality as integers over one denominator per side, from the gains'
+    integer ratios.  Each denominator is a power of two times ``m - dm >= dm``,
+    where ``m / dm`` is the ratio of ``cfg.m >= 2``, so it is positive."""
     (m, dm), (k1, d1), (k2, d2), (k3, d3), (k4, d4) = (
         float(v).as_integer_ratio() for v in (cfg.m, cfg.k1, cfg.k2, cfg.k3, cfg.k4))
-    lhs = Fraction(m * m * k3 * k4, dm * dm * d3 * d4)
-    rhs = Fraction((m**3 * k3 * d1 * d1 + (2 * m - dm) ** 2 * k1 * k1 * d3 * (m - dm)) * k2 * k2,
-                   dm * dm * d3 * (m - dm) * d1 * d1 * d2 * d2)
-    return lhs, rhs
+    return (m * m * k3 * k4, dm * dm * d3 * d4,
+            (m**3 * k3 * d1 * d1 + (2 * m - dm) ** 2 * k1 * k1 * d3 * (m - dm)) * k2 * k2,
+            dm * dm * d3 * (m - dm) * d1 * d1 * d2 * d2)
+
+
+def gain_condition_terms(cfg: "GainConfig") -> tuple[Fraction, Fraction]:
+    """Both sides of the feasibility inequality, ``m^2 k3 k4`` and ``(m^3 k3/(m-1)
+    + (2m-1)^2 k1^2) k2^2``, exactly, as the two ``Fraction``s of the integers
+    that :func:`check_gain_condition` decides on."""
+    lhs_num, lhs_den, rhs_num, rhs_den = _gain_condition_ratios(cfg)
+    return Fraction(lhs_num, lhs_den), Fraction(rhs_num, rhs_den)
 
 
 def gain_overflow(cfg: "GainConfig", what: str) -> ValueError:
@@ -77,15 +86,22 @@ def gain_overflow(cfg: "GainConfig", what: str) -> ValueError:
 def check_gain_condition(cfg: "GainConfig") -> GainCheck:
     """Evaluate the certified-gain inequality.
 
+    The decision is exact and builds no ``Fraction``: with both denominators
+    positive, ``lhs > rhs`` is ``lhs_num * rhs_den > rhs_num * lhs_den``.
+    The reported sides are the integer true divisions ``lhs_num / lhs_den``
+    and ``rhs_num / rhs_den``, which round correctly, so they are bitwise
+    ``float()`` of :func:`gain_condition_terms`; a side past the float range
+    is refused by name (:func:`gain_overflow`).
+
     ``m == 2`` configurations are exempt: the baseline is certified by its own
     theory, not by this inequality, so they report ``baseline-exempt``.
     """
-    lhs, rhs = gain_condition_terms(cfg)
+    lhs_num, lhs_den, rhs_num, rhs_den = _gain_condition_ratios(cfg)
     try:
-        lhs_f, rhs_f = float(lhs), float(rhs)
+        lhs_f, rhs_f = lhs_num / lhs_den, rhs_num / rhs_den
     except OverflowError:
         raise gain_overflow(cfg, "the gain condition") from None
-    holds = cfg.m > 2.0 and lhs > rhs
+    holds = cfg.m > 2.0 and lhs_num * rhs_den > rhs_num * lhs_den
     reason = "baseline-exempt" if cfg.m == 2.0 else "certified" if holds else "condition-violated"
     return GainCheck(holds, reason, lhs_f, rhs_f)
 

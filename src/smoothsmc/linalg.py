@@ -165,7 +165,7 @@ def eig_sym(mat: SymMatrix) -> EigenSummary:
     """Spectrum of a symmetric matrix via the Jacobi solver, which rotates
     no eigenvectors here: the values are bitwise :func:`jacobi_eigh`'s."""
     a, _ = _jacobi(mat, False)
-    spectrum = tuple(sorted(row[i] for i, row in enumerate(a)))  # the same stable order
+    spectrum = tuple(sorted([row[i] for i, row in enumerate(a)]))  # the same stable order
     return EigenSummary(spectrum)
 
 

@@ -468,6 +468,22 @@ class TestConvergenceEstimate:
         assert est.settling_time_bound == pytest.approx(
             settling_time_unperturbed(est.c1, est.c2, est.p, 10.0))
 
+    @pytest.mark.parametrize("split", [{"theta1": 0.5}, {"theta2": 0.5},
+                                       {"theta1": 0.1, "theta2": 1.0}],
+                             ids=["theta1", "theta2", "both"])
+    @pytest.mark.parametrize("point, why", [
+        ({"delta": 0.3}, r"c2 = -858\.6\d+ is not positive, so the bound is vacuous$"),
+        ({"delta": 0.0, "L0": 150.0}, r"delta = 0 leaves no residual set to split$"),
+    ], ids=["vacuous", "unperturbed"])
+    def test_a_split_that_is_never_read_is_refused(self, split, point, why):
+        # neither a vacuous bound nor one without a residual set reads the split
+        cfg = reference_gains()
+        cert = build_certificate(cfg)
+        named = ", ".join(split)
+        with pytest.raises(ValueError, match=rf"^{named}: the residual split is never read: {why}"):
+            estimate_convergence(cert, cfg, v0=50.0, **point, **split)
+        assert estimate_convergence(cert, cfg, v0=50.0, **point).theta1 is None
+
     @settings(max_examples=200, deadline=None)
     @given(m=st.floats(2.2, 4.0, exclude_min=True, exclude_max=True),
            log_delta=st.floats(-6.0, 6.0),

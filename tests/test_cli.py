@@ -323,6 +323,10 @@ CERTIFY_STDOUT = {
 }
 
 
+# why a split goes unread at the default freeze point, where c2 < 0
+VACUOUS_C2 = "c2 = -858.6371800431479 is not positive, so the bound is vacuous"
+
+
 class TestCertify:
     def test_reference_gains_pass_all_checks(self, capsys):
         code, out, _ = run_cli(capsys, ["certify", "--m", "3", "--v0", "50", "--delta", "0.3"])
@@ -376,16 +380,27 @@ class TestCertify:
         assert all(flag in err for flag in flags if flag.startswith("--")) and "--m" in err
         assert out == ""
 
-    @pytest.mark.parametrize("flags, named", [
-        (["--theta1", "0.5"], "--theta1"),
-        (["--delta", "0", "--theta2", "0.5"], "--theta2"),
-        (["--l0", "150", "--theta1", "0.1", "--theta2", "1"], "--theta1, --theta2"),
+    @pytest.mark.parametrize("flags, named, vacuous", [
+        (["--theta1", "0.5"], "theta1", VACUOUS_C2 + "; "),
+        (["--delta", "0", "--theta2", "0.5"], "theta2", VACUOUS_C2 + "; "),
+        (["--l0", "150", "--theta1", "0.1", "--theta2", "1"], "theta1, theta2", ""),
     ], ids=["theta1-without-delta", "theta2-at-zero-delta", "both-without-delta"])
-    def test_the_residual_split_needs_a_positive_delta(self, capsys, flags, named):
+    def test_the_residual_split_needs_a_positive_delta(self, capsys, flags, named, vacuous):
         # with c3 = 0 there is no residual set, so theta1 and theta2 would go unread
         code, out, err = run_cli(capsys, ["certify", "--v0", "50", *flags])
         assert (code, out) == (1, "")
-        assert err == f"usage error: {named}: the residual split needs a positive --delta\n"
+        assert err == (f"usage error: {named}: the residual split is never read: "
+                       f"{vacuous}delta = 0 leaves no residual set to split\n")
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--theta1", "0.5"], "theta1"), (["--theta2", "0.5"], "theta2"),
+    ], ids=["theta1", "theta2"])
+    def test_the_residual_split_needs_a_bound_that_is_not_vacuous(self, capsys, flags, named):
+        # at the default freeze point c2 < 0, so a positive delta leaves the split unread too
+        code, out, err = run_cli(capsys, ["certify", "--v0", "50", "--delta", "0.3", *flags])
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: {named}: the residual split is never read: "
+                       f"{VACUOUS_C2}\n")
 
     @pytest.mark.parametrize("argv, expected", CERTIFY_STDOUT.values(), ids=CERTIFY_STDOUT.keys())
     def test_stdout_byte_for_byte(self, capsys, argv, expected):

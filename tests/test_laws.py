@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from smoothsmc import (
     GainCheck,
     GainConfig,
+    build_certificate,
     check_gain_condition,
     controller_step,
     gains_from_L0,
@@ -15,6 +16,7 @@ from smoothsmc import (
     unit_power_direction,
     update_L0,
 )
+from smoothsmc import laws
 from smoothsmc.laws import gain_condition_terms
 
 from conftest import reference_gains
@@ -43,10 +45,12 @@ class TestGainCondition:
         assert not chk.holds
         assert chk.reason == "baseline-exempt"
 
-    @settings(max_examples=200, deadline=None)
-    @given(m=st.one_of(st.just(2), st.just(2.0), st.integers(2, 10), st.floats(2.0, 10.0)),
-           gains=st.lists(st.floats(1e-8, 1e8), min_size=4, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.one_of(st.just(2), st.just(2.0), st.integers(2, 10**6), st.floats(2.0, 1e6)),
+           gains=st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                          min_size=4, max_size=4))
     def test_integer_ratios_are_the_fraction_arithmetic(self, m, gains):
+        # gains across the whole positive float range, subnormals included
         cfg = GainConfig(*gains, m=m, kappa=1.0, allow_uncertified=True)
         # the oracle: each gain a Fraction, combined by Fraction operations
         fm = Fraction(cfg.m)
@@ -58,7 +62,30 @@ class TestGainCondition:
         holds = cfg.m > 2 and lhs > rhs
         reason = ("baseline-exempt" if cfg.m == 2 else
                   "certified" if holds else "condition-violated")
-        assert check_gain_condition(cfg) == GainCheck(holds, reason, float(lhs), float(rhs))
+        try:
+            sides = float(lhs), float(rhs)
+        except OverflowError:  # a side past the float range is refused, as the oracle is
+            with pytest.raises(ValueError, match=r"overflow the gain condition$"):
+                check_gain_condition(cfg)
+            return
+        assert check_gain_condition(cfg) == GainCheck(holds, reason, *sides)
+
+    def test_the_decision_builds_no_fraction(self, monkeypatch):
+        # the gain rests on the cross-multiplied integers: a Fraction would
+        # reduce each side by the gcd of integers of a hundred bits and more
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(laws, "Fraction", counted)
+        cfg = reference_gains()
+        assert check_gain_condition(cfg).holds
+        assert build_certificate(cfg).certified
+        assert built == []
+        assert all(type(side) is Fraction for side in gain_condition_terms(cfg))
+        assert len(built) == 2
 
     @pytest.mark.parametrize("m", [2.0, 3.0])
     def test_overflowing_terms_name_the_gains(self, m):
