@@ -339,6 +339,8 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
     i.e. ``m > 2``.  ``theta1`` and ``theta2`` split the residual set, so
     they are refused where there is none to split: where the bound is
     vacuous (``c1`` or ``c2`` not positive) or unperturbed (``c3 = 0``).
+    A settling-time bound or residual-set level past the float range is
+    refused, not reported as infinite.
     """
     if cert.n1 is None or cert.n3 is None or cert.n4 is None or cert.n2_coeff is None:
         raise ValueError("certificate has no valid constants (a matrix failed the PD check)")
@@ -389,6 +391,8 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
         if level == math.inf:
             raise ValueError(f"c3={c3!r}, theta1={th1!r}, theta2={th2!r} overflow "
                              "the residual-set level")
+    if bound is not None and not math.isfinite(bound):  # subnormal c1, c2: 1/(c2 (1-p)) overflows
+        raise ValueError(f"c1={c1!r}, c2={c2!r}, v0={v0!r} overflow the settling-time bound")
     return ConvergenceEstimate(c1=c1, c2=c2, c3=c3, p=p1, p2=p2, V0=v0,
                                settling_time_bound=bound, residual_V_level=level,
                                theta1=th1, theta2=th2, theta3=th3)

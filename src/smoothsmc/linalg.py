@@ -5,6 +5,11 @@ The certificate matrices have the structure ``M (x) I_n``; their spectra equal
 the spectrum of the small factor with each eigenvalue repeated ``n`` times, so
 all eigenvalue work happens on the small blocks.  The expansion exists mainly
 so that this identity can be tested.
+
+:func:`eig_sym` on an order-3 matrix (every certificate solve) sweeps the
+upper triangle held in six floats; other orders, and :func:`jacobi_eigh`'s
+eigenvectors, sweep rows of floats.  Both run the same tests and rotations, so
+the order-3 spectrum is bit for bit the general sweep's.
 """
 
 from __future__ import annotations
@@ -89,16 +94,66 @@ def _cyclic_order(n: int) -> tuple:
                  for p in range(n - 1) for q in range(p + 1, n))
 
 
+def _rotation(app: float, aqq: float, apq: float):
+    """The rotation in the ``(p, q)`` plane that zeroes ``apq``: returns
+    ``(c, s, new_app, new_aqq)``, its 2x2 core computed by rows from the old
+    rows, then by columns."""
+    theta = (aqq - app) / (2.0 * apq)
+    if abs(theta) > 1e154:
+        # avoid overflow in theta**2 for extreme ratios
+        t = 1.0 / (2.0 * theta)
+    else:
+        # theta may be -0.0, whose copysign is -1: keep t = 1 there
+        t = math.copysign(1.0, theta) if theta != 0.0 else 1.0
+        t /= abs(theta) + math.sqrt(theta * theta + 1.0)
+    c = 1.0 / math.sqrt(t * t + 1.0)
+    s = t * c
+    pp, pq = c * app - s * apq, c * apq - s * aqq
+    qp, qq = s * app + c * apq, s * apq + c * aqq
+    return c, s, c * pp - s * pq, s * qp + c * qq
+
+
+def _jacobi3(rows) -> list:
+    """The sweeps of :func:`_jacobi` at order 3 without eigenvectors, on the
+    upper triangle held in six floats: the same tests, rotations and
+    operands, so the same diagonal bit for bit (only an off-diagonal zero of
+    a -0.0/+0.0 mirror pair may change sign, and it never reaches the
+    diagonal)."""
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = rows
+    off = 0.0
+    for _ in range(JACOBI_MAX_SWEEPS):
+        o01, o02, o12 = abs(a01), abs(a02), abs(a12)
+        d0, d1, d2 = abs(a00), abs(a11), abs(a22)
+        off = math.nan if math.isnan(o01 + o02 + o12) else max(o01, o02, o12)
+        if off <= JACOBI_CONV_FACTOR * max(d0, d1, d2) and not math.isnan(d0 + d1 + d2):
+            return [a00, a11, a22]
+        if a01 != 0.0:
+            c, s, a00, a11 = _rotation(a00, a11, a01)
+            a01 = 0.0
+            a02, a12 = c * a02 - s * a12, s * a02 + c * a12
+        if a02 != 0.0:
+            c, s, a00, a22 = _rotation(a00, a22, a02)
+            a02 = 0.0
+            a01, a12 = c * a01 - s * a12, s * a01 + c * a12
+        if a12 != 0.0:
+            c, s, a11, a22 = _rotation(a11, a22, a12)
+            a12 = 0.0
+            a01, a02 = c * a01 - s * a02, s * a01 + c * a02
+    raise JacobiConvergenceError(JACOBI_MAX_SWEEPS, off)
+
+
 def _jacobi(matrix, vectors: bool):
     """The cyclic-Jacobi sweeps of :func:`jacobi_eigh`: returns the rotated
-    matrix, diagonal, as rows of Python floats, and the rotated identity, or
+    matrix's diagonal, as Python floats, and the rotated identity as rows, or
     ``[]`` without ``vectors`` (the rotations of one never read the other).
 
     A rotation computes each entry of the upper triangle once and mirrors it
     into the lower, as ``J'AJ`` keeps an exactly symmetric matrix exactly
-    symmetric.  A raw 2-D array that is not exactly symmetric, or holds a NaN,
-    can never converge and is refused before the first sweep (``sweeps == 0``),
-    and other raw input as :class:`SymMatrix` refuses it."""
+    symmetric.  Order 3 without ``vectors`` sweeps the triangle in six floats
+    (:func:`_jacobi3`), bit for bit this loop.  A raw 2-D array that is not
+    exactly symmetric, or holds a NaN, can never converge and is refused
+    before the first sweep (``sweeps == 0``), and other raw input as
+    :class:`SymMatrix` refuses it."""
     if not isinstance(matrix, SymMatrix):
         m = np.asarray(matrix, dtype=float)
         # the lists hold distinct float objects, so a NaN equals nothing here
@@ -106,6 +161,8 @@ def _jacobi(matrix, vectors: bool):
             raise JacobiConvergenceError(0, float(np.abs(m[~np.eye(*m.shape, dtype=bool)]).max(initial=0.0)))
         matrix = SymMatrix(m)
     a, n = matrix.entries.tolist(), matrix.order
+    if n == 3 and not vectors:
+        return _jacobi3(a), []
     order = _cyclic_order(n)
     v = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else []
     off = 0.0
@@ -116,27 +173,13 @@ def _jacobi(matrix, vectors: bool):
         diag = [abs(row[i]) for i, row in enumerate(a)]
         off = math.nan if math.isnan(sum(offs)) else max(offs, default=0.0)
         if off <= JACOBI_CONV_FACTOR * max(diag) and not math.isnan(sum(diag)):
-            return a, v
+            return [row[i] for i, row in enumerate(a)], v
         for p, q, others in order:
             rp, rq = a[p], a[q]
             apq = rp[q]
             if apq == 0.0:
                 continue
-            app, aqq = rp[p], rq[q]
-            theta = (aqq - app) / (2.0 * apq)
-            if abs(theta) > 1e154:
-                # avoid overflow in theta**2 for extreme ratios
-                t = 1.0 / (2.0 * theta)
-            else:
-                # theta may be -0.0, whose copysign is -1: keep t = 1 there
-                t = math.copysign(1.0, theta) if theta != 0.0 else 1.0
-                t /= abs(theta) + math.sqrt(theta * theta + 1.0)
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            # the 2x2 core by rows from the old rows, then by columns
-            pp, pq = c * app - s * apq, c * apq - s * aqq
-            qp, qq = s * app + c * apq, s * apq + c * aqq
-            rp[p], rq[q] = c * pp - s * pq, s * qp + c * qq
+            c, s, rp[p], rq[q] = _rotation(rp[p], rq[q], apq)
             rp[q] = rq[p] = 0.0
             for r in others:
                 x, y = rp[r], rq[r]
@@ -156,17 +199,16 @@ def jacobi_eigh(matrix):
     Rotates one triangle of Python floats and mirrors it: bitwise numpy's
     row-then-column rotations, without their per-call overhead.
     """
-    a, v = _jacobi(matrix, True)
-    order = sorted(range(len(a)), key=lambda i: a[i][i])  # stable: ties keep their column order
-    return np.array([a[i][i] for i in order]), np.array(v)[:, order]
+    diagonal, v = _jacobi(matrix, True)
+    order = sorted(range(len(diagonal)), key=diagonal.__getitem__)  # stable: ties keep their column order
+    return np.array([diagonal[i] for i in order]), np.array(v)[:, order]
 
 
 def eig_sym(mat: SymMatrix) -> EigenSummary:
     """Spectrum of a symmetric matrix via the Jacobi solver, which rotates
     no eigenvectors here: the values are bitwise :func:`jacobi_eigh`'s."""
-    a, _ = _jacobi(mat, False)
-    spectrum = tuple(sorted([row[i] for i, row in enumerate(a)]))  # the same stable order
-    return EigenSummary(spectrum)
+    diagonal, _ = _jacobi(mat, False)
+    return EigenSummary(tuple(sorted(diagonal)))  # the same stable order
 
 
 def is_positive_definite(mat: SymMatrix | EigenSummary) -> bool:

@@ -468,6 +468,19 @@ class TestConvergenceEstimate:
         assert est.settling_time_bound == pytest.approx(
             settling_time_unperturbed(est.c1, est.c2, est.p, 10.0))
 
+    @pytest.mark.parametrize("L0", [1e-320, 1e-310], ids=["c-subnormal", "c-near-subnormal"])
+    @pytest.mark.parametrize("delta", [0.0, 1e-300], ids=["unperturbed", "perturbed"])
+    def test_an_overflowing_settling_time_bound_is_refused(self, L0, delta):
+        # c1 and c2 scale with L0, so 1/(c2 (1 - p)) overflows: the bound is
+        # past the float range, not infinite, and JSON has no Infinity
+        cfg = reference_gains()
+        cert = build_certificate(cfg)
+        with pytest.raises(ValueError, match=r"^c1=\S+, c2=\S+, v0=5\.0 overflow the settling-time bound$"):
+            estimate_convergence(cert, cfg, v0=5.0, delta=delta, L0=L0, L0_dot=0.0)
+        # a small L0 whose bound still fits is reported as before
+        est = estimate_convergence(cert, cfg, v0=5.0, delta=delta, L0=1e-300, L0_dot=0.0)
+        assert math.isfinite(est.settling_time_bound)
+
     @pytest.mark.parametrize("split", [{"theta1": 0.5}, {"theta2": 0.5},
                                        {"theta1": 0.1, "theta2": 1.0}],
                              ids=["theta1", "theta2", "both"])

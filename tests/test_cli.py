@@ -668,7 +668,7 @@ class TestBadInputs:
         "too-many-steps", "string-is-cosine", "boolean-amplitude",
         "reproduce-out-is-a-file", "run-out-is-a-file",
         "certify-zero-l0", "certify-negative-l0", "certify-negative-l0-dot",
-        "mixed-constant-value", "fractional-none-dimension", *CONFIGS,
+        "certify-overflowing-settling-time", "mixed-constant-value", "fractional-none-dimension", *CONFIGS,
     ])
     def test_usage_error_without_traceback(self, tmp_path, capsys, case):
         malformed = tmp_path / "malformed.json"
@@ -743,6 +743,9 @@ class TestBadInputs:
             "certify-zero-l0": certify + ["--delta", "0.3", "--l0", "0"],
             "certify-negative-l0": certify + ["--delta", "0.3", "--l0", "-1"],
             "certify-negative-l0-dot": certify + ["--delta", "0.3", "--l0", "8", "--l0-dot", "-5"],
+            # subnormal c1 and c2: the settling-time bound overflows
+            "certify-overflowing-settling-time": ["certify", "--m", "3", "--v0", "5",
+                                                  "--l0", "1e-320", "--l0-dot", "0"],
             "mixed-constant-value": custom + [
                 "--x1-init", "1,2,3",
                 "--disturbance", json.dumps({"kind": "constant", "value": [True, "0.2", 0]})],

@@ -160,6 +160,19 @@ CONSTRUCTED = {
     # equal but not bitwise symmetric: the solver mirrors the upper +0.0 entries
     "lower-negative-zeros": [[2.0, 1.0, 0.0, 0.0], [1.0, 3.0, 0.0, 0.5],
                              [-0.0, -0.0, 1.0, 0.25], [-0.0, 0.5, 0.25, 4.0]],
+    # order 3 sweeps six floats in eig_sym: the certificate's zero patterns,
+    # Q diagonal, Omega1 zero at (0, 1), Omega2 zero at (0, 1) and (0, 2)
+    "diagonal-3x3": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]],
+    "zero-at-01-3x3": [[3.0, 0.0, 1.0], [0.0, 2.0, 0.5], [1.0, 0.5, 4.0]],
+    "zeros-at-01-02-3x3": [[2.0, 0.0, 0.0], [0.0, 3.0, -1.0], [0.0, -1.0, 1.0]],
+    # (0, 1) is skipped, so a_00 == a_22 with a_02 < 0 makes theta -0.0 at (0, 2)
+    "theta-negative-zero-at-02": [[1.0, 0.0, -0.5], [0.0, 2.0, 0.25], [-0.5, 0.25, 1.0]],
+    # (0, 1) and (0, 2) are skipped, so theta is -0.0 at (1, 2)
+    "theta-negative-zero-at-12": [[3.0, 0.0, 0.0], [0.0, 1.0, -0.5], [0.0, -0.5, 1.0]],
+    # (0, 2) leaves a_12 = c * 1e-200 against a_22 - a_11 = 1.41: theta = 7.7e199
+    "theta-above-1e154-at-12": [[1.0, 0.0, 1.0], [0.0, 2.0, 1e-200], [1.0, 1e-200, 3.0]],
+    # (1, 2) rotates the lower -0.0 entries in the row loop, the upper +0.0 in six floats
+    "lower-negative-zeros-3x3": [[2.0, 0.0, 0.0], [-0.0, 3.0, 0.5], [-0.0, 0.5, 4.0]],
 }
 
 
@@ -223,6 +236,24 @@ class TestEig:
             assert o1[0, 1] == 0.0 and o2[0, 1] == 0.0 and o2[0, 2] == 0.0
             for block in (p_block, q_block, omega1, omega2):
                 self.assert_bitwise_the_copying_loop(block)
+
+    @pytest.mark.parametrize("entries, spectrum", [
+        ([[1.0, np.inf, 0.0], [np.inf, 2.0, 0.0], [0.0, 0.0, 3.0]], (-np.inf, 3.0, np.inf)),
+        ([[1.0, 0.0, np.inf], [0.0, 2.0, 1.0], [np.inf, 1.0, 3.0]], None),
+        ([[1.0, 1.0, 0.0], [1.0, 2.0, -np.inf], [0.0, -np.inf, 3.0]], None),
+    ], ids=["converges", "nan-at-02", "nan-at-12"])
+    def test_infinite_entries_at_order_3_end_as_the_row_loop_ends(self, entries, spectrum):
+        # a SymMatrix reaches the sweeps: eig_sym's six floats and jacobi_eigh's
+        # rows give the same spectrum, or the same error with a NaN residual
+        mat = SymMatrix(entries)
+        if spectrum is not None:
+            assert eig_sym(mat).spectrum == spectrum
+            assert tuple(jacobi_eigh(mat)[0].tolist()) == spectrum
+            return
+        for solve in (eig_sym, jacobi_eigh):
+            with pytest.raises(JacobiConvergenceError) as caught:
+                solve(mat)
+            assert caught.value.sweeps == 100 and np.isnan(caught.value.off_residual)
 
     @pytest.mark.parametrize("entries", [
         [[1.0, 0.0, 0.0], [0.0, 2.0, np.nan], [0.0, np.nan, 3.0]],
