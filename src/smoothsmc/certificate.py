@@ -203,17 +203,25 @@ def build_certificate(cfg: GainConfig) -> LyapunovCertificate:
                                check_gain_condition(cfg), *eigs)
 
 
+def _settling_time(c1: float, c2: float, p: float, v0: float, named: tuple) -> float:
+    """The bound of the two formulas below, refused past the float range by the
+    caller's ``named`` (c1, c2): subnormal c1, c2 overflow 1/(c2 (1-p))."""
+    if v0 < 0:
+        raise ValueError("V0 must be non-negative")
+    bound = 0.0 if v0 == 0.0 else math.log1p(c2 * v0 ** (1.0 - p) / c1) / (c2 * (1.0 - p))
+    if not math.isfinite(bound):
+        raise ValueError("c1={!r}, c2={!r}, v0={!r} overflow the settling-time bound"
+                         .format(*named, v0))
+    return bound
+
+
 def settling_time_unperturbed(c1: float, c2: float, p: float, v0: float) -> float:
     """Settling-time bound for ``Vdot <= -c1 V**p - c2 V``."""
     if not (c1 > 0 and c2 > 0):
         raise ValueError("c1 and c2 must be positive")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    if v0 < 0:
-        raise ValueError("V0 must be non-negative")
-    if v0 == 0.0:
-        return 0.0
-    return math.log1p(c2 * v0 ** (1.0 - p) / c1) / (c2 * (1.0 - p))
+    return _settling_time(c1, c2, p, v0, (c1, c2))
 
 
 def settling_time_perturbed(c1: float, c2: float, c3: float, p1: float, p2: float,
@@ -229,7 +237,7 @@ def settling_time_perturbed(c1: float, c2: float, c3: float, p1: float, p2: floa
         raise ValueError("theta1 must lie in (0, c1)")
     if not 0.0 < theta2 < c2:
         raise ValueError("theta2 must lie in (0, c2)")
-    return settling_time_unperturbed(c1 - theta1, c2 - theta2, p1, v0)
+    return _settling_time(c1 - theta1, c2 - theta2, p1, v0, (c1, c2))
 
 
 def _split_residual(theta3: float, theta1: float, theta2: float, c3: float,
@@ -374,6 +382,9 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
         if unread:
             raise ValueError(f"{', '.join(split)}: the residual split is never read: "
                              + "; ".join(unread))
+        for name, value, c in (("theta1", theta1, c1), ("theta2", theta2, c2)):
+            if value is not None and not 0.0 < value < c:  # before the split is solved
+                raise ValueError(f"{name} must lie in (0, c{name[-1]})")
 
     th1 = th2 = th3 = None
     if c1 <= 0 or c2 <= 0:
@@ -384,15 +395,13 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
     else:
         th1 = c1 / 2.0 if theta1 is None else theta1
         th2 = c2 / 2.0 if theta2 is None else theta2
-        bound = settling_time_perturbed(c1, c2, c3, p1, p2, v0, th1, th2)
         th3 = solve_residual_split(th1, th2, c3, p1, p2)
         levels = residual_levels(c3, th1, th2, th3, p1, p2)
         level = levels.from_linear_term if th3 < 0.5 else levels.from_power_term
         if level == math.inf:
             raise ValueError(f"c3={c3!r}, theta1={th1!r}, theta2={th2!r} overflow "
                              "the residual-set level")
-    if bound is not None and not math.isfinite(bound):  # subnormal c1, c2: 1/(c2 (1-p)) overflows
-        raise ValueError(f"c1={c1!r}, c2={c2!r}, v0={v0!r} overflow the settling-time bound")
+        bound = settling_time_perturbed(c1, c2, c3, p1, p2, v0, th1, th2)
     return ConvergenceEstimate(c1=c1, c2=c2, c3=c3, p=p1, p2=p2, V0=v0,
                                settling_time_bound=bound, residual_V_level=level,
                                theta1=th1, theta2=th2, theta3=th3)

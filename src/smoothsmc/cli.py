@@ -23,7 +23,6 @@ from .experiments import (
     build_gain_config,
     build_sim_config,
     certificate_summary,
-    run_cell,
     run_cells,
     tail_cutoff,
     write_cell_outputs,
@@ -133,14 +132,6 @@ def _overrides(args, names) -> dict:
             if getattr(args, name, None) is not None}
 
 
-def _emit_table(table: str, out, name: str) -> None:
-    """Print ``table`` and, with ``--out``, write it to ``<out>/<name>``."""
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(table)
-    print(table, end="")
-
-
 def _parse_vector(text: str):
     try:
         return [float(v) for v in text.split(",")]
@@ -215,6 +206,27 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
+def _run_methods(experiment: str, methods, gain_over: dict, sim_over: dict, out) -> list:
+    """Run each method of a preset experiment as its own cell (the single-cell
+    kernel), then with ``out`` write each cell's files and the comparison
+    table there.  Every cell runs, so a later method's usage error wins; the
+    first method that aborts is reported as the cell at its place in ``methods``."""
+    results, aborts = [], []
+    for place, method in enumerate(methods):
+        try:
+            results.append(run_cells(experiment, [(method, gain_over)], sim_over,
+                                     record=out is not None)[0])
+        except SimulationAborted as exc:
+            aborts.append(SimulationAborted(exc.step, exc.time, exc.state, place, exc.reason))
+    if aborts:
+        raise aborts[0]
+    if out is not None:
+        for method, (traj, report) in zip(methods, results):
+            write_cell_outputs(out, experiment, method, traj, report)
+        (out / f"comparison_{experiment}.csv").write_text(comparison_csv([r for _, r in results]))
+    return results
+
+
 def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if len(methods) < 2:
@@ -222,15 +234,10 @@ def cmd_compare(args) -> int:
     if args.log_stride is not None and args.out is None:
         raise UsageError("--log-stride thins the trajectory.csv files that --out writes; "
                          "compare writes none without --out")
-    gain_over = _overrides(args, GAIN_FLAGS)
-    results = run_cells(args.experiment, [(method, gain_over) for method in methods],
-                        sim_overrides=_overrides(args, SIM_FLAGS), record=args.out is not None)
-    reports = [report for _, report in results]
-    if args.out is not None:
-        for method, (traj, report) in zip(methods, results):
-            write_cell_outputs(args.out, args.experiment, method, traj, report)
-
-    _emit_table(comparison_csv(reports), args.out, f"comparison_{args.experiment}.csv")
+    reports = [report for _, report in _run_methods(
+        args.experiment, methods, _overrides(args, GAIN_FLAGS), _overrides(args, SIM_FLAGS),
+        args.out)]
+    print(comparison_csv(reports), end="")
 
     by_method = {r.method_id: r for r in reports}
     for smooth, baseline in PAIRS.values():
@@ -256,14 +263,18 @@ def cmd_sweep(args) -> int:
         chk = report.certificate_summary["gain_condition"]
         rows.append(",".join([args.parameter, format(value, ".17g"), str(chk["holds"]).lower(),
                               chk["reason"], *metric_cells(report)]))
-    _emit_table("\n".join(rows) + "\n", args.out, f"sweep_{args.parameter}.csv")
+    table = "\n".join(rows) + "\n"
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / f"sweep_{args.parameter}.csv").write_text(table)
+    print(table, end="")
     return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
-    """Each experiment's smooth method and baseline, each cell run on its
-    own (a batch of two costs more than two lone cells), plus the
-    certificate of the default gains, written under ``--out``."""
+    """Each experiment's smooth method and baseline, as ``compare`` runs
+    them (:func:`_run_methods`), plus the certificate of the default gains,
+    written under ``--out``."""
     sim_over = _overrides(args, SIM_FLAGS)
     tail_cutoff(build_sim_config(**sim_over))  # a bad or short --dt or --horizon writes nothing
     args.out.mkdir(parents=True, exist_ok=True)
@@ -272,19 +283,14 @@ def cmd_reproduce(args) -> int:
         json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n")
     print(f"certificate: condition holds={cert.gain_condition.holds}, "
           f"all blocks PD={cert.all_pd}")
-    for experiment in EXPERIMENTS:
-        pair = PAIRS[EXPERIMENTS[experiment]]
-        results = [run_cell(experiment, method, sim_overrides=sim_over) for method in pair]
-        for method, (traj, report) in zip(pair, results):
-            write_cell_outputs(args.out, experiment, method, traj, report)
+    for experiment, kind in EXPERIMENTS.items():
+        for _, report in _run_methods(experiment, PAIRS[kind], {}, sim_over, args.out):
             settle = ("not settled" if report.settling_time is None
                       else f"{report.settling_time:.3f}s")
-            print(f"{experiment}/{method}: settle={settle} "
+            print(f"{experiment}/{report.method_id}: settle={settle} "
                   f"bound={report.ultimate_bound:.3e} "
                   f"chattering={report.chattering_index:.3g} "
                   f"L0={report.final_L0:.2f}")
-        (args.out / f"comparison_{experiment}.csv").write_text(
-            comparison_csv([report for _, report in results]))
     print(f"outputs under {args.out}/")
     return EXIT_OK
 

@@ -238,8 +238,8 @@ class SimConfig:
 
 class SimulationAborted(RuntimeError):
     """A run that diverged: a non-finite state, or a metric norm or adapted
-    gains that overflowed; carries the step diagnostics and the index of the
-    aborting cell (its row in the batch)."""
+    gains that overflowed; carries the step diagnostics, the reason and the
+    index of the aborting cell (its row in the batch)."""
 
     def __init__(self, step: int, time: float, state: np.ndarray, cell: int = 0,
                  reason: str = "non-finite state"):
@@ -247,6 +247,7 @@ class SimulationAborted(RuntimeError):
         self.time = time
         self.state = np.array(state)
         self.cell = cell
+        self.reason = reason
         super().__init__(
             f"{reason} in cell {cell} at step {step} (t={time:.6g}): "
             f"{np.array2string(self.state)}"

@@ -368,6 +368,17 @@ class TestSettlingTimes:
         b = settling_time_unperturbed(1.0, 1.0, 0.75, 4.0)
         assert a == pytest.approx(b, abs=1e-6)
 
+    @pytest.mark.parametrize("formula, args", [
+        (settling_time_unperturbed, (4e-323, 6.2e-322, 2 / 3, 5.0)),
+        (settling_time_perturbed, (4e-323, 6.2e-322, 1.0, 2 / 3, 0.5, 5.0, 2e-323, 3e-322)),
+    ], ids=["unperturbed", "perturbed"])
+    def test_a_bound_past_the_float_range_is_refused(self, formula, args):
+        # subnormal coefficients overflow 1/(c2 (1 - p)): the bound is refused
+        # by the coefficients the caller gave, not returned as inf
+        with pytest.raises(ValueError, match=r"^c1=4e-323, c2=6\.2e-322, v0=5\.0 overflow "
+                                             r"the settling-time bound$"):
+            formula(*args)
+
     def test_theta_out_of_range_is_hard_error(self):
         with pytest.raises(ValueError):
             settling_time_perturbed(1.0, 1.0, 1.0, 0.75, 0.5, 4.0, 1.5, 0.5)
@@ -481,6 +492,17 @@ class TestConvergenceEstimate:
         est = estimate_convergence(cert, cfg, v0=5.0, delta=delta, L0=1e-300, L0_dot=0.0)
         assert math.isfinite(est.settling_time_bound)
 
+    def test_the_residual_level_is_refused_before_the_bound(self):
+        # at L0 = 1e-320 and delta = 0.3 both overflow: the level is named
+        cfg = reference_gains()
+        cert = build_certificate(cfg)
+        c1, c2, c3 = 1e-320 * cert.n1, 1e-320 * cert.n3, 0.3 * cert.n2_coeff
+        with pytest.raises(ValueError, match=r"^c1=\S+, c2=\S+, v0=5\.0 overflow the settling"):
+            settling_time_perturbed(c1, c2, c3, cert.p1, 0.5, 5.0, c1 / 2.0, c2 / 2.0)
+        with pytest.raises(ValueError, match=r"^c3=\S+, theta1=2e-323, theta2=\S+ overflow "
+                                             r"the residual-set level$"):
+            estimate_convergence(cert, cfg, v0=5.0, delta=0.3, L0=1e-320, L0_dot=0.0)
+
     @pytest.mark.parametrize("split", [{"theta1": 0.5}, {"theta2": 0.5},
                                        {"theta1": 0.1, "theta2": 1.0}],
                              ids=["theta1", "theta2", "both"])
@@ -496,6 +518,18 @@ class TestConvergenceEstimate:
         with pytest.raises(ValueError, match=rf"^{named}: the residual split is never read: {why}"):
             estimate_convergence(cert, cfg, v0=50.0, **point, **split)
         assert estimate_convergence(cert, cfg, v0=50.0, **point).theta1 is None
+
+    @pytest.mark.parametrize("split, named", [
+        ({"theta1": 0.0}, "theta1"), ({"theta1": -1.0}, "theta1"), ({"theta1": 1e9}, "theta1"),
+        ({"theta2": 0.0}, "theta2"), ({"theta1": 0.5, "theta2": 1e9}, "theta2"),
+    ], ids=["theta1-zero", "theta1-negative", "theta1-past-c1", "theta2-zero", "theta2-past-c2"])
+    def test_a_split_out_of_its_range_is_refused_by_name(self, split, named):
+        # refused as the settling-time formula refuses it, before the split is
+        # solved, whose own refusal names no coefficient
+        cfg = reference_gains()
+        cert = build_certificate(cfg)
+        with pytest.raises(ValueError, match=rf"^{named} must lie in \(0, c{named[-1]}\)$"):
+            estimate_convergence(cert, cfg, v0=50.0, delta=0.3, L0=150.0, **split)
 
     @settings(max_examples=200, deadline=None)
     @given(m=st.floats(2.2, 4.0, exclude_min=True, exclude_max=True),

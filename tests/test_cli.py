@@ -144,7 +144,10 @@ class TestRun:
         (["sweep", "--parameter", "k4", "--values", "20,30", "--experiment", "exp3",
           "--method", "amsdo", "--horizon", "1"],
          "numerical abort: ||d_hat - d|| overflowed in cell 0 at step 2 (t=0.002): "),
-    ], ids=["run-controller", "sweep-observer"])
+        (["compare", "--experiment", "exp1", "--methods", "amssosmc,amstsmc-baseline",
+          "--horizon", "1"],
+         "numerical abort: ||x1|| overflowed in cell 0 at step 2 (t=0.002): "),
+    ], ids=["run-controller", "sweep-observer", "compare-controllers"])
     def test_overflowing_norm_of_finite_states_is_a_numerical_abort(self, tmp_path, capsys,
                                                                     argv, message):
         out = tmp_path / "out"
@@ -487,9 +490,36 @@ class TestCompare:
         argv = ["compare", "--experiment", "exp1", "--methods", "amssosmc,amstsmc-baseline",
                 *FAST]
         code, table, _ = run_cli(capsys, argv)
-        assert (code, records) == (0, [False])
+        assert (code, records) == (0, [False, False])  # one lone cell a method
         code, out, _ = run_cli(capsys, [*argv, "--out", str(tmp_path)])
-        assert (code, records, out) == (0, [False, True], table)
+        assert (code, records, out) == (0, [False, False, True, True], table)
+
+    # Each method runs as its own cell, in --methods order, so the first
+    # method whose run aborts is reported, as the cell at its place in the
+    # list: at dt = 0.01 amssosmc diverges at step 899 (its baseline at 879),
+    # at dt = 0.008 only the baseline does.
+    @pytest.mark.parametrize("dt, place, method", [
+        ("0.01", 0, "amssosmc"), ("0.008", 1, "amstsmc-baseline"),
+    ], ids=["first-aborts", "second-aborts"])
+    def test_the_first_method_that_aborts_is_reported(self, tmp_path, capsys, dt, place, method):
+        sim = ["--dt", dt, "--horizon", "20"]
+        _, _, alone = run_cli(capsys, ["run", "--experiment", "exp1", "--method", method, *sim,
+                                       "--out", str(tmp_path / "alone")])
+        code, out, err = run_cli(capsys, ["compare", "--experiment", "exp1", "--methods",
+                                          "amssosmc,amstsmc-baseline", *sim,
+                                          "--out", str(tmp_path / "compare")])
+        assert (code, out) == (2, "")
+        assert err == alone.replace("in cell 0 ", f"in cell {place} ")
+        assert ("step 899" if method == "amssosmc" else "step 1102") in err
+        assert not (tmp_path / "compare").exists()
+
+    def test_a_later_usage_error_wins_over_an_abort(self, capsys):
+        # amssosmc aborts at dt = 0.01, but the observer after it is refused
+        code, out, err = run_cli(capsys, ["compare", "--experiment", "exp1", "--methods",
+                                          "amssosmc,amdo-baseline", "--dt", "0.01",
+                                          "--horizon", "20"])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and "'amdo-baseline'" in err
 
     def test_log_stride_needs_out(self, capsys):
         code, out, err = run_cli(capsys, [
@@ -604,7 +634,6 @@ class TestSweep:
 
 
 class TestReproduce:
-    @pytest.mark.blas_row_norm
     def test_writes_the_tree_of_the_single_cells(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, ["reproduce", "--out", str(tmp_path), "--horizon", "1.0"])
         assert code == 0
@@ -626,6 +655,14 @@ class TestReproduce:
                          "--horizon", "1.0"]) == 0
             table = capsys.readouterr().out
             assert (tmp_path / f"comparison_{experiment}.csv").read_text() == table
+            compare_dir = tmp_path / "compare"
+            assert main(["compare", "--experiment", experiment, "--methods", methods,
+                         "--horizon", "1.0", "--out", str(compare_dir)]) == 0
+            for method in methods.split(","):
+                for name in ("trajectory.csv", "report.json"):
+                    cell = f"{experiment}_{method}"
+                    assert ((compare_dir / cell / name).read_bytes()
+                            == (alone_dir / cell / name).read_bytes()), (cell, name)
 
     def test_a_horizon_too_short_for_the_metric_tail_leaves_out_absent(self, tmp_path, capsys):
         out = tmp_path / "results"
