@@ -382,8 +382,10 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
         if unread:
             raise ValueError(f"{', '.join(split)}: the residual split is never read: "
                              + "; ".join(unread))
+        # settling_time_perturbed's range rule, in its words: the formula runs after the
+        # residual level, so its own check would come after solve_residual_split's refusal
         for name, value, c in (("theta1", theta1, c1), ("theta2", theta2, c2)):
-            if value is not None and not 0.0 < value < c:  # before the split is solved
+            if value is not None and not 0.0 < value < c:
                 raise ValueError(f"{name} must lie in (0, c{name[-1]})")
 
     th1 = th2 = th3 = None

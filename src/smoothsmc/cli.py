@@ -23,6 +23,7 @@ from .experiments import (
     build_gain_config,
     build_sim_config,
     certificate_summary,
+    configure_cell,
     run_cells,
     tail_cutoff,
     write_cell_outputs,
@@ -207,24 +208,26 @@ def cmd_certify(args) -> int:
 
 
 def _run_methods(experiment: str, methods, gain_over: dict, sim_over: dict, out) -> list:
-    """Run each method of a preset experiment as its own cell (the single-cell
-    kernel), then with ``out`` write each cell's files and the comparison
-    table there.  Every cell runs, so a later method's usage error wins; the
-    first method that aborts is reported as the cell at its place in ``methods``."""
-    results, aborts = [], []
+    """The reports of a preset experiment's methods, each run as its own cell
+    (the single-cell kernel); with ``out``, each cell's files and the
+    comparison table are written there once every cell has run.  Every method
+    is resolved before any cell steps, as a batch's are, so a usage error wins
+    over an abort; an abort names its method by its place in ``methods``."""
+    for method in methods:
+        configure_cell(experiment, method, gain_over)
+    results = []
     for place, method in enumerate(methods):
         try:
             results.append(run_cells(experiment, [(method, gain_over)], sim_over,
                                      record=out is not None)[0])
         except SimulationAborted as exc:
-            aborts.append(SimulationAborted(exc.step, exc.time, exc.state, place, exc.reason))
-    if aborts:
-        raise aborts[0]
+            raise SimulationAborted(exc.step, exc.time, exc.state, place, exc.reason) from None
+    reports = [report for _, report in results]
     if out is not None:
         for method, (traj, report) in zip(methods, results):
             write_cell_outputs(out, experiment, method, traj, report)
-        (out / f"comparison_{experiment}.csv").write_text(comparison_csv([r for _, r in results]))
-    return results
+        (out / f"comparison_{experiment}.csv").write_text(comparison_csv(reports))
+    return reports
 
 
 def cmd_compare(args) -> int:
@@ -234,9 +237,8 @@ def cmd_compare(args) -> int:
     if args.log_stride is not None and args.out is None:
         raise UsageError("--log-stride thins the trajectory.csv files that --out writes; "
                          "compare writes none without --out")
-    reports = [report for _, report in _run_methods(
-        args.experiment, methods, _overrides(args, GAIN_FLAGS), _overrides(args, SIM_FLAGS),
-        args.out)]
+    reports = _run_methods(args.experiment, methods, _overrides(args, GAIN_FLAGS),
+                           _overrides(args, SIM_FLAGS), args.out)
     print(comparison_csv(reports), end="")
 
     by_method = {r.method_id: r for r in reports}
@@ -284,7 +286,7 @@ def cmd_reproduce(args) -> int:
     print(f"certificate: condition holds={cert.gain_condition.holds}, "
           f"all blocks PD={cert.all_pd}")
     for experiment, kind in EXPERIMENTS.items():
-        for _, report in _run_methods(experiment, PAIRS[kind], {}, sim_over, args.out):
+        for report in _run_methods(experiment, PAIRS[kind], {}, sim_over, args.out):
             settle = ("not settled" if report.settling_time is None
                       else f"{report.settling_time:.3f}s")
             print(f"{experiment}/{report.method_id}: settle={settle} "

@@ -137,6 +137,21 @@ def _resolved_config(experiment: str, method: str, cfg: GainConfig,
     }
 
 
+def configure_cell(experiment: str, method: str, overrides: dict | None = None) -> tuple:
+    """``(method, gains, certificate summary)`` of one cell of an experiment
+    that :func:`run_cells` accepts, refused before any step: a method of
+    another kind than a preset experiment's, or gains that overflow the
+    certificate or at ``L0_init``."""
+    kind = _method_spec(method)["kind"]
+    if experiment in EXPERIMENTS and kind != EXPERIMENTS[experiment]:
+        raise ValueError(f"{experiment} pairs with {EXPERIMENTS[experiment]} methods; "
+                         f"{method!r} is a {kind}")
+    cfg = method_gain_config(method, overrides)
+    summary = certificate_summary(cfg)
+    gains_from_L0(cfg, cfg.L0_init)
+    return method, cfg, summary
+
+
 class _Metrics:
     """The batch's metrics, folded block by block on the step grid
     ``t_k = k * dt`` from each cell's norms, ``||x1||`` or for observers
@@ -215,7 +230,7 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None, record:
     each cell's report; every run goes through here.
 
     ``cells`` is a sequence of ``(method, gain_overrides)`` pairs, resolved by
-    :func:`method_gain_config`, all controllers or all observers.  A preset
+    :func:`configure_cell`, all controllers or all observers.  A preset
     experiment supplies x1(0) and its disturbance as defaults and accepts
     only its own disturbance; ``custom`` supplies neither, so it needs
     ``x1_init`` in ``sim_overrides`` and ``disturbance``, the dict of a
@@ -235,18 +250,8 @@ def run_cells(experiment: str, cells, sim_overrides: dict | None = None, record:
             raise ValueError("custom runs need --x1-init and --disturbance")
     elif experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
-    kinds = set()
-    configured = []
-    for method, overrides in cells:
-        kind = _method_spec(method)["kind"]
-        if experiment != "custom" and kind != EXPERIMENTS[experiment]:
-            raise ValueError(f"{experiment} pairs with {EXPERIMENTS[experiment]} methods; "
-                             f"{method!r} is a {kind}")
-        kinds.add(kind)
-        cfg = method_gain_config(method, overrides)
-        # before any step: gains that overflow the certificate or at L0_init are refused here
-        configured.append((method, cfg, certificate_summary(cfg)))
-        gains_from_L0(cfg, cfg.L0_init)
+    configured = [configure_cell(experiment, method, overrides) for method, overrides in cells]
+    kinds = {METHODS[method]["kind"] for method, _, _ in configured}
     if len(kinds) != 1:
         raise ValueError("a batch holds one or more cells of one kind (controllers or observers)")
     sim = build_sim_config(**sim_overrides)

@@ -513,8 +513,13 @@ class TestCompare:
         assert ("step 899" if method == "amssosmc" else "step 1102") in err
         assert not (tmp_path / "compare").exists()
 
-    def test_a_later_usage_error_wins_over_an_abort(self, capsys):
+    def test_a_later_usage_error_wins_over_an_abort(self, capsys, monkeypatch):
         # amssosmc aborts at dt = 0.01, but the observer after it is refused
+        # before any cell steps
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the plant was stepped")
+
+        monkeypatch.setattr("smoothsmc.experiments.simulate_closed_loop", no_stepping)
         code, out, err = run_cli(capsys, ["compare", "--experiment", "exp1", "--methods",
                                           "amssosmc,amdo-baseline", "--dt", "0.01",
                                           "--horizon", "20"])
@@ -906,8 +911,8 @@ class TestBadInputs:
     @pytest.mark.parametrize("alone, batch, message", [
         (["run", "--experiment", "exp1", "--method", "amssosmc", "--kappa", "1e300",
           "--horizon", "0.5"],
-         ["compare", "--experiment", "exp1", "--methods", "amssosmc,amstsmc-baseline",
-          "--kappa", "1e300", "--horizon", "0.5"],
+         ["sweep", "--parameter", "kappa", "--values", "1e300,10", "--experiment", "exp1",
+          "--method", "amssosmc", "--horizon", "0.5"],
          "numerical abort: the adaptive gains overflowed at L0 = 1e+297 in cell 0 at step 0 "
          "(t=0): [1. 3. 2.]\n"),
         (["sweep", "--parameter", "kappa", "--values", "1e300", "--experiment", "exp3",
