@@ -133,9 +133,9 @@ class LyapunovCertificate:
     """The assembled certificate data for one gain configuration.
 
     ``n2_coeff`` omits the unknown disturbance bound: the full coefficient of
-    the ``V**(1/2)`` perturbation term is ``delta * n2_coeff``.  The n
-    constants are ``None`` when any matrix fails the definiteness check, never
-    silent NaNs.
+    the ``V**(1/2)`` perturbation term is ``delta * n2_coeff``.  Each block's
+    definiteness is decided once, in ``positive_definite`` (P, Q, Omega1,
+    Omega2); the n constants are ``None`` when one fails, never silent NaNs.
     """
 
     P_block: SymMatrix
@@ -152,14 +152,14 @@ class LyapunovCertificate:
     Q_eig: EigenSummary
     Omega1_eig: EigenSummary
     Omega2_eig: EigenSummary
+    positive_definite: tuple[bool, bool, bool, bool]
 
     def _by_name(self, suffix: str) -> dict:
         return {name: getattr(self, f"{name}_{suffix}") for name in ("P", "Q", "Omega1", "Omega2")}
 
     @property
     def all_pd(self) -> bool:
-        return all(map(is_positive_definite,
-                       (self.P_eig, self.Q_eig, self.Omega1_eig, self.Omega2_eig)))
+        return all(self.positive_definite)
 
     @property
     def certified(self) -> bool:
@@ -173,8 +173,7 @@ class LyapunovCertificate:
             "n2_coeff": self.n2_coeff,
             "n3": self.n3,
             "n4": self.n4,
-            "positive_definite": {
-                name: is_positive_definite(eig) for name, eig in self._by_name("eig").items()},
+            "positive_definite": dict(zip(self._by_name("eig"), self.positive_definite)),
             "eigenvalues": {
                 name: {"min": eig.lambda_min, "max": eig.lambda_max}
                 for name, eig in self._by_name("eig").items()
@@ -191,8 +190,9 @@ def build_certificate(cfg: GainConfig) -> LyapunovCertificate:
     P, Q = build_p_block(cfg), build_q_block(cfg)
     Omega1, Omega2 = build_omega_blocks(cfg)
     P_eig, Q_eig, Omega1_eig, Omega2_eig = eigs = tuple(map(eig_sym, (P, Q, Omega1, Omega2)))
+    pd = tuple(map(is_positive_definite, eigs))
     p1 = (2.0 * cfg.m - 3.0) / (2.0 * cfg.m - 2.0)
-    if all(map(is_positive_definite, eigs)):
+    if all(pd):
         n1 = Omega1_eig.lambda_min / P_eig.lambda_max**p1
         n2_coeff = math.sqrt(cfg.k1**2 + cfg.k2**2 + 4.0) / math.sqrt(P_eig.lambda_min)
         n3 = Omega2_eig.lambda_min / P_eig.lambda_max
@@ -200,7 +200,7 @@ def build_certificate(cfg: GainConfig) -> LyapunovCertificate:
     else:
         n1 = n2_coeff = n3 = n4 = None
     return LyapunovCertificate(P, Q, Omega1, Omega2, p1, n1, n2_coeff, n3, n4,
-                               check_gain_condition(cfg), *eigs)
+                               check_gain_condition(cfg), *eigs, pd)
 
 
 def _settling_time(c1: float, c2: float, p: float, v0: float, named: tuple) -> float:
@@ -233,11 +233,15 @@ def settling_time_perturbed(c1: float, c2: float, c3: float, p1: float, p2: floa
         raise ValueError("c1, c2, c3 must be positive")
     if not 0.0 < p1 < 1.0 or not 0.0 < p2 < p1:
         raise ValueError("require 0 < p2 < p1 < 1")
-    if not 0.0 < theta1 < c1:
-        raise ValueError("theta1 must lie in (0, c1)")
-    if not 0.0 < theta2 < c2:
-        raise ValueError("theta2 must lie in (0, c2)")
+    _check_split_range(theta1, theta2, c1, c2)
     return _settling_time(c1 - theta1, c2 - theta2, p1, v0, (c1, c2))
+
+
+def _check_split_range(theta1: float | None, theta2: float | None, c1: float, c2: float) -> None:
+    """The residual split's range rule: each given theta lies in (0, its c)."""
+    for name, value, c in (("theta1", theta1, c1), ("theta2", theta2, c2)):
+        if value is not None and not 0.0 < value < c:
+            raise ValueError(f"{name} must lie in (0, c{name[-1]})")
 
 
 def _split_residual(theta3: float, theta1: float, theta2: float, c3: float,
@@ -350,7 +354,7 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
     A settling-time bound or residual-set level past the float range is
     refused, not reported as infinite.
     """
-    if cert.n1 is None or cert.n3 is None or cert.n4 is None or cert.n2_coeff is None:
+    if not cert.all_pd:
         raise ValueError("certificate has no valid constants (a matrix failed the PD check)")
     for name, value in (("v0", v0), ("delta", delta), ("L0", L0), ("L0_dot", L0_dot),
                         ("theta1", theta1), ("theta2", theta2)):
@@ -382,11 +386,8 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
         if unread:
             raise ValueError(f"{', '.join(split)}: the residual split is never read: "
                              + "; ".join(unread))
-        # settling_time_perturbed's range rule, in its words: the formula runs after the
-        # residual level, so its own check would come after solve_residual_split's refusal
-        for name, value, c in (("theta1", theta1, c1), ("theta2", theta2, c2)):
-            if value is not None and not 0.0 < value < c:
-                raise ValueError(f"{name} must lie in (0, c{name[-1]})")
+        # the formula's rule, before solve_residual_split refuses the split in other words
+        _check_split_range(theta1, theta2, c1, c2)
 
     th1 = th2 = th3 = None
     if c1 <= 0 or c2 <= 0:

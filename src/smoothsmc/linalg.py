@@ -14,7 +14,6 @@ the order-3 spectrum is bit for bit the general sweep's.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +41,8 @@ class JacobiConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class SymMatrix:
     """A read-only float copy of a real, exactly symmetric matrix without NaN
-    (a -0.0/+0.0 mirror pair is symmetric; infinite entries are accepted)."""
+    (a -0.0/+0.0 mirror pair is symmetric; infinite entries are accepted),
+    compared and hashed by value, as its entries' floats are."""
 
     entries: np.ndarray
 
@@ -59,6 +59,12 @@ class SymMatrix:
             raise ValueError("entries are not exactly symmetric")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
+
+    def __eq__(self, other):  # the generated one would compare ndarrays
+        return isinstance(other, SymMatrix) and self.entries.tolist() == other.entries.tolist()
+
+    def __hash__(self):
+        return hash(tuple(map(tuple, self.entries.tolist())))
 
     @property
     def order(self) -> int:
@@ -85,13 +91,6 @@ def kron_with_identity(base: SymMatrix, n: int) -> SymMatrix:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"identity factor must be a positive integer, got {n!r}")
     return SymMatrix(np.kron(base.entries, np.eye(int(n))))
-
-
-@functools.lru_cache(maxsize=8)
-def _cyclic_order(n: int) -> tuple:
-    """The ``(p, q, other indices)`` of each rotation of a sweep of order ``n``."""
-    return tuple((p, q, tuple(r for r in range(n) if r != p and r != q))
-                 for p in range(n - 1) for q in range(p + 1, n))
 
 
 def _rotation(app: float, aqq: float, apq: float):
@@ -163,7 +162,8 @@ def _jacobi(matrix, vectors: bool):
     a, n = matrix.entries.tolist(), matrix.order
     if n == 3 and not vectors:
         return _jacobi3(a), []
-    order = _cyclic_order(n)
+    order = [(p, q, [r for r in range(n) if r != p and r != q])
+             for p in range(n - 1) for q in range(p + 1, n)]
     v = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else []
     off = 0.0
     for _ in range(JACOBI_MAX_SWEEPS):

@@ -72,7 +72,7 @@ def _real_vector(value, name: str) -> tuple[float, ...]:
     return tuple(map(float, items))
 
 
-def _refuse_other_keys(d: dict, keys: set, what: str) -> None:
+def refuse_other_keys(d: dict, keys: set, what: str) -> None:
     """Refuse, by name, a key of ``d`` that is not one of ``keys``."""
     if other := d.keys() - keys:
         raise ValueError(f"{what} has keys it does not read: {sorted(other, key=str)}")
@@ -158,7 +158,7 @@ class DisturbanceSpec:
         kind, channels = d.get("kind"), d.get("channels")
         if not (isinstance(kind, str) and kind in _SPEC_KEYS):
             raise ValueError(f"unknown disturbance kind {kind!r}")
-        _refuse_other_keys(d, {"kind", "n", *_SPEC_KEYS[kind]}, f"a {kind} disturbance")
+        refuse_other_keys(d, {"kind", "n", *_SPEC_KEYS[kind]}, f"a {kind} disturbance")
         if kind == "constant":
             if {"constant_value", "value"} <= d.keys():
                 raise ValueError("a constant disturbance takes constant_value or value, not both")
@@ -169,7 +169,7 @@ class DisturbanceSpec:
             given, channels = channels, []
             for ch in given:
                 if isinstance(ch, dict):
-                    _refuse_other_keys(ch, set(SineChannel._fields), "a sinusoid channel")
+                    refuse_other_keys(ch, set(SineChannel._fields), "a sinusoid channel")
                     if not {"amplitude", "frequency"} <= ch.keys():
                         raise ValueError("a sinusoid channel needs amplitude and frequency")
                     ch = (ch["amplitude"], ch["frequency"], ch.get("is_cosine", False))

@@ -15,6 +15,7 @@ from smoothsmc import (
     build_omega_blocks,
     build_p_block,
     build_q_block,
+    certificate,
     eig_sym,
     estimate_convergence,
     is_positive_definite,
@@ -29,6 +30,8 @@ from smoothsmc import (
     transform_state,
 )
 from smoothsmc.certificate import _split_residual
+from smoothsmc.cli import main
+from smoothsmc.experiments import run_cell
 
 from conftest import reference_gains
 
@@ -197,6 +200,34 @@ class TestCertificate:
         monkeypatch.setattr(linalg, "_jacobi", counted)
         build_certificate(reference_gains())
         assert len(calls) == 4  # P, Q, Omega1, Omega2
+
+    @pytest.mark.parametrize("reading", ["certify", "run_cell", "every-property"])
+    def test_each_block_is_decided_once(self, monkeypatch, capsys, reading):
+        # build_certificate keeps its four decisions, and what reads them decides none again
+        calls = []
+        decide = certificate.is_positive_definite
+
+        def counted(*args):
+            calls.append(args)
+            return decide(*args)
+
+        monkeypatch.setattr(certificate, "is_positive_definite", counted)
+        if reading == "certify":
+            assert main(["certify", "--m", "3"]) == 0
+        elif reading == "run_cell":
+            run_cell("exp1", "amssosmc", sim_overrides={"horizon": 0.1})
+        else:
+            cert = build_certificate(reference_gains())
+            assert cert.all_pd and cert.certified
+            assert cert.to_dict()["positive_definite"] == dict.fromkeys(
+                ("P", "Q", "Omega1", "Omega2"), True)
+        assert len(calls) == 4  # P, Q, Omega1, Omega2
+
+    def test_compares_and_hashes_by_value(self):
+        cert = build_certificate(reference_gains())
+        again = build_certificate(reference_gains())
+        assert cert == again and hash(cert) == hash(again) and len({cert, again}) == 1
+        assert cert != build_certificate(reference_gains(k4=25.0))
 
     def test_serializes(self):
         d = build_certificate(reference_gains()).to_dict()

@@ -479,6 +479,30 @@ class TestCompare:
         assert code == 3
         assert "ordering violated" in err
 
+    # The methods of a comparison are always the experiment's pair, in either order.
+    @pytest.mark.parametrize("experiment, methods", [
+        ("exp1", "amstsmc-baseline,amssosmc"),
+        ("exp3", "amsdo,amdo-baseline"),
+        ("exp3", "amdo-baseline,amsdo"),
+    ], ids=["exp1-baseline-first", "exp3-smooth-first", "exp3-baseline-first"])
+    def test_the_ordering_check_reads_the_experiments_pair(self, capsys, experiment, methods):
+        smooth, baseline = PAIRS[EXPERIMENTS[experiment]]
+        argv = ["compare", "--experiment", experiment, "--methods", methods, *FAST]
+        assert run_cli(capsys, argv)[0] == 0
+        # both methods at m = 2.5 are one cell twice: the strict ordering fails
+        code, _, err = run_cli(capsys, [*argv, "--m", "2.5"])
+        assert (code, err) == (3, f"ordering violated: chattering({smooth}) >= "
+                                  f"chattering({baseline})\n")
+
+    def test_a_repeated_method_is_refused_before_any_step(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "run_cells", lambda *args, **kwargs: pytest.fail("stepped"))
+        code, out, err = run_cli(capsys, ["compare", "--experiment", "exp1",
+                                          "--methods", "amssosmc,amssosmc",
+                                          "--out", str(tmp_path / "out")])
+        assert (code, out) == (1, "")
+        assert err == "usage error: --methods amssosmc,amssosmc names a method more than once\n"
+        assert not (tmp_path / "out").exists()
+
     def test_keeps_no_record_without_out(self, monkeypatch, tmp_path, capsys):
         records = []
 
@@ -695,6 +719,7 @@ CONFIGS = {
                                         "sim": {"horizon": 0.1}},
     "config-mixed-x1-init": {"sim": {"horizon": 0.1, "x1_init": [True, "2", 3]}},
     "config-origin-x1-init": {"sim": {"horizon": 0.1, "x1_init": [0.0, 0.0, 0.0]}},
+    "config-unknown-top-level-key": {"gain": {"k4": 25}, "sim": {"horizon": 0.5}},
 }
 
 
@@ -938,18 +963,29 @@ class TestBadInputs:
     # is not row 0 and when two rows overflow at one step: kappa = 1e300
     # takes L0**2 past the float range, kappa = 1e157 only k4 * L0**2 (at
     # L0 = 1e154).  The messages are those that the batch kernel gave when
-    # it rebuilt each moved row's gains through laws.gains_from_L0.
+    # it rebuilt each moved row's gains through laws.gains_from_L0.  With no
+    # power overflowing in another row, kappa = 1e157 reaches the kernel's
+    # own check of the gain products.
     @pytest.mark.parametrize("values, L0", [
         ("10,1e300", "1e+297"),
         ("10,1e157,1e300", "1e+154"),
         ("10,1e300,1e157", "1e+297"),
-    ], ids=["row-1", "row-1-by-a-product-row-2-by-a-power", "row-1-by-a-power-row-2-by-a-product"])
+        ("10,1e157", "1e+154"),
+    ], ids=["row-1", "row-1-by-a-product-row-2-by-a-power", "row-1-by-a-power-row-2-by-a-product",
+            "row-1-by-a-product-alone"])
     def test_the_lowest_overflowing_row_names_the_abort(self, capsys, values, L0):
         code, out, err = run_cli(capsys, ["sweep", "--parameter", "kappa", "--values", values,
                                           "--experiment", "exp3", "--method", "amsdo"])
         assert (code, out) == (2, "")
         assert err == (f"numerical abort: the adaptive gains overflowed at L0 = {L0} in cell 1 "
                        "at step 1 (t=0.001): [1. 3. 2.]\n")
+
+    def test_an_estimate_without_certificate_constants_is_refused(self, capsys):
+        # k3 = 1 leaves a block indefinite, so the certificate has no n constants
+        code, out, err = run_cli(capsys, ["certify", "--k3", "1", "--v0", "50"])
+        assert (code, out) == (1, "")
+        assert err == ("usage error: certificate has no valid constants "
+                       "(a matrix failed the PD check)\n")
 
     def test_a_nan_block_entry_names_the_gains(self, capsys):
         # k1/m underflows to 0.0 and meets k3*m = inf: 0 * inf is a NaN entry

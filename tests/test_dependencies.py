@@ -1,7 +1,8 @@
 """The package imports only the standard library, numpy (its one declared
 dependency) and itself, so an import of a package that merely happens to be
 installed fails here instead of on a user's machine.  No module but the
-package's ``__init__`` (which re-exports) imports a name it never uses."""
+package's ``__init__`` (which re-exports) imports a name it never uses, and
+the package reads every private top-level name that it defines."""
 
 import ast
 import sys
@@ -60,3 +61,41 @@ def test_guard_flags_an_unused_import():
               "import numpy as np\nfrom .sim import SimConfig, Trajectory\n"
               "def f(cfg: SimConfig):\n    return np.zeros(3), os.sep\n")
     assert unused_imports(source) == ["math", "Trajectory"]
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Private top-level names (one leading underscore) that the modules
+    define, by ``def``, ``class`` or assignment, and none reads: by name, as
+    an attribute or in an import."""
+    trees = [ast.parse(source) for source in sources]
+    defined = []
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_package_reads_every_private_name_it_defines():
+    assert unread_private_names([path.read_text() for path in MODULES]) == []
+
+
+def test_guard_flags_an_unread_private_name():
+    module = ("__all__ = ['f']\n_USED, _UNUSED = 1, 2\n_LIMIT: int = 3\n"
+              "class _Kept:\n    def _method(self):\n        return _USED\n"
+              "def _helper():\n    return _Kept\n"
+              "def _called_elsewhere():\n    pass\n"
+              "def f(x):\n    return x._used_attribute\n")
+    other = "from . import a\nfrom .b import _LIMIT\na._called_elsewhere()\n"
+    assert unread_private_names([module, other]) == ["_UNUSED", "_helper"]

@@ -80,6 +80,15 @@ class TestSymMatrix:
         with pytest.raises(ValueError, match="^entries are not exactly symmetric$"):
             SymMatrix([[1.0, 2.0], [3.0, 1.0]])
 
+    def test_compares_and_hashes_by_value(self):
+        a, b = SymMatrix([[1.0, 2.0], [2.0, 3.0]]), SymMatrix([[1, 2], [2, 3]])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != SymMatrix([[1.0, 2.0], [2.0, 4.0]]) and a != SymMatrix(np.eye(2))
+        assert SymMatrix([[1.0]]) != SymMatrix(np.eye(2)) and a != a.entries.tolist()
+        # a -0.0/+0.0 mirror pair equals its +0.0 twin, as the floats do
+        signed, plain = SymMatrix([[1.0, -0.0], [0.0, 1.0]]), SymMatrix(np.eye(2))
+        assert signed == plain and hash(signed) == hash(plain)
+
 
 class TestKron:
     def test_scalar_times_identity(self):

@@ -315,7 +315,8 @@ class TestDeterminismAndExport:
         "t,x12,x11,x13,u1,u2,u3,d1,d2,d3",  # x1 out of order
         "t,x11,x12,x13,u1,u2,u3,d1,d2,d3,phase",  # a column no field has
         "t,x11,x12,x13,u1,u2,d1,d2,d3",  # u narrower than x1
-    ], ids=["gap", "order", "unknown", "width"])
+        "t,x11,x12,x13,d1,d2,d3",  # no u, a column every record has
+    ], ids=["gap", "order", "unknown", "width", "no-u"])
     def test_a_header_the_writer_cannot_write_is_refused(self, tmp_path, header):
         path = tmp_path / "bad.csv"
         row = ",".join(["0.5"] * len(header.split(",")))
