@@ -25,25 +25,22 @@ from .laws import (
     real_setting,
     unit_power_direction,
 )
-from .linalg import EigenSummary, SymMatrix, eig_sym, is_positive_definite
+from .linalg import EigenSummary, SymMatrix, _mirrored3, eig_sym, is_positive_definite
 
 
-def _symmetric(cfg: GainConfig, *blocks: list) -> tuple[SymMatrix, ...]:
-    """The blocks, rows of Python floats, refused by name if an entry is not
-    finite: float ``*`` and ``/`` overflow to inf, and ``0 * inf`` is NaN, silently."""
-    if not all(map(math.isfinite, chain.from_iterable(chain.from_iterable(blocks)))):
+def _symmetric(cfg: GainConfig, *triangles: list) -> tuple[SymMatrix, ...]:
+    """The blocks, mirrored from their upper triangles, six Python floats row by row, refused
+    by name if an entry is not finite: float ``*`` and ``/`` overflow to inf, ``0 * inf`` is NaN."""
+    if not all(map(math.isfinite, chain.from_iterable(triangles))):
         raise gain_overflow(cfg, "the certificate blocks")
-    return tuple(map(SymMatrix, blocks))
+    return tuple(_mirrored3(*triangle) for triangle in triangles)
 
 
 def build_p_block(cfg: GainConfig) -> SymMatrix:
     """3x3 factor of the Lyapunov weight matrix P."""
     k1, k2, k3, k4, m = cfg.k1, cfg.k2, cfg.k3, cfg.k4, cfg.m
-    return _symmetric(cfg, [[0.5 * x for x in row] for row in (
-        [2.0 * m / (m - 1.0) * k3 + k1 * k1, k1 * k2, -k1],
-        [k1 * k2, 2.0 * k4 + k2 * k2, -k2],
-        [-k1, -k2, 2.0],
-    )])[0]
+    return _symmetric(cfg, [0.5 * x for x in (2.0 * m / (m - 1.0) * k3 + k1 * k1, k1 * k2, -k1,
+                                             2.0 * k4 + k2 * k2, -k2, 2.0)])[0]
 
 
 def build_q_block(cfg: GainConfig) -> SymMatrix:
@@ -52,7 +49,7 @@ def build_q_block(cfg: GainConfig) -> SymMatrix:
     q1 = 2.0 * m / (m - 1.0) * k3 + k1 * k1 + (2.0 * m - 1.0) * k1 * k2 / (2.0 * (m - 1.0)) + k1 / 2.0
     q2 = m / (2.0 * (m - 1.0)) * (4.0 * k4 + 2.0 * k2 * k2 + k2) + (2.0 * m - 1.0) * k1 * k2 / (2.0 * (m - 1.0))
     q3 = k1 / 2.0 + m * k2 / (2.0 * (m - 1.0))
-    return _symmetric(cfg, [[q1, 0.0, 0.0], [0.0, q2, 0.0], [0.0, 0.0, q3]])[0]
+    return _symmetric(cfg, [q1, 0.0, 0.0, q2, 0.0, q3])[0]
 
 
 def build_omega_blocks(cfg: GainConfig) -> tuple[SymMatrix, SymMatrix]:
@@ -63,16 +60,9 @@ def build_omega_blocks(cfg: GainConfig) -> tuple[SymMatrix, SymMatrix]:
     sufficient condition for that.
     """
     k1, k2, k3, k4, m = cfg.k1, cfg.k2, cfg.k3, cfg.k4, cfg.m
-    omega1 = [[(k1 / m) * x for x in row] for row in (
-        [k3 * m + k1 * k1 * (m - 1.0), 0.0, -k1 * (m - 1.0)],
-        [0.0, k4 * m + k2 * k2 * (3.0 * m - 1.0), -k2 * (2.0 * m - 1.0)],
-        [-k1 * (m - 1.0), -k2 * (2.0 * m - 1.0), m - 1.0],
-    )]
-    omega2 = [[k2 * x for x in row] for row in (
-        [k3 + k1 * k1 * (3.0 * m - 2.0) / m, 0.0, 0.0],
-        [0.0, k4 + k2 * k2, -k2],
-        [0.0, -k2, 1.0],
-    )]
+    omega1 = [(k1 / m) * x for x in (k3 * m + k1 * k1 * (m - 1.0), 0.0, -k1 * (m - 1.0),
+                                     k4 * m + k2 * k2 * (3.0 * m - 1.0), -k2 * (2.0 * m - 1.0), m - 1.0)]
+    omega2 = [k2 * x for x in (k3 + k1 * k1 * (3.0 * m - 2.0) / m, 0.0, 0.0, k4 + k2 * k2, -k2, 1.0)]
     return _symmetric(cfg, omega1, omega2)
 
 
@@ -128,7 +118,7 @@ def lyapunov_series(x1: np.ndarray, x2: np.ndarray, L0: np.ndarray, m: float,
     return V
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LyapunovCertificate:
     """The assembled certificate data for one gain configuration.
 
@@ -178,7 +168,7 @@ class LyapunovCertificate:
                 name: {"min": eig.lambda_min, "max": eig.lambda_max}
                 for name, eig in self._by_name("eig").items()
             },
-            "blocks": {name: b.entries.tolist() for name, b in self._by_name("block").items()},
+            "blocks": {name: b.tolist() for name, b in self._by_name("block").items()},
         }
 
 

@@ -4,7 +4,8 @@ dispatches and prints (CSV/JSON outputs are the plotting contract): each
 flag's ``dest`` is what it sets, and the library checks every number.
 
 Exit codes: 0 success, 1 usage error (a rejected flag, file or value),
-2 numerical abort, 3 qualitative-ordering check failed (compare only).
+2 numerical abort, 3 qualitative-ordering check failed (compare only),
+141 standard output closed by its reader (128 + SIGPIPE, as the shell reports).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_ORDERING = 3
+EXIT_PIPE = 141
 
 GAIN_FLAGS = ("m", "k1", "k2", "k3", "k4", "kappa", "epsilon", "L0_init")
 SIM_FLAGS = ("dt", "horizon", "log_stride")
@@ -302,7 +305,11 @@ def cmd_reproduce(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # an OSError, but the reader stopped: no usage error
+        return EXIT_PIPE
     except (UsageError, ValueError, OSError) as exc:  # a bad value or an unusable path
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -312,7 +319,10 @@ def main(argv=None) -> int:
 
 
 def entrypoint():  # console-script shim
-    sys.exit(main())
+    code = main()
+    if code == EXIT_PIPE:  # the unwritten output goes nowhere, not to a second BrokenPipeError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

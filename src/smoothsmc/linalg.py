@@ -38,16 +38,17 @@ class JacobiConvergenceError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class SymMatrix:
-    """A read-only float copy of a real, exactly symmetric matrix without NaN
-    (a -0.0/+0.0 mirror pair is symmetric; infinite entries are accepted),
-    compared and hashed by value, as its entries' floats are."""
+    """A real, exactly symmetric matrix without NaN (a -0.0/+0.0 mirror pair is
+    symmetric; infinite entries are accepted): its ``order`` and its entries as
+    Python floats, row by row in ``flat``, compared and hashed by value."""
 
-    entries: np.ndarray
+    flat: tuple[float, ...]
+    order: int
 
-    def __post_init__(self):
-        a = np.array(self.entries, dtype=float)
+    def __init__(self, entries):
+        a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
@@ -57,21 +58,30 @@ class SymMatrix:
             if any(x != x for row in rows for x in row):
                 raise ValueError("entries contain a NaN")
             raise ValueError("entries are not exactly symmetric")
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    def __eq__(self, other):  # the generated one would compare ndarrays
-        return isinstance(other, SymMatrix) and self.entries.tolist() == other.entries.tolist()
-
-    def __hash__(self):
-        return hash(tuple(map(tuple, self.entries.tolist())))
+        object.__setattr__(self, "flat", tuple(a.ravel().tolist()))
+        object.__setattr__(self, "order", a.shape[0])
 
     @property
-    def order(self) -> int:
-        return self.entries.shape[0]
+    def entries(self) -> np.ndarray:
+        """A read-only float64 array of the entries, built anew on each read."""
+        a = np.array(self.flat).reshape(self.order, self.order)
+        a.setflags(write=False)
+        return a
+
+    def tolist(self) -> list:
+        """The entries as rows of Python floats, as ``entries.tolist()`` gives them."""
+        return [list(self.flat[i:i + self.order]) for i in range(0, len(self.flat), self.order)]
 
 
-@dataclass(frozen=True)
+def _mirrored3(a00: float, a01: float, a02: float, a11: float, a12: float, a22: float) -> SymMatrix:
+    """The order-3 matrix of an upper triangle, unchecked, each mirror pair one float."""
+    mat = object.__new__(SymMatrix)
+    object.__setattr__(mat, "flat", (a00, a01, a02, a01, a11, a12, a02, a12, a22))
+    object.__setattr__(mat, "order", 3)
+    return mat
+
+
+@dataclass(frozen=True, slots=True)
 class EigenSummary:
     """Sorted spectrum of a symmetric matrix; its ends are the extreme eigenvalues."""
 
@@ -112,13 +122,13 @@ def _rotation(app: float, aqq: float, apq: float):
     return c, s, c * pp - s * pq, s * qp + c * qq
 
 
-def _jacobi3(rows) -> list:
+def _jacobi3(flat) -> list:
     """The sweeps of :func:`_jacobi` at order 3 without eigenvectors, on the
     upper triangle held in six floats: the same tests, rotations and
     operands, so the same diagonal bit for bit (only an off-diagonal zero of
     a -0.0/+0.0 mirror pair may change sign, and it never reaches the
     diagonal)."""
-    (a00, a01, a02), (_, a11, a12), (_, _, a22) = rows
+    a00, a01, a02, _, a11, a12, _, _, a22 = flat
     off = 0.0
     for _ in range(JACOBI_MAX_SWEEPS):
         o01, o02, o12 = abs(a01), abs(a02), abs(a12)
@@ -159,9 +169,9 @@ def _jacobi(matrix, vectors: bool):
         if m.ndim == 2 and m.tolist() != m.T.tolist():
             raise JacobiConvergenceError(0, float(np.abs(m[~np.eye(*m.shape, dtype=bool)]).max(initial=0.0)))
         matrix = SymMatrix(m)
-    a, n = matrix.entries.tolist(), matrix.order
-    if n == 3 and not vectors:
-        return _jacobi3(a), []
+    if matrix.order == 3 and not vectors:
+        return _jacobi3(matrix.flat), []
+    a, n = matrix.tolist(), matrix.order
     order = [(p, q, [r for r in range(n) if r != p and r != q])
              for p in range(n - 1) for q in range(p + 1, n)]
     v = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else []

@@ -235,6 +235,23 @@ class TestCertificate:
         assert d["positive_definite"] == {"P": True, "Q": True, "Omega1": True, "Omega2": True}
         assert len(d["blocks"]["P"]) == 3
 
+    def test_the_hot_path_makes_no_numpy_call(self, monkeypatch):
+        # the blocks are Python floats from their build to to_dict: each numpy
+        # call would cost about as much as a block's arithmetic
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} called on the certificate's hot path")
+
+        cfg = reference_gains()
+        want = build_certificate(cfg)
+        want_estimate = estimate_convergence(want, cfg, 50.0, 0.3)
+        for module in (linalg, certificate):
+            monkeypatch.setattr(module, "np", NoNumpy())
+        cert = build_certificate(cfg)
+        assert cert.all_pd and cert.certified
+        assert estimate_convergence(cert, cfg, 50.0, 0.3) == want_estimate
+        assert cert.to_dict() == want.to_dict()
+
 
 class TestNumpyScalarGains:
     def test_overflow_is_named_without_a_numpy_warning(self):

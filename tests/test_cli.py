@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from smoothsmc.cli import build_parser, main
 from smoothsmc.experiments import EXPERIMENTS, PAIRS, run_cells
 
 FAST = ["--horizon", "1.5", "--dt", "0.002"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, argv):
@@ -331,6 +335,24 @@ VACUOUS_C2 = "c2 = -858.6371800431479 is not positive, so the bound is vacuous"
 
 
 class TestCertify:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_closed_stdout_pipe_exits_141_quietly(self, unbuffered):
+        # the reader is gone before the first write: buffered, the write fails
+        # in main's flush; unbuffered, in the print.  Neither is a usage error,
+        # and no "Exception ignored" follows from the flush at exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "smoothsmc.cli", "certify", "--m", "3"],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b"")
+
     def test_reference_gains_pass_all_checks(self, capsys):
         code, out, _ = run_cli(capsys, ["certify", "--m", "3", "--v0", "50", "--delta", "0.3"])
         assert code == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from smoothsmc import (
     kron_with_identity,
 )
 from smoothsmc.experiments import DEFAULT_GAINS, build_gain_config
+from smoothsmc.linalg import _mirrored3
 
 
 def random_symmetric(seed, order):
@@ -88,6 +91,43 @@ class TestSymMatrix:
         # a -0.0/+0.0 mirror pair equals its +0.0 twin, as the floats do
         signed, plain = SymMatrix([[1.0, -0.0], [0.0, 1.0]]), SymMatrix(np.eye(2))
         assert signed == plain and hash(signed) == hash(plain)
+
+
+def solved(mat):
+    """``eig_sym``'s spectrum as bytes, or the error it ends with."""
+    try:
+        return np.array(eig_sym(mat).spectrum).tobytes()
+    except JacobiConvergenceError as exc:
+        return (exc.sweeps, repr(exc.off_residual))
+
+
+any_float = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2e-308])
+
+
+class TestMirroredTriangle:
+    @settings(max_examples=300, deadline=None)
+    @given(triangle=st.tuples(*[any_float] * 6))
+    def test_agrees_with_the_public_constructor(self, triangle):
+        a00, a01, a02, a11, a12, a22 = triangle
+        mirrored = _mirrored3(*triangle)
+        public = SymMatrix(np.array([[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]))
+        assert mirrored == public and hash(mirrored) == hash(public)
+        assert mirrored.entries.tobytes() == public.entries.tobytes()
+        assert mirrored.tolist() == public.entries.tolist() and mirrored.order == 3
+        assert solved(mirrored) == solved(public)
+
+    def test_no_public_call_builds_an_asymmetric_matrix(self):
+        asymmetric, square = (1.0, 2.0, 3.0, 4.0), SymMatrix(np.eye(2))
+        for build in (lambda: SymMatrix(asymmetric, 2),
+                      lambda: SymMatrix(flat=asymmetric, order=2),
+                      lambda: SymMatrix(entries=[[1.0, 2.0], [3.0, 4.0]]),
+                      lambda: SymMatrix(np.array(asymmetric).reshape(2, 2)),
+                      lambda: dataclasses.replace(square, flat=asymmetric)):
+            with pytest.raises((TypeError, ValueError)):
+                build()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            square.flat = asymmetric
+        assert square.flat == (1.0, 0.0, 0.0, 1.0)
 
 
 class TestKron:
