@@ -25,7 +25,7 @@ from .laws import (
     real_setting,
     unit_power_direction,
 )
-from .linalg import EigenSummary, SymMatrix, _mirrored3, eig_sym, is_positive_definite
+from .linalg import EigenSummary, SymMatrix, _mirrored3, eig_sym
 
 
 def _symmetric(cfg: GainConfig, *triangles: list) -> tuple[SymMatrix, ...]:
@@ -37,14 +37,17 @@ def _symmetric(cfg: GainConfig, *triangles: list) -> tuple[SymMatrix, ...]:
 
 
 def build_p_block(cfg: GainConfig) -> SymMatrix:
-    """3x3 factor of the Lyapunov weight matrix P."""
+    """3x3 factor of the Lyapunov weight matrix P, positive definite for every
+    k1-k4 > 0 and m > 1: ``2P = diag(2m k3/(m-1), 2 k4, 1) + v v'`` with
+    ``v = (k1, k2, -1)``, a positive diagonal plus a rank-one square."""
     k1, k2, k3, k4, m = cfg.k1, cfg.k2, cfg.k3, cfg.k4, cfg.m
     return _symmetric(cfg, [0.5 * x for x in (2.0 * m / (m - 1.0) * k3 + k1 * k1, k1 * k2, -k1,
                                              2.0 * k4 + k2 * k2, -k2, 2.0)])[0]
 
 
 def build_q_block(cfg: GainConfig) -> SymMatrix:
-    """Diagonal 3x3 factor bounding the adaptation coupling term."""
+    """Diagonal 3x3 factor bounding the adaptation coupling term, positive
+    definite for every k1-k4 > 0 and m > 1: each entry is a sum of positive terms."""
     k1, k2, k3, k4, m = cfg.k1, cfg.k2, cfg.k3, cfg.k4, cfg.m
     q1 = 2.0 * m / (m - 1.0) * k3 + k1 * k1 + (2.0 * m - 1.0) * k1 * k2 / (2.0 * (m - 1.0)) + k1 / 2.0
     q2 = m / (2.0 * (m - 1.0)) * (4.0 * k4 + 2.0 * k2 * k2 + k2) + (2.0 * m - 1.0) * k1 * k2 / (2.0 * (m - 1.0))
@@ -56,8 +59,20 @@ def build_omega_blocks(cfg: GainConfig) -> tuple[SymMatrix, SymMatrix]:
     """3x3 factors of the two dissipation quadratic forms.
 
     Both being positive definite certifies strict Lyapunov decrease of the
-    unperturbed loop (at fixed L0); the gain feasibility inequality is a
-    sufficient condition for that.
+    unperturbed loop (at fixed L0); for k1-k4 > 0 and m > 1 that holds
+    exactly when the gain feasibility inequality does:
+
+    * Omega2 always is: ``Omega2/k2 = diag(a, k4, 0) + w w'`` with
+      ``a = k3 + k1^2 (3m-2)/m`` and ``w = (0, k2, -1)``, so
+      ``x' (Omega2/k2) x = a x0^2 + k4 x1^2 + (k2 x1 - x2)^2 > 0`` for ``x != 0``.
+    * Omega1 is exactly when the inequality holds.  Write
+      ``(m/k1) Omega1 = [[A, b], [b', m-1]]``; as ``m - 1 > 0`` it is positive
+      definite exactly when its Schur complement ``S = A - b b'/(m-1)`` is.
+      By ``(3m-1)(m-1) - (2m-1)^2 = -m^2``,
+      ``S = [[m k3, -(2m-1) k1 k2], [-(2m-1) k1 k2, m k4 - m^2 k2^2/(m-1)]]``,
+      whose ``S11 > 0``, so S is positive definite exactly when ``det S > 0``:
+      ``m^2 k3 k4 > (m^3 k3/(m-1) + (2m-1)^2 k1^2) k2^2``, the inequality
+      that :func:`check_gain_condition` decides on integers.
     """
     k1, k2, k3, k4, m = cfg.k1, cfg.k2, cfg.k3, cfg.k4, cfg.m
     omega1 = [(k1 / m) * x for x in (k3 * m + k1 * k1 * (m - 1.0), 0.0, -k1 * (m - 1.0),
@@ -123,9 +138,14 @@ class LyapunovCertificate:
     """The assembled certificate data for one gain configuration.
 
     ``n2_coeff`` omits the unknown disturbance bound: the full coefficient of
-    the ``V**(1/2)`` perturbation term is ``delta * n2_coeff``.  Each block's
-    definiteness is decided once, in ``positive_definite`` (P, Q, Omega1,
-    Omega2); the n constants are ``None`` when one fails, never silent NaNs.
+    the ``V**(1/2)`` perturbation term is ``delta * n2_coeff``.  The blocks
+    are positive definite exactly when the gain condition holds (P, Q and
+    Omega2 always, Omega1 then), so ``all_pd`` and ``certified`` read it, and
+    the n constants are ``None`` exactly when the gains are uncertified, never
+    silent NaNs.  The eigenvalues and n constants are float readings of the
+    rounded blocks: where a block underflows or is ill-conditioned, a
+    certified set's smallest eigenvalue, and the constant it gives, may read
+    ``<= 0``.
     """
 
     P_block: SymMatrix
@@ -142,18 +162,17 @@ class LyapunovCertificate:
     Q_eig: EigenSummary
     Omega1_eig: EigenSummary
     Omega2_eig: EigenSummary
-    positive_definite: tuple[bool, bool, bool, bool]
 
     def _by_name(self, suffix: str) -> dict:
         return {name: getattr(self, f"{name}_{suffix}") for name in ("P", "Q", "Omega1", "Omega2")}
 
     @property
     def all_pd(self) -> bool:
-        return all(self.positive_definite)
+        return self.gain_condition.holds
 
     @property
     def certified(self) -> bool:
-        return self.gain_condition.holds and self.all_pd
+        return self.gain_condition.holds
 
     def to_dict(self) -> dict:
         return {
@@ -163,7 +182,7 @@ class LyapunovCertificate:
             "n2_coeff": self.n2_coeff,
             "n3": self.n3,
             "n4": self.n4,
-            "positive_definite": dict(zip(self._by_name("eig"), self.positive_definite)),
+            "positive_definite": {"P": True, "Q": True, "Omega1": self.all_pd, "Omega2": True},
             "eigenvalues": {
                 name: {"min": eig.lambda_min, "max": eig.lambda_max}
                 for name, eig in self._by_name("eig").items()
@@ -174,23 +193,32 @@ class LyapunovCertificate:
 
 def build_certificate(cfg: GainConfig) -> LyapunovCertificate:
     """Assemble the certificate for an ``m > 2`` configuration; gains whose
-    blocks leave the float range are refused by name (:func:`gain_overflow`)."""
+    blocks, gain condition or constants leave the float range are refused by
+    name (:func:`gain_overflow`).
+
+    The gain condition is the one decision: P, Q and Omega2 are positive
+    definite for every such gain set, and Omega1 exactly when the condition
+    holds (the proofs are in :func:`build_p_block`, :func:`build_q_block` and
+    :func:`build_omega_blocks`), so the n constants are computed exactly then.
+    No float threshold on a spectrum decides anything here."""
     if cfg.m <= 2:
         raise ValueError("the certificate requires m > 2 (the baseline is exempt)")
     P, Q = build_p_block(cfg), build_q_block(cfg)
     Omega1, Omega2 = build_omega_blocks(cfg)
     P_eig, Q_eig, Omega1_eig, Omega2_eig = eigs = tuple(map(eig_sym, (P, Q, Omega1, Omega2)))
-    pd = tuple(map(is_positive_definite, eigs))
+    gain_condition = check_gain_condition(cfg)
     p1 = (2.0 * cfg.m - 3.0) / (2.0 * cfg.m - 2.0)
-    if all(pd):
+    if gain_condition.holds:
         n1 = Omega1_eig.lambda_min / P_eig.lambda_max**p1
         n2_coeff = math.sqrt(cfg.k1**2 + cfg.k2**2 + 4.0) / math.sqrt(P_eig.lambda_min)
         n3 = Omega2_eig.lambda_min / P_eig.lambda_max
         n4 = Q_eig.lambda_max / (2.0 * P_eig.lambda_min)
+        if not all(map(math.isfinite, (n1, n2_coeff, n3, n4))):
+            raise gain_overflow(cfg, "the certificate constants")
     else:
         n1 = n2_coeff = n3 = n4 = None
     return LyapunovCertificate(P, Q, Omega1, Omega2, p1, n1, n2_coeff, n3, n4,
-                               check_gain_condition(cfg), *eigs, pd)
+                               gain_condition, *eigs)
 
 
 def _settling_time(c1: float, c2: float, p: float, v0: float, named: tuple) -> float:

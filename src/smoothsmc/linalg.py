@@ -224,6 +224,7 @@ def eig_sym(mat: SymMatrix) -> EigenSummary:
 def is_positive_definite(mat: SymMatrix | EigenSummary) -> bool:
     """True iff the smallest eigenvalue exceeds ``1e-12 * |lambda_max|``,
     which absorbs rounding; pass the spectrum when it is already known, so
-    the matrix is not solved again."""
+    the matrix is not solved again.  The certificate does not use it: its
+    blocks' definiteness is proved, and decided by the exact gain condition."""
     spectrum = (mat if isinstance(mat, EigenSummary) else eig_sym(mat)).spectrum
     return spectrum[0] > 1e-12 * abs(spectrum[-1])

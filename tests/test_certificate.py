@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from smoothsmc import (
     build_p_block,
     build_q_block,
     certificate,
+    check_gain_condition,
     eig_sym,
     estimate_convergence,
     is_positive_definite,
@@ -32,6 +35,7 @@ from smoothsmc import (
 from smoothsmc.certificate import _split_residual
 from smoothsmc.cli import main
 from smoothsmc.experiments import run_cell
+from smoothsmc.laws import gain_condition_terms
 
 from conftest import reference_gains
 
@@ -80,9 +84,9 @@ class TestOmegaBlocks:
         assert o2.entries[2, 2] == 2.5  # k2 * 1
 
     def test_certified_direction_only(self):
-        # the feasibility inequality is sufficient for definiteness, not
-        # claimed necessary: certified gains must give PD blocks and positive
-        # decrease constants, violating gains may or may not
+        # the feasibility inequality is sufficient for definiteness, and
+        # necessary for Omega1: certified gains must give PD blocks and positive
+        # decrease constants
         for m, k4 in ((2.5, 40.0), (3.0, 30.0), (4.0, 50.0), (6.0, 120.0)):
             cfg = reference_gains(m=m, k4=k4)
             from smoothsmc import check_gain_condition
@@ -149,6 +153,64 @@ class TestBlocksAgainstTheNumpyOracle:
             build_omega_blocks(reference_gains(m=1e3, k1=1e150))
 
 
+def exact_blocks(cfg):
+    """The four blocks' formulas in exact arithmetic on the float gains."""
+    m, k1, k2, k3, k4 = map(Fraction, (cfg.m, cfg.k1, cfg.k2, cfg.k3, cfg.k4))
+    p = [[m / (m - 1) * k3 + k1 * k1 / 2, k1 * k2 / 2, -k1 / 2],
+         [k1 * k2 / 2, k4 + k2 * k2 / 2, -k2 / 2],
+         [-k1 / 2, -k2 / 2, Fraction(1)]]
+    q = [[2 * m / (m - 1) * k3 + k1 * k1 + (2 * m - 1) * k1 * k2 / (2 * (m - 1)) + k1 / 2, 0, 0],
+         [0, m / (2 * (m - 1)) * (4 * k4 + 2 * k2 * k2 + k2) + (2 * m - 1) * k1 * k2 / (2 * (m - 1)),
+          0],
+         [0, 0, k1 / 2 + m * k2 / (2 * (m - 1))]]
+    omega1 = [[k1 / m * x for x in row] for row in (
+        [k3 * m + k1 * k1 * (m - 1), 0, -k1 * (m - 1)],
+        [0, k4 * m + k2 * k2 * (3 * m - 1), -k2 * (2 * m - 1)],
+        [-k1 * (m - 1), -k2 * (2 * m - 1), m - 1])]
+    omega2 = [[k2 * x for x in row] for row in (
+        [k3 + k1 * k1 * (3 * m - 2) / m, 0, 0], [0, k4 + k2 * k2, -k2], [0, -k2, 1])]
+    return p, q, omega1, omega2
+
+
+def leading_minors_positive(a):
+    """Sylvester's criterion: every leading principal minor is positive."""
+    d2 = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    d3 = (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+          - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+          + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+    return a[0][0] > 0 and d2 > 0 and d3 > 0
+
+
+class TestTheDecisionIsExact:
+    @settings(max_examples=1000, deadline=None)
+    @given(m=st.floats(2.0, 1e3, exclude_min=True), k1=log_uniform_gains, k2=log_uniform_gains,
+           k3=log_uniform_gains, k4=log_uniform_gains)
+    def test_certified_is_the_gain_condition_and_sylvester_agrees(self, m, k1, k2, k3, k4):
+        # P, Q and Omega2 are positive definite for every gain set, Omega1
+        # exactly when the condition holds, whatever the blocks' conditioning
+        cfg = reference_gains(m=m, k1=k1, k2=k2, k3=k3, k4=k4)
+        p, q, omega1, omega2 = exact_blocks(cfg)
+        assert leading_minors_positive(p) and leading_minors_positive(q)
+        assert leading_minors_positive(omega2)
+        lhs, rhs = gain_condition_terms(cfg)
+        assert leading_minors_positive(omega1) == (lhs > rhs)
+        try:
+            cert = build_certificate(cfg)
+        except ValueError as err:
+            assert re.fullmatch(r"gains m=.*, k4=.* overflow the (certificate blocks|"
+                                r"gain condition|certificate constants)", str(err))
+            return
+        holds = check_gain_condition(cfg).holds
+        assert cert.certified == cert.all_pd == holds == (lhs > rhs)
+        assert cert.to_dict()["positive_definite"] == {
+            "P": True, "Q": True, "Omega1": holds, "Omega2": True}
+        constants = (cert.n1, cert.n2_coeff, cert.n3, cert.n4)
+        if holds:
+            assert all(n is not None and math.isfinite(n) for n in constants)
+        else:
+            assert constants == (None, None, None, None)
+
+
 class TestCertificate:
     def test_reference_certificate(self):
         cert = build_certificate(reference_gains())
@@ -202,16 +264,14 @@ class TestCertificate:
         assert len(calls) == 4  # P, Q, Omega1, Omega2
 
     @pytest.mark.parametrize("reading", ["certify", "run_cell", "every-property"])
-    def test_each_block_is_decided_once(self, monkeypatch, capsys, reading):
-        # build_certificate keeps its four decisions, and what reads them decides none again
-        calls = []
-        decide = certificate.is_positive_definite
+    def test_the_certificate_makes_no_float_definiteness_test(self, monkeypatch, capsys,
+                                                              reading):
+        # the gain condition is the one decision: no spectrum is held to a threshold
+        def decide(*args):
+            raise AssertionError("a float definiteness test on the certificate path")
 
-        def counted(*args):
-            calls.append(args)
-            return decide(*args)
-
-        monkeypatch.setattr(certificate, "is_positive_definite", counted)
+        monkeypatch.setattr(linalg, "is_positive_definite", decide)
+        monkeypatch.setattr(certificate, "is_positive_definite", decide, raising=False)
         if reading == "certify":
             assert main(["certify", "--m", "3"]) == 0
         elif reading == "run_cell":
@@ -221,7 +281,18 @@ class TestCertificate:
             assert cert.all_pd and cert.certified
             assert cert.to_dict()["positive_definite"] == dict.fromkeys(
                 ("P", "Q", "Omega1", "Omega2"), True)
-        assert len(calls) == 4  # P, Q, Omega1, Omega2
+
+    def test_underflowed_blocks_certify_with_their_float_readings(self):
+        # at 1e-300 every entry of Omega1 but its corner underflows to zero: the
+        # gains still certify, n1 reads 0.0 as Jacobi does, and the estimate
+        # that reads it is vacuous, not an error
+        cfg = reference_gains(k1=1e-300, k2=1e-300, k3=1e-300, k4=1e-300)
+        cert = build_certificate(cfg)
+        assert cert.certified and cert.all_pd
+        assert cert.n1 == 0.0
+        est = estimate_convergence(cert, cfg, v0=1.0, delta=0.0)
+        assert est.c1 == 0.0 and est.settling_time_bound is None
+        assert est.to_dict()["settling_time_bound"] == "infinite"
 
     def test_compares_and_hashes_by_value(self):
         cert = build_certificate(reference_gains())

@@ -327,6 +327,30 @@ CERTIFY_STDOUT = {
             "c3": 1.23962551330836, "residual_V_level": 1.2840851920595635,
             "settling_time_bound": 4.312728292940253, "theta1": 0.1, "theta2": 1.0,
             "theta3": 0.08587326060606304}}),
+    # Omega1 is positive definite, exactly, with lambda_min/lambda_max = 1e-12:
+    # the gain condition decides it, and the n constants are the float readings
+    "ill-conditioned": (["--k1", "100", "--k2", "0.0001", "--k3", "0.0001", "--k4", "10000"], {
+        "blocks": {
+            "Omega1": [[666666.6766666668, 0.0, -6666.666666666667],
+                       [0.0, 1000000.0000026667, -0.01666666666666667],
+                       [-6666.666666666667, -0.01666666666666667, 66.66666666666667]],
+            "Omega2": [[2.3333333433333334, 0.0, 0.0], [0.0, 1.000000000001, -1e-08],
+                       [0.0, -1e-08, 0.0001]],
+            "P": [[5000.00015, 0.005, -50.0], [0.005, 10000.000000005, -5e-05],
+                  [-50.0, -5e-05, 1.0]],
+            "Q": [[10050.0128, 0.0, 0.0], [0.0, 30000.012575015, 0.0], [0.0, 0.0, 50.000075]]},
+        "certified": True,
+        "eigenvalues": {"Omega1": {"max": 1000000.0000026672, "min": 9.996222531140236e-07},
+                        "Omega2": {"max": 2.3333333433333334, "min": 9.999999999990001e-05},
+                        "P": {"max": 10000.000000010004, "min": 0.4999500150019994},
+                        "Q": {"max": 30000.012575015, "min": 50.000075}},
+        "gain_condition": {"holds": True, "lhs": 9.0, "reason": "certified",
+                           "rhs": 0.0025000000135},
+        "gains": {"L0_init": 1.0, "epsilon": 0.001, "k1": 100.0, "k2": 0.0001, "k3": 0.0001,
+                  "k4": 10000.0, "kappa": 10.0, "m": 3.0},
+        "n1": 9.996222531132735e-10, "n2_coeff": 141.4567085707848,
+        "n3": 9.999999999979997e-09, "n4": 30003.011976002264, "p1": 0.75,
+        "positive_definite": {"Omega1": True, "Omega2": True, "P": True, "Q": True}}),
 }
 
 
@@ -1016,6 +1040,18 @@ class TestBadInputs:
         assert (code, out) == (1, "")
         assert err == ("usage error: gains m=1e+308, k1=1e-20, k2=2.5, k3=4.0, k4=30.0 "
                        "overflow the certificate blocks\n")
+
+    def test_overflowing_certificate_constants_name_the_gains(self, capsys):
+        # the blocks and the gain condition fit a float, and the condition
+        # holds, but n4 = lambda_max(Q) / (2 lambda_min(P)) = 2.9e204 / 5.8e-125 does not
+        code, out, err = run_cli(capsys, [
+            "certify", "--m", "2.0866160302559775", "--k1", "1.6930680250018137e+102",
+            "--k2", "1.4204668852746868e-136", "--k3", "1.1387051942959911e+79",
+            "--k4", "2.913243798664608e-125"])
+        assert (code, out) == (1, "")
+        assert err == ("usage error: gains m=2.0866160302559775, k1=1.6930680250018137e+102, "
+                       "k2=1.4204668852746868e-136, k3=1.1387051942959911e+79, "
+                       "k4=2.913243798664608e-125 overflow the certificate constants\n")
 
     def test_a_config_gain_too_large_for_a_float_is_a_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
