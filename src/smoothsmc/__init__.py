@@ -40,7 +40,6 @@ from .linalg import (
     JacobiConvergenceError,
     SymMatrix,
     eig_sym,
-    is_positive_definite,
     jacobi_eigh,
     kron_with_identity,
 )

@@ -369,8 +369,9 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
     i.e. ``m > 2``.  ``theta1`` and ``theta2`` split the residual set, so
     they are refused where there is none to split: where the bound is
     vacuous (``c1`` or ``c2`` not positive) or unperturbed (``c3 = 0``).
-    A settling-time bound or residual-set level past the float range is
-    refused, not reported as infinite.
+    A decrease coefficient (``c1``, ``c2``), perturbation coefficient
+    (``c3``), settling-time bound or residual-set level past the float range
+    is refused, not reported as infinite.
     """
     if not cert.all_pd:
         raise ValueError("certificate has no valid constants (a matrix failed the PD check)")
@@ -391,6 +392,8 @@ def estimate_convergence(cert: LyapunovCertificate, cfg: GainConfig, v0: float,
     m = cfg.m
     c1 = L0 * cert.n1
     c2 = L0 * cert.n3 - (2.0 * m - 2.0) / m * cert.n4 * L0_dot / L0
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise ValueError(f"L0={L0!r}, L0_dot={L0_dot!r} overflow the decrease coefficients")
     c3 = delta * cert.n2_coeff
     if c3 == math.inf:
         raise ValueError(f"delta={delta!r} overflows the perturbation coefficient c3")

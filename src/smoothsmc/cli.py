@@ -31,7 +31,7 @@ from .experiments import (
     write_cell_outputs,
 )
 from .laws import GainConfig
-from .metrics import METRIC_COLUMNS, comparison_csv, metric_cells
+from .metrics import METRIC_COLUMNS, comparison_csv, json_text, metric_cells
 from .sim import SimConfig, SimulationAborted, refuse_other_keys
 
 EXIT_OK = 0
@@ -185,7 +185,7 @@ def cmd_run(args) -> int:
                              disturbance=json.loads(dist) if isinstance(dist, str) else dist)[0]
 
     paths = write_cell_outputs(outdir, report.scenario_id, method, traj, report)
-    print(json.dumps({"written": paths, "report": report.to_dict()}, indent=2, sort_keys=True))
+    print(json_text({"written": paths, "report": report.to_dict()}), end="")
     return EXIT_OK
 
 
@@ -206,7 +206,7 @@ def cmd_certify(args) -> int:
     if estimate:
         payload["convergence"] = estimate_convergence(
             cert, cfg, **{"delta": 0.0, **estimate}).to_dict()
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(payload), end="")
     return EXIT_OK
 
 
@@ -286,8 +286,7 @@ def cmd_reproduce(args) -> int:
     tail_cutoff(build_sim_config(**sim_over))  # a bad or short --dt or --horizon writes nothing
     args.out.mkdir(parents=True, exist_ok=True)
     cert = build_certificate(build_gain_config(3.0))
-    (args.out / "certificate.json").write_text(
-        json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n")
+    (args.out / "certificate.json").write_text(json_text(cert.to_dict()))
     print(f"certificate: condition holds={cert.gain_condition.holds}, "
           f"all blocks PD={cert.all_pd}")
     for experiment, kind in EXPERIMENTS.items():

@@ -29,7 +29,7 @@ import numpy as np
 
 from .certificate import build_certificate
 from .laws import GainConfig, check_gain_condition, gains_from_L0
-from .metrics import TAIL_FRACTION, ExperimentReport, exact_parts
+from .metrics import TAIL_FRACTION, ExperimentReport, exact_parts, json_text
 from .sim import (
     Block,
     DisturbanceSpec,
@@ -291,10 +291,11 @@ def run_cell(experiment: str, method: str, gain_overrides: dict | None = None,
 def write_cell_outputs(outdir, experiment: str, method: str,
                        traj: Trajectory, report: ExperimentReport) -> dict:
     """Write ``<outdir>/<experiment>_<method>/{trajectory.csv,report.json}``."""
+    text = json_text(report.to_dict())  # a non-finite number raises before anything is written
     cell_dir = Path(outdir) / f"{experiment}_{method}"
     cell_dir.mkdir(parents=True, exist_ok=True)
     traj_path = cell_dir / "trajectory.csv"
     report_path = cell_dir / "report.json"
     write_trajectory_csv(traj, traj_path)
-    report_path.write_text(report.to_json() + "\n")
+    report_path.write_text(text)
     return {"trajectory": str(traj_path), "report": str(report_path)}

@@ -1,5 +1,5 @@
-"""Small dense symmetric linear algebra: Kronecker expansion by the identity,
-a cyclic-Jacobi symmetric eigensolver, and positive-definiteness tests.
+"""Small dense symmetric linear algebra: Kronecker expansion by the identity
+and a cyclic-Jacobi symmetric eigensolver.
 
 The certificate matrices have the structure ``M (x) I_n``; their spectra equal
 the spectrum of the small factor with each eigenvalue repeated ``n`` times, so
@@ -220,11 +220,3 @@ def eig_sym(mat: SymMatrix) -> EigenSummary:
     diagonal, _ = _jacobi(mat, False)
     return EigenSummary(tuple(sorted(diagonal)))  # the same stable order
 
-
-def is_positive_definite(mat: SymMatrix | EigenSummary) -> bool:
-    """True iff the smallest eigenvalue exceeds ``1e-12 * |lambda_max|``,
-    which absorbs rounding; pass the spectrum when it is already known, so
-    the matrix is not solved again.  The certificate does not use it: its
-    blocks' definiteness is proved, and decided by the exact gain condition."""
-    spectrum = (mat if isinstance(mat, EigenSummary) else eig_sym(mat)).spectrum
-    return spectrum[0] > 1e-12 * abs(spectrum[-1])

@@ -98,8 +98,11 @@ class ExperimentReport:
             "config": self.config,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+def json_text(record) -> str:
+    """The one JSON format of every record: strict RFC 8259 (a non-finite
+    number raises ``ValueError``), sorted keys, two-space indent, final newline."""
+    return json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # The metric cells of a report row, shared by the comparison and sweep tables.

@@ -21,7 +21,6 @@ from smoothsmc import (
     check_gain_condition,
     eig_sym,
     estimate_convergence,
-    is_positive_definite,
     kron_with_identity,
     linalg,
     lyapunov_series,
@@ -50,7 +49,7 @@ class TestPBlock:
         assert np.array_equal(build_p_block(reference_gains()).entries, expected)
 
     def test_positive_definite_for_reference_gains(self):
-        assert is_positive_definite(build_p_block(reference_gains()))
+        assert eig_sym(build_p_block(reference_gains())).lambda_min > 0
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.floats(2.1, 8.0), k1=st.floats(0.5, 5.0), k4=st.floats(5.0, 60.0))
@@ -76,8 +75,8 @@ class TestQBlock:
 class TestOmegaBlocks:
     def test_reference_gains_both_positive_definite(self):
         o1, o2 = build_omega_blocks(reference_gains())
-        assert is_positive_definite(o1)
-        assert is_positive_definite(o2)
+        assert eig_sym(o1).lambda_min > 0
+        assert eig_sym(o2).lambda_min > 0
 
     def test_corner_entry(self):
         _, o2 = build_omega_blocks(reference_gains())
@@ -92,8 +91,8 @@ class TestOmegaBlocks:
             from smoothsmc import check_gain_condition
             assert check_gain_condition(cfg).holds
             o1, o2 = build_omega_blocks(cfg)
-            assert is_positive_definite(o1)
-            assert is_positive_definite(o2)
+            assert eig_sym(o1).lambda_min > 0
+            assert eig_sym(o2).lambda_min > 0
             cert = build_certificate(cfg)
             assert cert.all_pd
             for constant in (cert.n1, cert.n2_coeff, cert.n3, cert.n4):
@@ -236,13 +235,9 @@ class TestCertificate:
 
     def test_uncertified_flags_instead_of_nan(self):
         cert = build_certificate(reference_gains(k4=20.0))
-        assert not cert.gain_condition.holds
-        # constants valid iff all blocks are PD, and never NaN
-        if cert.all_pd:
-            for value in (cert.n1, cert.n2_coeff, cert.n3, cert.n4):
-                assert value is not None and math.isfinite(value)
-        else:
-            assert cert.n1 is None and cert.n3 is None
+        assert not cert.gain_condition.holds and not cert.all_pd
+        # an uncertified set has no constants, never NaN
+        assert (cert.n1, cert.n2_coeff, cert.n3, cert.n4) == (None, None, None, None)
 
     def test_overflowing_blocks_name_the_gains(self):
         # the exact condition stays finite, k1^2 in the blocks does not;
@@ -267,11 +262,12 @@ class TestCertificate:
     def test_the_certificate_makes_no_float_definiteness_test(self, monkeypatch, capsys,
                                                               reading):
         # the gain condition is the one decision: no spectrum is held to a threshold
+        # (the package has no such test; one brought back under its old name fails here)
         def decide(*args):
             raise AssertionError("a float definiteness test on the certificate path")
 
-        monkeypatch.setattr(linalg, "is_positive_definite", decide)
-        monkeypatch.setattr(certificate, "is_positive_definite", decide, raising=False)
+        for module in (linalg, certificate):
+            monkeypatch.setattr(module, "is_positive_definite", decide, raising=False)
         if reading == "certify":
             assert main(["certify", "--m", "3"]) == 0
         elif reading == "run_cell":

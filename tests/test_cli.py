@@ -1,13 +1,17 @@
 import argparse
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from smoothsmc import cli
 from smoothsmc.cli import build_parser, main
@@ -1053,6 +1057,19 @@ class TestBadInputs:
                        "k2=1.4204668852746868e-136, k3=1.1387051942959911e+79, "
                        "k4=2.913243798664608e-125 overflow the certificate constants\n")
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--k4", "1e3", "--l0-init", "5e-324", "--v0", "30"], "L0=5e-324, L0_dot=10.0"),
+        (["--kappa", "1", "--v0", "1e3", "--delta", "10",
+          "--l0-dot", "1.7976931348623157e308"], "L0=1.0, L0_dot=1.7976931348623157e+308"),
+        (["--v0", "1e-10", "--l0", "5e-324"], "L0=5e-324, L0_dot=10.0"),
+    ], ids=["least-l0-init", "greatest-l0-dot", "least-l0"])
+    def test_overflowing_decrease_coefficients_name_the_gain_level(self, capsys, flags, named):
+        # c2 = L0*n3 - (2m-2)/m * n4 * L0_dot/L0: the adaptation term overflows,
+        # and c2 would print as -Infinity, which is not JSON
+        code, out, err = run_cli(capsys, ["certify", *flags])
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {named} overflow the decrease coefficients\n"
+
     def test_a_config_gain_too_large_for_a_float_is_a_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"experiment": "exp1", "method": "amssosmc",
@@ -1124,3 +1141,89 @@ def test_every_readme_command_parses():
             parser.parse_args(shlex.split(line)[1:])
         except cli.UsageError as exc:
             pytest.fail(f"{line}: {exc}")
+
+
+# Finite values at both ends of the float range and beside the m = 2 boundary,
+# and tokens that are no finite number or no number at all
+EXTREMES = ["5e-324", "1e-300", "1e-10", "0", "0.5", "1", "2.0000000001", "3", "30", "1e3",
+            "1e150", "1e300", "1.7976931348623157e308"]
+BAD_TOKENS = ["nan", "inf", "-inf", "-1", "-1.7976931348623157e308", "text"]
+EXIT_PREFIX = {1: "usage error: ", 2: "numerical abort: ", 3: "ordering violated: "}
+CONTRACT_STEPS = 500  # the longest run a drawn call may ask for; a longer one is refused
+
+
+def strict_json(text):
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON (RFC 8259 section 6)")
+    return json.loads(text, parse_constant=refuse)
+
+
+def assert_finite_csv(text):
+    for row in text.splitlines():
+        for cell in row.split(","):
+            try:
+                value = float(cell)
+            except ValueError:  # a name, a flag such as "not settled", an empty L0
+                continue
+            assert math.isfinite(value), row
+
+
+@st.composite
+def cli_calls(draw, out):
+    """A call of certify, run, compare or sweep: its preset choices, a short
+    horizon, and up to four of its numeric flags, each a finite extreme or a
+    bad token (a later flag overrides an earlier one, the horizon too)."""
+    command = draw(st.sampled_from(["certify", "run", "compare", "sweep"]))
+    experiment = draw(st.sampled_from(list(EXPERIMENTS)))
+    pair = PAIRS[EXPERIMENTS[experiment]]
+    values = st.sampled_from(EXTREMES + BAD_TOKENS)
+    argv = {
+        "certify": ["certify"],
+        "run": ["run", "--experiment", experiment, "--method", draw(st.sampled_from(pair)),
+                "--out", str(out)],
+        "compare": ["compare", "--experiment", experiment, "--methods", ",".join(pair),
+                    "--out", str(out)],
+        "sweep": ["sweep", "--experiment", experiment, "--method", draw(st.sampled_from(pair)),
+                  "--parameter", draw(st.sampled_from(["m", "k4", "kappa", "epsilon"])),
+                  "--values", ",".join(draw(st.lists(values, min_size=1, max_size=3))),
+                  "--out", str(out)],
+    }[command]
+    if command != "certify":
+        argv += ["--horizon", "0.1"]
+    flags = [flag for name, flag in NUMERIC_FLAGS if name == command]
+    for flag, value in draw(st.lists(st.tuples(st.sampled_from(flags), values), max_size=4)):
+        argv.append(f"{flag}={value}")  # "--flag=-1", which argparse reads as a value
+    return argv
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_call_keeps_the_output_contract(tmp_path, capsys, monkeypatch, data):
+    """The CLI contract over drawn calls: exit 0, 1, 2 or 3; a non-zero exit
+    prints one stderr line that names its kind; an exit-0 JSON output holds
+    no non-finite number, and an exit-0 CSV no non-finite field.
+
+    ``main`` maps every ``ValueError`` to a usage error, so a library bug that
+    raises one reads here as a refused input: the property holds such a call
+    to the exit-1 form only, not to being a bad input."""
+    monkeypatch.setattr("smoothsmc.sim.MAX_STEPS", CONTRACT_STEPS)
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    argv = data.draw(cli_calls(out), label="argv")
+    code, stdout, err = run_cli(capsys, argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.startswith(EXIT_PREFIX[code]) and err.count("\n") == 1, err
+        if code != 3:
+            return
+    else:
+        assert err == ""
+    if argv[0] in ("certify", "run"):
+        strict_json(stdout)
+    else:
+        assert_finite_csv(stdout)
+    for path in out.rglob("*"):
+        if path.suffix == ".json":
+            strict_json(path.read_text())
+        elif path.suffix == ".csv":
+            assert_finite_csv(path.read_text())

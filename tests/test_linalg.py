@@ -12,7 +12,6 @@ from smoothsmc import (
     build_p_block,
     build_q_block,
     eig_sym,
-    is_positive_definite,
     jacobi_eigh,
     kron_with_identity,
 )
@@ -367,23 +366,3 @@ class TestEig:
         assert np.allclose(np.sort(np.repeat(base_vals, n)), expanded_vals,
                            rtol=0, atol=1e-10)
 
-
-class TestPositiveDefinite:
-    def test_identity(self):
-        assert is_positive_definite(SymMatrix(np.eye(3)))
-
-    def test_negative_eigenvalue(self):
-        assert not is_positive_definite(SymMatrix(np.diag([1.0, -1e-3])))
-
-    def test_zero_matrix(self):
-        assert not is_positive_definite(SymMatrix(np.zeros((2, 2))))
-
-    def test_default_tolerance_absorbs_rounding(self):
-        # eigenvalues ~ {0, 2}: exact zero must not count as positive definite
-        m = SymMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        assert not is_positive_definite(m)
-
-    @pytest.mark.parametrize("diagonal", [[1.0, 2.0], [1.0, -1e-3], [0.0, 2.0]])
-    def test_known_spectrum_gives_the_same_answer(self, diagonal):
-        m = SymMatrix(np.diag(diagonal))
-        assert is_positive_definite(eig_sym(m)) == is_positive_definite(m)

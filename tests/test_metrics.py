@@ -15,7 +15,7 @@ from smoothsmc import (
     settling_time,
     ultimate_bound,
 )
-from smoothsmc.metrics import exact_parts
+from smoothsmc.metrics import exact_parts, json_text
 
 
 def make_trajectory(times, x1=None, u=None, d_hat=None, d_true=None):
@@ -209,7 +209,7 @@ class TestReport:
             final_L0=7.0, dt_used=1e-3, settling_threshold=0.037,
             tail_fraction=0.2,
         )
-        payload = json.loads(report.to_json())
+        payload = json.loads(json_text(report.to_dict()))
         assert payload["settling_time"] == "not settled"
         assert payload["dt"] == 1e-3
 

@@ -45,6 +45,7 @@ from smoothsmc.experiments import (
     run_cells,
     tail_cutoff,
 )
+from smoothsmc.metrics import json_text
 from smoothsmc.sim import Block, trajectory_columns
 
 from conftest import reference_gains
@@ -813,7 +814,7 @@ class TestRunCellsRefusals:
         if case == "int64-log-stride":
             sim["log_stride"] = np.int64(2)
         traj, report = run_cells("custom", [("amssosmc", None)], sim, disturbance=disturbance)[0]
-        config = json.loads(report.to_json())["config"]
+        config = json.loads(json_text(report.to_dict()))["config"]
         assert traj.times.size == 50 // config["sim"]["log_stride"]
         assert config["disturbance"] == DisturbanceSpec.from_dict(disturbance, n=3).to_dict()
         assert config["disturbance"]["n"] == 3
