@@ -11,13 +11,12 @@ measurement of the plant under zero control, which the loop builds as a
 running sum of RK4 increments.  The loop steps a single cell on Python
 floats through ``laws.law_step`` and a batch of two or more as the rows of
 (B, n) arrays: a numpy call costs about as much on one row as on many, so
-only a batch repays it.  Both kernels apply the same IEEE operations, so
-every cell is bitwise what the scalar laws give on their own, in either
-kernel, wherever BLAS ``ddot`` rounds a row of an (N, n) array as it
-rounds a fresh vector.  The step norms are the loop's only BLAS calls.
-OpenBLAS picks its kernel from the CPU at run time; a row rounds as a fresh
-vector under the SkylakeX and Nehalem kernels, not under Prescott (ROADMAP
-item 11).  The loop only steps.
+only a batch repays it.  Both kernels apply the same IEEE operations, and
+every step norm, the loop's only BLAS call, is ``ddot`` on a 16-byte-aligned
+vector: a lone cell's 1-D buffer, or a batch row in a buffer padded to an
+even width (OpenBLAS's Prescott kernel rounds a ``ddot`` by that alignment).
+So every cell is bitwise what the scalar laws give on their own, in either
+kernel, under every BLAS kernel.  The loop only steps.
 
 The loop runs in blocks of about :data:`BLOCK_CELL_STEPS` cell-steps.  Each
 block builds only its own slice of the time grid, the disturbance and the
@@ -399,8 +398,8 @@ def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
     the logs ``(x1, y, L0, integral)``, arrays allocated for that block.
 
     The one vectorised copy of ``laws.law_step``: one norm per row,
-    ``sqrt(vecdot)``, which is ``np.linalg.norm`` bit for bit under the
-    module docstring's BLAS condition, and every power of the spec as
+    ``sqrt(vecdot)`` on ``E``, whose rows are 16-byte aligned (see the module
+    docstring), so ``np.linalg.norm`` bit for bit, and every power as
     Python's float ``**`` per cell, because numpy's vectorised power is not
     libm ``pow``.  A step makes few numpy calls, most on arrays of one
     shape, in place where a temporary would only be added on:
@@ -427,6 +426,7 @@ def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
     K = np.array([[c.k1, c.k2, c.k3, c.k4] for c in cfgs]).T
     scales = [*map(gain_scales, ms, l0)]  # each row's, refreshed when its L0 moves
     I = np.zeros((rows, n))
+    E = np.empty((rows, n + n % 2))[:, :n]  # each row 16-byte aligned
     G = H = L0 = None
 
     def refresh():
@@ -450,7 +450,8 @@ def _array_kernel(sim: SimConfig, cfgs, observe: bool, log_integral: bool):
             np.empty((rows, count)), np.empty((rows, count, n)) if log_integral else None)
         for j in range(count):
             S = x1[j] - W if observe else W
-            r = np.sqrt(np.vecdot(S, S)).tolist()
+            E[...] = S
+            r = np.sqrt(np.vecdot(E, E)).tolist()
             if not math.isfinite(sum(r)) and not np.isfinite(W).all():
                 j -= 1  # the state step j - 1 made is not finite
                 break

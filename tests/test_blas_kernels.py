@@ -1,11 +1,14 @@
-"""V and the settling threshold do not depend on the OpenBLAS kernel: a child
-process computes them under each ``OPENBLAS_CORETYPE``, which acts on that
-child only, and every child prints the same bytes."""
+"""V and the settling threshold do not depend on the OpenBLAS kernel, and a
+batch row is bitwise its lone run under every kernel: a child process
+computes them under each ``OPENBLAS_CORETYPE``, which acts on that child
+only, and every child prints the same bytes."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -13,7 +16,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # 0-3 (a row of an (N, 3) array starts 8 bytes off a 16-byte boundary at odd
 # offsets), then the settling threshold of a custom controller run from each
 # x1(0) given: three whose BLAS ``(x @ x) ** 0.5`` differs between the
-# default and Prescott kernels.
+# default and Prescott kernels.  Then, for each row of a 3-row exp2 controller
+# batch (row 1 has m = 2) and of a 3-row exp3 observer batch, whether its
+# record arrays and report are byte for byte those of the cell run alone:
+# Prescott rounds a ``ddot`` by its vector's alignment, so a batch row's step
+# norm is a lone cell's, on a fresh 1-D buffer, only if the row is 16-byte
+# aligned as that buffer is.
 CHILD = '''
 import hashlib
 import numpy as np
@@ -34,6 +42,17 @@ for x1 in ([-0.08498784700926532, 2.336927006094001, 2.604261095737498],
     (_, report), = run_cells("custom", [("amssosmc", None)], {"x1_init": x1, "horizon": 0.01},
                              record=False, disturbance={"kind": "none", "n": 3})
     print(repr(report.settling_threshold))
+
+def fingerprint(traj, report):
+    return [(name, col.shape, col.tobytes()) for name, col in traj.columns()], repr(report.to_dict())
+
+for experiment, cells in (
+        ("exp2", [("amssosmc", None), ("amstsmc-baseline", None), ("amssosmc", {"k4": 40.0})]),
+        ("exp3", [("amsdo", None), ("amdo-baseline", None), ("amsdo", {"kappa": 12.0})])):
+    batch = run_cells(experiment, cells, {"horizon": 0.2})
+    for row, (cell, got) in enumerate(zip(cells, batch)):
+        (alone,) = run_cells(experiment, [cell], {"horizon": 0.2})
+        print(experiment, row, fingerprint(*got) == fingerprint(*alone))
 '''
 
 
@@ -48,11 +67,22 @@ def child_output(coretype):
     return done.stdout
 
 
-def test_v_and_the_threshold_are_the_same_under_every_kernel():
-    outputs = {coretype: child_output(coretype) for coretype in (None, "Prescott", "Nehalem")}
-    default = outputs[None].splitlines()
+@pytest.fixture(scope="module")
+def outputs():
+    return {coretype: child_output(coretype).splitlines()
+            for coretype in (None, "Prescott", "Nehalem")}
+
+
+def test_v_and_the_threshold_are_the_same_under_every_kernel(outputs):
+    default = outputs[None][:7]
     assert len(default) == 7
     # the same rows give the same V wherever they are stored
     assert len({line.split()[1] for line in default[:4]}) == 1
-    assert outputs["Prescott"] == outputs[None]
-    assert outputs["Nehalem"] == outputs[None]
+    assert outputs["Prescott"][:7] == default
+    assert outputs["Nehalem"][:7] == default
+
+
+def test_a_batch_row_is_its_lone_run_under_every_kernel(outputs):
+    want = [f"{experiment} {row} True" for experiment in ("exp2", "exp3") for row in range(3)]
+    for coretype, lines in outputs.items():
+        assert lines[7:] == want, coretype

@@ -489,12 +489,12 @@ class TestBatchedLoopIsTheScalarLaws:
     ], ids=["exp1-m3-with-V", "exp2-m2", "negative-zero-none-m3-with-V", "negative-zero-exp2-m2"])
     def test_controller_at_b1_is_the_reference_loop(self, cfg, dist, sim):
         # the float kernel calls laws.law_step as the reference loop does, so
-        # row 0 of a pair (the array kernel, row 0 as in
-        # assert_alone_is_row_zero_of_a_pair) is the check that is independent
+        # a row of a pair (the array kernel) is the check that is independent
         p_block = build_p_block(cfg) if cfg.m > 2 else None
         want = reference_controller_run(cfg, sim, dist, p_block)
         assert_same_record(simulate_closed_loop([cfg], sim, dist)[0], want, "alone")
         assert_same_record(simulate_closed_loop([cfg, PARTNER], sim, dist)[0], want, "row 0")
+        assert_same_record(simulate_closed_loop([PARTNER, cfg], sim, dist)[1], want, "row 1")
 
     @pytest.mark.parametrize("m", [3.0, 2.0])
     def test_observer_at_b1_is_the_reference_loop(self, m):
@@ -502,8 +502,8 @@ class TestBatchedLoopIsTheScalarLaws:
         want = reference_observer_run(cfg, SHORT, EXP3)
         assert_same_record(simulate_observer([cfg], SHORT, EXP3)[0], want, "alone")
         assert_same_record(simulate_observer([cfg, PARTNER], SHORT, EXP3)[0], want, "row 0")
+        assert_same_record(simulate_observer([PARTNER, cfg], SHORT, EXP3)[1], want, "row 1")
 
-    @pytest.mark.blas_row_norm
     def test_mixed_controller_batch_rows_are_their_own_runs(self):
         batch = simulate_closed_loop(MIXED_CONTROLLERS, SHORT, EXP2)
         assert [traj.V is None for traj in batch] == [False, True, False]
@@ -511,7 +511,6 @@ class TestBatchedLoopIsTheScalarLaws:
             alone = simulate_closed_loop([cfg], SHORT, EXP2)[0]
             assert_same_record(batch[i], alone, i)
 
-    @pytest.mark.blas_row_norm
     def test_mixed_observer_batch_rows_are_their_own_runs(self):
         batch = simulate_observer(MIXED_OBSERVERS, SHORT, EXP3)
         for i, cfg in enumerate(MIXED_OBSERVERS):
@@ -520,7 +519,6 @@ class TestBatchedLoopIsTheScalarLaws:
             assert np.array_equal(batch[i].d_hat[0], np.zeros(3))
             assert_same_record(batch[i], simulate_observer([cfg], SHORT, EXP3)[0], i)
 
-    @pytest.mark.blas_row_norm
     def test_run_cells_reports_are_those_of_run_cell(self):
         cells = [("amssosmc", None), ("amstsmc-baseline", {"kappa": 7.0}),
                  ("amssosmc", {"k4": 40.0, "epsilon": 5e-4})]
@@ -532,7 +530,6 @@ class TestBatchedLoopIsTheScalarLaws:
             assert report.to_dict() == alone_report.to_dict()
             assert_same_record(traj, alone_traj, method)
 
-    @pytest.mark.blas_row_norm
     @settings(max_examples=15, deadline=None)
     @given(gains=st.lists(st.tuples(st.sampled_from([2.0, 2.5, 3.0, 4.0]),
                                     st.floats(0.5, 2.0), st.floats(0.5, 2.0),
@@ -555,12 +552,13 @@ class TestBatchedLoopIsTheScalarLaws:
             assert_same_record(got, want, i)
 
 
-def assert_alone_is_row_zero_of_a_pair(cfg, partner, sim, dist, observe=False):
+def assert_alone_is_each_row_of_a_pair(cfg, partner, sim, dist, observe=False):
     """A cell run alone (the float kernel) is bitwise its row in a batch of
-    two (the array kernel).  The cell takes row 0: BLAS kernels that round a
-    ``ddot`` by the row's alignment round an even row as a fresh vector."""
+    two (the array kernel), at row 0 and at row 1."""
     simulate = simulate_observer if observe else simulate_closed_loop
-    assert_same_record(simulate([cfg, partner], sim, dist)[0], simulate([cfg], sim, dist)[0])
+    alone = simulate([cfg], sim, dist)[0]
+    assert_same_record(simulate([cfg, partner], sim, dist)[0], alone, "row 0")
+    assert_same_record(simulate([partner, cfg], sim, dist)[1], alone, "row 1")
 
 
 class TestTheTwoKernelsAgree:
@@ -573,13 +571,13 @@ class TestTheTwoKernelsAgree:
         alone = simulate_closed_loop([reference_gains(m=m)], sim, EXP1)[0]
         # the first step's direction terms are +0.0: u = -((L1*0.0 + L2*x1) + 0.0)
         assert alone.u[0].tobytes() == (-(0.0 + 2.5 * np.array(sim.x1_init))).tobytes()
-        assert_alone_is_row_zero_of_a_pair(reference_gains(m=m), PARTNER, sim, EXP1)
+        assert_alone_is_each_row_of_a_pair(reference_gains(m=m), PARTNER, sim, EXP1)
 
     @pytest.mark.parametrize("observe", [False, True], ids=["controller", "observer"])
     def test_negative_zero_components(self, observe):
         sim = SimConfig(x1_init=[-0.0, 3.0, -0.0], dt=1e-3, horizon=0.3)
         dist = (EXP3 if observe else DisturbanceSpec.none(3))
-        assert_alone_is_row_zero_of_a_pair(reference_gains(), PARTNER, sim, dist, observe)
+        assert_alone_is_each_row_of_a_pair(reference_gains(), PARTNER, sim, dist, observe)
 
     @pytest.mark.parametrize("observe", [False, True], ids=["controller", "observer"])
     def test_numpy_scalar_gains_and_a_float32_dt(self, observe):
@@ -588,7 +586,7 @@ class TestTheTwoKernelsAgree:
         assert all(type(getattr(cfg, name)) is float for name in ("k1", "k2", "k4", "kappa", "m"))
         sim = SimConfig(x1_init=[1.0, 3.0, 2.0], dt=np.float32(1e-3), horizon=0.3)
         assert type(sim.dt) is float and sim.dt == float(np.float32(1e-3))
-        assert_alone_is_row_zero_of_a_pair(cfg, PARTNER, sim, EXP3 if observe else EXP2,
+        assert_alone_is_each_row_of_a_pair(cfg, PARTNER, sim, EXP3 if observe else EXP2,
                                            observe)
 
     def test_the_dt_001_abort(self):
